@@ -11,6 +11,15 @@ Library layout:
 * :mod:`enkf_lab.cli` the ``enkf-lab`` command
 """
 
+import os as _os
+
+# ENKF_LAB_THREADS caps the BLAS thread pools. It must reach the environment
+# before the first submodule imports numpy: the pools size themselves then
+# and ignore later changes.
+if _os.environ.get("ENKF_LAB_THREADS"):
+    for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS"):
+        _os.environ.setdefault(_var, _os.environ["ENKF_LAB_THREADS"])
+
 __version__ = "0.1.0"
 
 from .effective_dim import (

@@ -28,32 +28,9 @@ import time
 from dataclasses import dataclass, field, fields as dc_fields
 from typing import Optional, Sequence
 
-from . import __version__
-
-_THREAD_VARS = (
-    "OMP_NUM_THREADS",
-    "OPENBLAS_NUM_THREADS",
-    "MKL_NUM_THREADS",
-    "NUMEXPR_NUM_THREADS",
-)
-
-
-def _apply_thread_cap():
-    """Honor ENKF_LAB_THREADS by capping the usual BLAS pool env vars.
-
-    Best effort: pools already initialized by an earlier numpy import in
-    the same process keep their size.
-    """
-    cap = os.environ.get("ENKF_LAB_THREADS")
-    if cap:
-        for var in _THREAD_VARS:
-            os.environ.setdefault(var, cap)
-
-
-_apply_thread_cap()
-
 import numpy as np
 
+from . import __version__
 from .diagnostics import (
     run_accuracy_experiment,
     run_concentration_experiment,
@@ -314,24 +291,6 @@ def _write_manifest(cfg: ExperimentConfig, out_dir: str):
         fh.write("\n")
 
 
-def _write_table(path, columns, rows, comments=()):
-    with open(path, "w", newline="") as fh:
-        for line in comments:
-            fh.write(f"# {line}\n")
-        fh.write(",".join(columns) + "\n")
-        for row in rows:
-            cells = []
-            for c in columns:
-                v = row[c]
-                if isinstance(v, bool):
-                    cells.append(str(int(v)))
-                elif isinstance(v, (int, np.integer)):
-                    cells.append(str(int(v)))
-                else:
-                    cells.append("%.17g" % float(v))
-            fh.write(",".join(cells) + "\n")
-
-
 def _config_comment(cfg: ExperimentConfig) -> str:
     return "config: " + json.dumps(config_to_dict(cfg), sort_keys=True)
 
@@ -402,17 +361,17 @@ def _run_verify_dim(cfg: ExperimentConfig, out_dir: str) -> int:
 def _run_rmt(cfg: ExperimentConfig, out_dir: str) -> int:
     result = run_concentration_experiment(seed=cfg.seeds[0], **cfg.rmt)
     comments = [_config_comment(cfg), f"seed: {cfg.seeds[0]}"]
-    _write_table(
-        os.path.join(out_dir, "rare_event.csv"),
-        ("K", "cond_target", "trials", "hits", "prob"),
+    write_csv(
         result["rare_event"],
+        os.path.join(out_dir, "rare_event.csv"),
         comments,
+        columns=("K", "cond_target", "trials", "hits", "prob"),
     )
-    _write_table(
-        os.path.join(out_dir, "tail.csv"),
-        ("t", "count", "prob"),
+    write_csv(
         result["tail"],
+        os.path.join(out_dir, "tail.csv"),
         comments,
+        columns=("t", "count", "prob"),
     )
     write_json(result, os.path.join(out_dir, "report.json"))
     fit = result["tail_fit"]
@@ -426,11 +385,11 @@ def _run_rmt(cfg: ExperimentConfig, out_dir: str) -> int:
 def _run_stability(cfg: ExperimentConfig, out_dir: str) -> int:
     stream = build_turbulence(cfg.model)
     rows = run_stability_experiment(stream, cfg.enkf, cfg.T, cfg.shifts, cfg.seeds)
-    _write_table(
-        os.path.join(out_dir, "slopes.csv"),
-        ("shift", "seed", "slope", "n_points", "spreads_identical", "final_gap"),
+    write_csv(
         rows,
+        os.path.join(out_dir, "slopes.csv"),
         [_config_comment(cfg)],
+        columns=("shift", "seed", "slope", "n_points", "spreads_identical", "final_gap"),
     )
     slopes = [r["slope"] for r in rows if not np.isnan(r["slope"])]
     frac_neg = float(np.mean([s < 0 for s in slopes])) if slopes else float("nan")
@@ -451,11 +410,11 @@ def _run_stability(cfg: ExperimentConfig, out_dir: str) -> int:
 def _run_accuracy(cfg: ExperimentConfig, out_dir: str) -> int:
     stream = build_turbulence(cfg.model)
     rows = run_accuracy_experiment(stream, cfg.enkf, cfg.T, cfg.eps_list, cfg.seeds)
-    _write_table(
-        os.path.join(out_dir, "accuracy.csv"),
-        ("eps", "mean_error", "std_error", "error_over_eps", "seeds"),
+    write_csv(
         rows,
+        os.path.join(out_dir, "accuracy.csv"),
         [_config_comment(cfg)],
+        columns=("eps", "mean_error", "std_error", "error_over_eps", "seeds"),
     )
     ratios = [r["error_over_eps"] for r in rows]
     summary = {

@@ -167,6 +167,7 @@ def run_filter_experiment(
                 C_hat_taurho, coeffs.A, C_prev, Sigma_plus, cfg.r, cfg.tau, cfg.rho
             )
             C_post = rec.posterior.covariance()
+            cov_fidelity = loewner_ratio(C_post, r_ref)
             e = filt.ensemble.mean - truth.states[n + 1]
             maha = mahalanobis_sq(e, C_post + cfg.rho * np.eye(d)) / d
             series.append(
@@ -176,9 +177,9 @@ def run_filter_experiment(
                     l2_error=float(np.linalg.norm(e)),
                     lam=float(lam),
                     mu=float(mu),
-                    nu=float(compute_nu(C_post, r_ref)),
+                    nu=float(max(1.0, cov_fidelity)),
                     chi=float(rec.chi),
-                    cov_fidelity=float(loewner_ratio(C_post, r_ref)),
+                    cov_fidelity=float(cov_fidelity),
                 )
             )
         per_seed[seed] = series
@@ -462,28 +463,30 @@ def run_accuracy_experiment(
     return rows
 
 
-def write_csv(series, path, comments: Sequence[str] = ()):
-    """Write diagnostics rows with the fixed 8-column layout.
+def write_csv(rows, path, comments: Sequence[str] = (), columns: Sequence[str] = CSV_COLUMNS):
+    """Write one table row per entry of ``rows`` under the header ``columns``.
 
-    ``series`` holds :class:`FilterDiagnostics` (or dicts with the same
-    keys, where the lam field may be named "lambda"). Floats are
-    formatted %.17g so values round-trip exactly; comment lines are
+    ``rows`` holds :class:`FilterDiagnostics` or dicts keyed by column
+    name; a "lambda" column falls back to a "lam" key, the field name of
+    :class:`FilterDiagnostics`. Ints and bools are written as integers,
+    everything else %.17g so floats round-trip exactly. Comment lines are
     '#'-prefixed above the header.
     """
     with open(path, "w", newline="") as fh:
         for line in comments:
             fh.write(f"# {line}\n")
-        fh.write(",".join(CSV_COLUMNS) + "\n")
-        for row in series:
-            if isinstance(row, FilterDiagnostics):
-                vals = [
-                    row.step, row.maha_sq_per_d, row.l2_error, row.nu,
-                    row.lam, row.mu, row.chi, row.cov_fidelity,
-                ]
-            else:
-                vals = [row.get("lambda", row.get("lam")) if c == "lambda" else row[c] for c in CSV_COLUMNS]
-            out = [str(int(vals[0]))] + ["%.17g" % float(v) for v in vals[1:]]
-            fh.write(",".join(out) + "\n")
+        fh.write(",".join(columns) + "\n")
+        for row in rows:
+            if not isinstance(row, dict):
+                row = vars(row)
+            cells = []
+            for c in columns:
+                v = row["lam"] if c == "lambda" and c not in row else row[c]
+                if isinstance(v, (bool, int, np.integer)):
+                    cells.append(str(int(v)))
+                else:
+                    cells.append("%.17g" % float(v))
+            fh.write(",".join(cells) + "\n")
 
 
 def _jsonable(obj):

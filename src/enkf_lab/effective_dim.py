@@ -91,26 +91,14 @@ def instability_modes(params: TurbulenceParams, rho=None, r=None, tau=None) -> l
     rho = params.rho if rho is None else rho
     r = params.r if r is None else r
     tau = params.tau if tau is None else tau
-    g = params.gamma()
-    sig = np.zeros(params.J + 1)
-    if params.J >= 1:
-        k = np.arange(1, params.J + 1, dtype=float)
-        sig[1:] = 0.5 * params.E0 * k ** (-params.beta) * (
-            1.0 - np.exp(-2.0 * g[1:] * params.h)
-        )
-    lhs = rho * np.exp(-2.0 * g * params.h) + sig
+    lhs = rho * np.exp(-2.0 * params.gamma() * params.h) + params.mode_sigma()
     return [int(k) for k in np.nonzero(lhs >= tau * rho / r)[0]]
 
 
 def _assemble(params, rho, branch1, branch2, fail_cov, r_k=None) -> DimReport:
     J = params.J
     g = params.gamma()
-    sig = np.zeros(J + 1)
-    if J >= 1:
-        k = np.arange(1, J + 1, dtype=float)
-        sig[1:] = 0.5 * params.E0 * k ** (-params.beta) * (
-            1.0 - np.exp(-2.0 * g[1:] * params.h)
-        )
+    sig = params.mode_sigma()
     inst = instability_modes(params, rho=rho)
     failing = [int(k) for k in np.nonzero(fail_cov)[0]]
     p_cov = len(failing)
@@ -157,15 +145,8 @@ def verify_dim_unfiltered(params: TurbulenceParams, rho=None) -> DimReport:
     params.validate()
     rho = params.rho if rho is None else rho
     r, tau = params.r, params.tau
-    g = params.gamma()
-    J = params.J
-    sig = np.zeros(J + 1)
-    if J >= 1:
-        k = np.arange(1, J + 1, dtype=float)
-        sig[1:] = 0.5 * params.E0 * k ** (-params.beta) * (
-            1.0 - np.exp(-2.0 * g[1:] * params.h)
-        )
-    decay = np.exp(-2.0 * g * params.h)
+    sig = params.mode_sigma()
+    decay = np.exp(-2.0 * params.gamma() * params.h)
     den = 1.0 - r * r * tau - r * r * decay
     num = r * r * sig
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -187,14 +168,8 @@ def verify_dim_observed(params: TurbulenceParams, rho=None) -> DimReport:
     rho = params.rho if rho is None else rho
     r, tau = params.r, params.tau
     r_k = stationary_riccati_diag(params, rho=rho)
-    g = params.gamma()
-    sig = np.zeros(params.J + 1)
-    if params.J >= 1:
-        k = np.arange(1, params.J + 1, dtype=float)
-        sig[1:] = 0.5 * params.E0 * k ** (-params.beta) * (
-            1.0 - np.exp(-2.0 * g[1:] * params.h)
-        )
-    branch2 = (r * rho / tau) * np.exp(-2.0 * g * params.h) + (r / tau) * sig
+    decay = np.exp(-2.0 * params.gamma() * params.h)
+    branch2 = (r * rho / tau) * decay + (r / tau) * params.mode_sigma()
     fail_cov = r_k > rho
     return _assemble(params, rho, r_k, branch2, fail_cov, r_k=r_k)
 

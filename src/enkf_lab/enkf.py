@@ -45,12 +45,14 @@ from .models import (
     DOMAIN_INIT,
     CoefficientStream,
     StepCoefficients,
+    _LastValueMemo,
     sample_noise,
     substream,
 )
 
 __all__ = [
     "RankDeficit",
+    "InvalidObservation",
     "Ensemble",
     "EnkfConfig",
     "StepRecord",
@@ -69,12 +71,17 @@ class RankDeficit(UserWarning):
     """The projected target needs more directions than the spread spans."""
 
 
+class InvalidObservation(ValueError):
+    """An observation is missing or non-finite where the system is observed."""
+
+
 @dataclass
 class Ensemble:
     """Ensemble mean and spread (deviation columns).
 
-    The spread columns must sum to zero within 1e-10 per component and
-    there must be at least two members.
+    The mean must be finite, the spread columns must sum to zero within
+    1e-10 per component (so a non-finite spread fails too), and there must
+    be at least two members.
     """
 
     mean: np.ndarray
@@ -90,8 +97,10 @@ class Ensemble:
             )
         if self.spread.shape[1] < 2:
             raise DimensionMismatch("need K >= 2 members")
+        if not np.all(np.isfinite(self.mean)):
+            raise ValueError("ensemble mean must be finite")
         colsum = self.spread.sum(axis=1)
-        if np.max(np.abs(colsum)) > 1e-10:
+        if not np.all(np.abs(colsum) <= 1e-10):
             raise ValueError("spread columns must sum to zero within 1e-10")
 
     @property
@@ -197,18 +206,29 @@ def enkf_forecast(
     return mean, S_hat
 
 
-def _recenter_zero_sum(S: np.ndarray) -> np.ndarray:
-    # exact in theory; enforced numerically against roundoff drift
-    return S - S.mean(axis=1, keepdims=True)
+def _posterior(mean_hat, S_hat, S_plus, H, y, cfg, rho_next):
+    """Shared tail of both routes: mean update, posterior and step record.
 
-
-def _posterior_mean_and_residual(mean_hat, S_hat, H, y, cfg):
+    ``S_plus`` is recentred into a new array; callers pass it without
+    keeping a reference, so the un-centred d x K array is freed at once.
+    """
+    # zero column sums are exact in theory; enforced against roundoff drift
+    S_plus = S_plus - S_plus.mean(axis=1, keepdims=True)
     if H is None:
-        return mean_hat.copy(), np.zeros(0)
-    y = np.asarray(y, dtype=float).ravel()
-    resid = y - np.asarray(H @ mean_hat).ravel()
-    ctx = make_gain_context(S_hat, H, cfg.tau * cfg.rho)
-    return mean_hat + gain_apply_woodbury(ctx, resid), resid
+        mean_plus, resid = mean_hat.copy(), np.zeros(0)
+    else:
+        resid = y - np.asarray(H @ mean_hat).ravel()
+        ctx = make_gain_context(S_hat, H, cfg.tau * cfg.rho)
+        mean_plus = mean_hat + gain_apply_woodbury(ctx, resid)
+    ens = Ensemble(mean=mean_plus, spread=S_plus)
+    rec = StepRecord(
+        forecast_spread=S_hat,
+        posterior=ens,
+        gain_residual=resid,
+        chi=max(1.0, rho_next / cfg.rho),
+        projection_discard=float(rho_next),
+    )
+    return ens, rec
 
 
 def _kappa(s, eta: float, c: float):
@@ -248,24 +268,15 @@ def _assimilate_structured(mean_hat, S_hat, eta, y, cfg, H=None):
     D = _kappa(s[:take], eta, c) - cfg.rho
     w = np.sqrt(np.maximum(D, 0.0) * (K - 1))
     Psi = S_hat @ (Phi[:, :take] / sing[:take])  # left singular vectors
-    S_plus = (Psi * w) @ Phi[:, :take].T
-    S_plus = _recenter_zero_sum(S_plus)
     # (p+1)-th eigenvalue of the posterior map, padding the spectrum
     # with the flat tail value
     if p < d:
         rho_next = _kappa(s[p], eta, c) if p < m else kappa_tail
     else:
         rho_next = 0.0
-    mean_plus, resid = _posterior_mean_and_residual(mean_hat, S_hat, H, y, cfg)
-    ens = Ensemble(mean=mean_plus, spread=S_plus)
-    rec = StepRecord(
-        forecast_spread=S_hat,
-        posterior=ens,
-        gain_residual=resid,
-        chi=max(1.0, rho_next / cfg.rho),
-        projection_discard=float(rho_next),
+    return _posterior(
+        mean_hat, S_hat, (Psi * w) @ Phi[:, :take].T, H, y, cfg, rho_next
     )
-    return ens, rec
 
 
 def _assimilate_dense(mean_hat, S_hat, H, y, cfg):
@@ -294,18 +305,9 @@ def _assimilate_dense(mean_hat, S_hat, H, y, cfg):
     w = np.sqrt(np.maximum(D[:take], 0.0) * (K - 1))
     # i-th eigenvector of the projected target pairs with the i-th right
     # singular direction of S_hat (both in descending order)
-    S_plus = (Q[:, :take] * w) @ PhiT[:take, :]
-    S_plus = _recenter_zero_sum(S_plus)
-    mean_plus, resid = _posterior_mean_and_residual(mean_hat, S_hat, H, y, cfg)
-    ens = Ensemble(mean=mean_plus, spread=S_plus)
-    rec = StepRecord(
-        forecast_spread=S_hat,
-        posterior=ens,
-        gain_residual=resid,
-        chi=max(1.0, rho_next / cfg.rho),
-        projection_discard=float(rho_next),
+    return _posterior(
+        mean_hat, S_hat, (Q[:, :take] * w) @ PhiT[:take, :], H, y, cfg, rho_next
     )
-    return ens, rec
 
 
 def enkf_assimilate(mean_hat, S_hat, coeffs: StepCoefficients, y, cfg: EnkfConfig):
@@ -316,6 +318,10 @@ def enkf_assimilate(mean_hat, S_hat, coeffs: StepCoefficients, y, cfg: EnkfConfi
     (negative directions clamped) whenever the needed directions lie in
     the span of ``S_hat``; otherwise a :class:`RankDeficit` warning is
     recorded and the identity holds on the spanned part.
+
+    With ``coeffs.H`` set, ``y`` must be a finite array of shape ``(q,)``
+    (else :class:`InvalidObservation`, or :class:`DimensionMismatch` for
+    the shape); with ``coeffs.H`` None, ``y`` is ignored.
     """
     mean_hat = np.asarray(mean_hat, dtype=float).ravel()
     S_hat = np.asarray(S_hat, dtype=float)
@@ -323,6 +329,14 @@ def enkf_assimilate(mean_hat, S_hat, coeffs: StepCoefficients, y, cfg: EnkfConfi
     if cfg.p > d:
         raise DimensionMismatch(f"p={cfg.p} exceeds state dimension d={d}")
     H = coeffs.H
+    if H is not None:
+        if y is None:
+            raise InvalidObservation("the system is observed but y is None")
+        y = np.asarray(y, dtype=float)
+        if y.shape != (H.shape[0],):
+            raise DimensionMismatch(f"y has shape {y.shape}, expected ({H.shape[0]},)")
+        if not np.all(np.isfinite(y)):
+            raise InvalidObservation("y has non-finite entries")
     eta = _scaled_identity_coeff(H, d)
     if H is None and S_hat.shape[1] < d:
         return _assimilate_structured(mean_hat, S_hat, 0.0, y, cfg, H=None)
@@ -350,8 +364,9 @@ class EnkfFilter:
     Noise substreams are keyed by ``(seed, domain, step, member)``
     independently of the state, so two filters sharing a seed draw
     identical noise regardless of their means (used by the stability
-    experiments). Sigma+ factors are cached per coefficient object, so
-    constant streams factor once.
+    experiments). The Sigma+ factor of the latest coefficient object is
+    kept, so constant streams factor once and memory stays bounded on
+    time-varying ones.
     """
 
     def __init__(
@@ -368,7 +383,7 @@ class EnkfFilter:
         self.cfg = cfg
         self.seed = int(seed)
         self.n = 0
-        self._factors = {}
+        self._factor_memo = _LastValueMemo(lambda coeffs: sigma_plus_factor(coeffs, cfg))
         mean0 = (
             np.zeros(stream.d)
             if init_mean is None
@@ -387,13 +402,7 @@ class EnkfFilter:
         self.ensemble = Ensemble(mean=mean0 + mu_noise, spread=noise - mu_noise[:, None])
 
     def _factor_for(self, coeffs):
-        key = id(coeffs)
-        hit = self._factors.get(key)
-        if hit is not None and hit[0] is coeffs:
-            return hit[1]
-        val = sigma_plus_factor(coeffs, self.cfg)
-        self._factors[key] = (coeffs, val)
-        return val
+        return self._factor_memo(coeffs)
 
     def step(self, y) -> StepRecord:
         coeffs = self.stream.at(self.n)

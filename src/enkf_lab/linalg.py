@@ -45,12 +45,6 @@ __all__ = [
 # Relative eigenvalue floor below which a symmetric matrix counts as singular.
 PD_RTOL = 1e-12
 
-# Dense eigensolver is used up to this dimension; above it top_p_projection
-# switches to power iteration with deflation.
-DENSE_EIG_MAX_DIM = 512
-
-_POWER_TOL = 1e-10
-
 
 class NotPositiveDefinite(ValueError):
     """A matrix required to be positive definite is not."""
@@ -344,47 +338,6 @@ def gain_apply_woodbury(ctx: KalmanGainContext, y):
     return out[:, 0] if squeeze else out
 
 
-def _power_top_eigs(M: np.ndarray, k: int):
-    """Top-k eigenpairs by shifted power iteration with deflation.
-
-    Residual tolerance 1e-10 (relative to the matrix scale), at most
-    ``10 * d`` iterations per eigenpair.
-    """
-    d = M.shape[0]
-    scale = float(np.max(np.sum(np.abs(M), axis=1)))  # 1-norm bounds |spec|
-    shift = scale + 1.0
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(0x70F0)))
-    vals = np.empty(k)
-    vecs = np.empty((d, k))
-    maxit = 10 * d
-    for j in range(k):
-        v = rng.standard_normal(d)
-        for _ in range(maxit):
-            w = M @ v + shift * v
-            for i in range(j):
-                w -= (vecs[:, i] @ w) * vecs[:, i]
-            nw = np.linalg.norm(w)
-            if nw == 0.0:
-                break
-            v = w / nw
-            mu = float(v @ (M @ v))
-            resid = M @ v - mu * v
-            for i in range(j):
-                resid -= (vecs[:, i] @ resid) * vecs[:, i]
-            if np.linalg.norm(resid) <= _POWER_TOL * max(1.0, scale):
-                break
-        else:
-            raise np.linalg.LinAlgError(
-                f"power iteration did not converge for eigenpair {j}"
-            )
-        nz = np.nonzero(np.abs(v) > 1e-12)[0]
-        if nz.size and v[nz[0]] < 0:
-            v = -v
-        vals[j] = float(v @ (M @ v))
-        vecs[:, j] = v
-    return vals, vecs
-
-
 def top_p_projection(C, p: int):
     """Projector onto the span of the top-``p`` eigenvectors of ``C``.
 
@@ -402,22 +355,15 @@ def top_p_projection(C, p: int):
     rho_next : float
         The (p+1)-th eigenvalue, 0.0 when ``p == d``.
 
-    Dense solve up to dimension 512, shifted power iteration with
-    deflation above that.
+    One dense symmetric eigensolve (:func:`eigh_desc`) at every ``d``.
     """
     C = _as_square(C, "C")
     d = C.shape[0]
     if not 0 <= p <= d:
         raise DimensionMismatch(f"p={p} out of range for d={d}")
-    if d <= DENSE_EIG_MAX_DIM:
-        w, V = eigh_desc(C)
-        top_w, top_V = w[:p], V[:, :p]
-        rho_next = float(w[p]) if p < d else 0.0
-    else:
-        k = min(p + 1, d)
-        w, V = _power_top_eigs(C, k)
-        top_w, top_V = w[:p], V[:, :p]
-        rho_next = float(w[p]) if p < d else 0.0
+    w, V = eigh_desc(C)
+    top_w, top_V = w[:p], V[:, :p]
+    rho_next = float(w[p]) if p < d else 0.0
     P = symmetrize(top_V @ top_V.T)
     return P, SpectralDecomp(np.array(top_w), np.array(top_V)), rho_next
 

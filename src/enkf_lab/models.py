@@ -190,12 +190,23 @@ class TurbulenceParams:
         k = np.arange(self.J + 1, dtype=float)
         return self.gamma0 + self.nu_visc * k**self.alpha
 
+    def mode_sigma(self) -> np.ndarray:
+        """Per-wavenumber variance increments over k = 0..J.
+
+        ``0.5 E0 k^-beta (1 - e^{-2 gamma_k h})`` for k >= 1, the variance
+        each of the (cos, sin) components of wavenumber k gains per step;
+        0 at k = 0, which is unforced.
+        """
+        k = np.arange(1, self.J + 1, dtype=float)
+        out = np.zeros(self.J + 1)
+        out[1:] = 0.5 * self.E0 * k ** (-self.beta) * (
+            1.0 - np.exp(-2.0 * self.gamma()[1:] * self.h)
+        )
+        return out
+
     def sigma_diag(self) -> np.ndarray:
         """Diagonal of Sigma over the d state components."""
-        g = self.gamma()
-        k = np.arange(1, self.J + 1, dtype=float)
-        energy = self.E0 * k ** (-self.beta)
-        per_mode = 0.5 * energy * (1.0 - np.exp(-2.0 * g[1:] * self.h))
+        per_mode = self.mode_sigma()[1:]
         out = np.zeros(self.d)
         out[1::2] = per_mode
         out[2::2] = per_mode
@@ -317,20 +328,21 @@ def build_turbulence(params: TurbulenceParams) -> CoefficientStream:
     return stream
 
 
-class _FactorCache:
-    """Keyed by object identity; holds a strong ref so ids stay unique."""
+class _LastValueMemo:
+    """``build(key)``, remembered for the most recent key only (by identity).
 
-    def __init__(self):
-        self._data = {}
+    A constant stream hands out the same object every step, so it builds
+    once; a time-varying stream holds one value, not one per step.
+    """
 
-    def get(self, key_obj, build):
-        k = id(key_obj)
-        hit = self._data.get(k)
-        if hit is not None and hit[0] is key_obj:
-            return hit[1]
-        val = build()
-        self._data[k] = (key_obj, val)
-        return val
+    def __init__(self, build: Callable):
+        self._build = build
+        self._last = None  # (key, value)
+
+    def __call__(self, key):
+        if self._last is None or self._last[0] is not key:
+            self._last = (key, self._build(key))
+        return self._last[1]
 
 
 def sample_noise(factor, rng, size: Optional[int] = None) -> np.ndarray:
@@ -373,11 +385,10 @@ def simulate_truth(
     states = np.empty((T + 1, stream.d))
     states[0] = x
     obs = np.empty((T, stream.q)) if stream.q else None
-    cache = _FactorCache()
+    noise_factor = _LastValueMemo(positive_part_factor)
     for n in range(T):
         coeffs = stream.at(n)
-        factor = cache.get(coeffs.Sigma, lambda: positive_part_factor(coeffs.Sigma))
-        xi = sample_noise(factor, substream(seed, DOMAIN_TRUTH, n))
+        xi = sample_noise(noise_factor(coeffs.Sigma), substream(seed, DOMAIN_TRUTH, n))
         x = np.asarray(coeffs.A @ x).ravel() + coeffs.B + xi
         states[n + 1] = x
         if obs is not None:

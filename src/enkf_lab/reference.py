@@ -218,13 +218,7 @@ def unfiltered_mode_values(params: TurbulenceParams, r=None, tau=None, rho=None)
     tau = params.tau if tau is None else tau
     rho = params.rho if rho is None else rho
     g = params.gamma()
-    sig = np.zeros(params.J + 1)
-    if params.J >= 1:
-        k = np.arange(1, params.J + 1, dtype=float)
-        sig[1:] = 0.5 * params.E0 * k ** (-params.beta) * (
-            1.0 - np.exp(-2.0 * g[1:] * params.h)
-        )
-    num = r * r * (sig + tau * rho)
+    num = r * r * (params.mode_sigma() + tau * rho)
     den = 1.0 - r * r * np.exp(-2.0 * g * params.h)
     v = np.full(params.J + 1, np.inf)
     ok = den > 0
@@ -253,14 +247,8 @@ def stationary_riccati_diag(params: TurbulenceParams, r=None, tau=None, rho=None
     r = params.r if r is None else r
     tau = params.tau if tau is None else tau
     rho = params.rho if rho is None else rho
-    g = params.gamma()
-    sig = np.zeros(params.J + 1)
-    if params.J >= 1:
-        kk = np.arange(1, params.J + 1, dtype=float)
-        sig[1:] = 0.5 * params.E0 * kk ** (-params.beta) * (
-            1.0 - np.exp(-2.0 * g[1:] * params.h)
-        )
-    decay = np.exp(-2.0 * g * params.h)
+    sig = params.mode_sigma()
+    decay = np.exp(-2.0 * params.gamma() * params.h)
     so = params.sigma_obs
     d = params.d
 

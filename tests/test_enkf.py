@@ -1,13 +1,18 @@
 """Tests for the augmented ensemble filter."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 import scipy.sparse
 
+from enkf_lab import enkf
 from enkf_lab.enkf import (
     Ensemble,
     EnkfConfig,
     EnkfFilter,
+    InvalidObservation,
     RankDeficit,
     enkf_assimilate,
     enkf_forecast,
@@ -16,6 +21,7 @@ from enkf_lab.enkf import (
 )
 from enkf_lab.linalg import DimensionMismatch, factor_matrix, kalman_update_operator
 from enkf_lab.models import (
+    JumpSpec,
     StepCoefficients,
     CoefficientStream,
     TurbulenceParams,
@@ -64,6 +70,10 @@ def test_ensemble_validation():
         Ensemble(mean=np.zeros(2), spread=np.ones((2, 3)))
     with pytest.raises(DimensionMismatch):
         Ensemble(mean=np.zeros(2), spread=np.zeros((2, 1)))
+    with pytest.raises(ValueError, match="sum to zero"):
+        Ensemble(mean=np.zeros(2), spread=np.full((2, 3), np.nan))
+    with pytest.raises(ValueError, match="finite"):
+        Ensemble(mean=np.array([0.0, np.nan]), spread=np.zeros((2, 3)))
     ens = make_ensemble(3, 5)
     np.testing.assert_allclose(
         ens.covariance(), ens.spread @ ens.spread.T / 4, atol=1e-14
@@ -311,14 +321,75 @@ def test_filter_reproducible_and_seed_sensitive():
     assert not np.array_equal(e1.spread, e3.spread)
 
 
-def test_filter_factor_cache_constant_stream():
+def test_filter_factor_cache_constant_stream(monkeypatch):
     stream = build_turbulence(TurbulenceParams(J=3, sigma_obs=10.0, tau=0.6))
     cfg = EnkfConfig(K=6, p=3, r=1.1, rho=0.04, tau=0.6)
+    calls = []
+    real = enkf.sigma_plus_factor
+    monkeypatch.setattr(
+        enkf, "sigma_plus_factor", lambda c, cf: calls.append(c) or real(c, cf)
+    )
     f = EnkfFilter(stream, cfg, seed=0)
-    truth = simulate_truth(stream, np.zeros(stream.d), 3, seed=0)
-    for n in range(3):
+    truth = simulate_truth(stream, np.zeros(stream.d), 5, seed=0)
+    for n in range(5):
         f.step(truth.observations[n])
-    assert len(f._factors) == 1
+    assert len(calls) == 1
+
+
+def test_filter_factor_memory_bounded_on_jump_stream():
+    # a fresh coefficient object every step must not be kept alive by the
+    # filter once the next step has replaced it
+    jump = JumpSpec(
+        transition=[[0.5, 0.5], [0.5, 0.5]],
+        multipliers=[[1.0], [1.1]],
+        modes=(1,),
+    )
+    stream = build_turbulence(
+        TurbulenceParams(J=3, sigma_obs=10.0, tau=0.6, jump_spec=jump)
+    )
+    T = 12
+    truth = simulate_truth(stream, np.zeros(stream.d), T, seed=0)
+    made = []
+    generate = stream.generator
+
+    def tracked(n, rng):
+        coeffs = generate(n, rng)
+        made.append(weakref.ref(coeffs))
+        return coeffs
+
+    stream.generator = tracked
+    cfg = EnkfConfig(K=6, p=3, r=1.1, rho=0.04, tau=0.6)
+    f = EnkfFilter(stream, cfg, seed=0)
+    for n in range(T):
+        f.step(truth.observations[n])
+    gc.collect()
+    assert len(made) == T
+    assert sum(ref() is not None for ref in made) <= 2
+
+
+def _observed_step_inputs():
+    stream = build_turbulence(TurbulenceParams(J=10, sigma_obs=10.0, tau=0.6))
+    cfg = EnkfConfig(K=6, p=3, r=1.1, rho=0.04, tau=0.6)
+    ens = make_ensemble(stream.d, cfg.K, seed=41)
+    return ens.mean, ens.spread, stream.at(0), cfg
+
+
+def test_assimilate_rejects_short_observation():
+    mean_hat, S_hat, coeffs, cfg = _observed_step_inputs()
+    with pytest.raises(DimensionMismatch):
+        enkf_assimilate(mean_hat, S_hat, coeffs, np.ones(1), cfg)
+
+
+def test_assimilate_rejects_nan_observation():
+    mean_hat, S_hat, coeffs, cfg = _observed_step_inputs()
+    with pytest.raises(InvalidObservation):
+        enkf_assimilate(mean_hat, S_hat, coeffs, np.full(coeffs.H.shape[0], np.nan), cfg)
+
+
+def test_assimilate_rejects_missing_observation():
+    mean_hat, S_hat, coeffs, cfg = _observed_step_inputs()
+    with pytest.raises(InvalidObservation):
+        enkf_assimilate(mean_hat, S_hat, coeffs, None, cfg)
 
 
 def test_tracks_exact_kalman_filter():

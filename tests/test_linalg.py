@@ -260,8 +260,8 @@ def test_top_p_projection_projector_properties():
             np.testing.assert_allclose(rho_next, w[p], atol=1e-10)
 
 
-def test_top_p_projection_power_path_matches_dense():
-    # d beyond the dense cutoff exercises the power iteration branch
+def test_top_p_projection_large_d_matches_eigvalsh():
+    # d > 512 runs through the same single eigh path as small d
     rng = np.random.default_rng(8)
     d = 600
     F = rng.standard_normal((d, 12))
