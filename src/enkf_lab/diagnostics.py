@@ -153,11 +153,11 @@ def run_filter_experiment(
         filt = EnkfFilter(stream, cfg, seed, init_mean=init_mean)
         series = []
         for n in range(T):
-            coeffs = stream.at(n)
             C_prev = filt.ensemble.covariance()
-            Sigma_plus = factor_matrix(filt._factor_for(coeffs))
             y = truth.observations[n] if truth.observations is not None else None
             rec = filt.step(y)
+            coeffs = filt.coeffs  # the step's coefficients; its factor is memoised
+            Sigma_plus = factor_matrix(filt._factor_for(coeffs))
             S_hat = rec.forecast_spread
             K = S_hat.shape[1]
             C_hat_taurho = symmetrize(

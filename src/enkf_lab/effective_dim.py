@@ -215,7 +215,8 @@ def verify_dim_general(
         return r * r * S + tau * rho * eye
 
     for n in range(burn_in):
-        state = augmented_riccati_step(state, stream.at(n), sigma_prime=sp_ref(stream.at(n)))
+        coeffs = stream.at(n)
+        state = augmented_riccati_step(state, coeffs, sigma_prime=sp_ref(coeffs))
     max_cov = 0
     max_rank = 0
     worst_idx: list = []

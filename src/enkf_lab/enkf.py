@@ -366,7 +366,9 @@ class EnkfFilter:
     identical noise regardless of their means (used by the stability
     experiments). The Sigma+ factor of the latest coefficient object is
     kept, so constant streams factor once and memory stays bounded on
-    time-varying ones.
+    time-varying ones. ``coeffs`` holds the coefficients of the latest
+    step (None before the first), so a caller can reuse them and their
+    memoised factor instead of fetching the step again.
     """
 
     def __init__(
@@ -383,6 +385,7 @@ class EnkfFilter:
         self.cfg = cfg
         self.seed = int(seed)
         self.n = 0
+        self.coeffs: Optional[StepCoefficients] = None
         self._factor_memo = _LastValueMemo(lambda coeffs: sigma_plus_factor(coeffs, cfg))
         mean0 = (
             np.zeros(stream.d)
@@ -411,5 +414,6 @@ class EnkfFilter:
         self.ensemble, rec = enkf_step(
             self.ensemble, coeffs, y, self.cfg, rng, factor=factor
         )
+        self.coeffs = coeffs
         self.n += 1
         return rec

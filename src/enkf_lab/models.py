@@ -235,6 +235,14 @@ class TurbulenceParams:
             raise InvalidParams(
                 f"omega_spec must have length J + 1 = {self.J + 1}"
             )
+        if self.jump_spec is not None:
+            modes = self.jump_spec.modes
+            if not all(1 <= k <= self.J for k in modes):
+                raise InvalidParams(
+                    f"jump_spec.modes must be wavenumbers in 1..J = {self.J}, got {modes}"
+                )
+            if len(set(modes)) != len(modes):
+                raise InvalidParams(f"jump_spec.modes must be distinct, got {modes}")
 
 
 @dataclass
@@ -251,26 +259,35 @@ class TruthTrajectory:
     seed: int
 
 
-def _rotation_block(scale: float, angle: float) -> np.ndarray:
-    c, s = np.cos(angle), np.sin(angle)
-    return scale * np.array([[c, -s], [s, c]])
+def _turbulence_A(params: TurbulenceParams):
+    """Block-diagonal A in CSR form, built from arrays in O(d).
 
-
-def _turbulence_A(params: TurbulenceParams, mults: Optional[dict] = None):
-    g = params.gamma()
-    h = params.h
+    Mode 0 is a 1x1 damping block; wavenumber k is the 2x2 damped rotation
+    ``e^{-gamma_k h} [[cos, -sin], [sin, cos]](omega_k h)`` on rows and
+    columns ``2k-1, 2k``. Every block entry is stored, zeros included
+    (``e^{-gamma_k h}`` underflows at large k), so nnz = 4J + 1 and the
+    entries of wavenumber k are ``data[indptr[2k-1]:indptr[2k+1]]``.
+    """
+    J, d, h = params.J, params.d, params.h
+    scale = np.exp(-params.gamma() * h)
     omega = (
-        np.zeros(params.J + 1)
+        np.zeros(J + 1)
         if params.omega_spec is None
         else np.asarray(params.omega_spec, dtype=float)
     )
-    blocks = [np.array([[np.exp(-g[0] * h)]])]
-    for k in range(1, params.J + 1):
-        blk = _rotation_block(np.exp(-g[k] * h), omega[k] * h)
-        if mults and k in mults:
-            blk = mults[k] * blk
-        blocks.append(blk)
-    return scipy.sparse.block_diag(blocks, format="csr")
+    angle = omega[1:] * h
+    c, s = np.cos(angle), np.sin(angle)
+    data = np.empty(4 * J + 1)
+    data[0] = scale[0]
+    blocks = data[1:].reshape(J, 4)  # row-major entries of each 2x2 block
+    blocks[:, 0] = scale[1:] * c
+    blocks[:, 1] = scale[1:] * -s
+    blocks[:, 2] = scale[1:] * s
+    blocks[:, 3] = scale[1:] * c
+    cols = np.arange(1, d).reshape(J, 2)
+    indices = np.concatenate(([0], np.tile(cols, 2).ravel())).astype(np.int32)
+    indptr = np.concatenate(([0], np.arange(1, 2 * d, 2))).astype(np.int32)
+    return scipy.sparse.csr_matrix((data, indices, indptr), shape=(d, d))
 
 
 def build_turbulence(params: TurbulenceParams) -> CoefficientStream:
@@ -279,9 +296,10 @@ def build_turbulence(params: TurbulenceParams) -> CoefficientStream:
     A is block-diagonal (damped rotations), Sigma is diagonal with the
     statistical-equilibrium variance increments, and
     ``H = sqrt((2J+1)/sigma_obs) * I`` when an observation noise variance
-    is supplied (else the system is unobserved). With a jump spec, the
-    A-blocks of the listed modes are scaled by the chain's multipliers
-    each step. Matrices are scipy.sparse; dense consumers can densify.
+    is supplied (else the system is unobserved). With a jump spec, each
+    step copies the prebuilt A and scales the blocks of the listed modes
+    by the chain's multipliers, O(d) work with no rebuild. Matrices are
+    scipy.sparse; dense consumers can densify.
     """
     params.validate()
     d = params.d
@@ -318,10 +336,13 @@ def build_turbulence(params: TurbulenceParams) -> CoefficientStream:
 
     stream = CoefficientStream(d=d, q=q, generator=None)
 
+    # the four entries of each listed wavenumber's block in A0.data
+    blocks = [slice(A0.indptr[2 * k - 1], A0.indptr[2 * k + 1]) for k in spec.modes]
+
     def generator(n, rng):
-        mults_vec = chain_state(n, stream.seed)
-        mults = dict(zip(spec.modes, mults_vec))
-        A = _turbulence_A(params, mults)
+        A = A0.copy()
+        for block, m in zip(blocks, chain_state(n, stream.seed)):
+            A.data[block] = m * A0.data[block]
         return StepCoefficients(A=A, B=B, Sigma=Sigma, H=H)
 
     stream.generator = generator

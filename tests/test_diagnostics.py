@@ -20,9 +20,10 @@ from enkf_lab.diagnostics import (
     write_csv,
     write_json,
 )
-from enkf_lab.enkf import EnkfConfig
+from enkf_lab import enkf
+from enkf_lab.enkf import EnkfConfig, EnkfFilter
 from enkf_lab.linalg import factor_matrix
-from enkf_lab.models import TurbulenceParams, build_turbulence
+from enkf_lab.models import JumpSpec, TurbulenceParams, build_turbulence, simulate_truth
 from enkf_lab.reference import stationary_riccati_ambient
 
 
@@ -122,6 +123,44 @@ def test_run_filter_experiment_reference_override():
     r_ref = np.diag(stationary_riccati_ambient(p))
     per_seed, _ = run_filter_experiment(stream, cfg, T=4, seeds=(0,), r_ref=r_ref)
     assert all(math.isfinite(x.nu) for x in per_seed[0])
+
+
+def test_run_filter_experiment_fetches_and_factors_once_per_step(monkeypatch):
+    # every at() on a jump stream builds a new object: truth and filter fetch
+    # each step once, and the driver reuses the filter's coefficients, so the
+    # Sigma+ factor is made once per step
+    jump = JumpSpec(
+        transition=[[0.5, 0.5], [0.5, 0.5]], multipliers=[[1.0], [1.1]], modes=(1,)
+    )
+    p = TurbulenceParams(J=3, sigma_obs=10.0, tau=0.6, jump_spec=jump)
+    stream = build_turbulence(p)
+    cfg = EnkfConfig(K=8, p=4, r=p.r, rho=p.rho, tau=p.tau)
+    r_ref = np.diag(stationary_riccati_ambient(p))
+    T = 10
+    generated = []
+    generate = stream.generator
+    stream.generator = lambda n, rng: generated.append(n) or generate(n, rng)
+    factored = []
+    real = enkf.sigma_plus_factor
+    monkeypatch.setattr(
+        enkf, "sigma_plus_factor", lambda c, cf: factored.append(c) or real(c, cf)
+    )
+    per_seed, _ = run_filter_experiment(stream, cfg, T=T, seeds=(0,), r_ref=r_ref)
+    assert len(generated) == 2 * T
+    assert len(factored) == T
+    # each row's lambda, mu are those of its own step's coefficients
+    truth = simulate_truth(stream, np.zeros(stream.d), T, seed=0)
+    filt = EnkfFilter(stream, cfg, seed=0)
+    for n, row in enumerate(per_seed[0]):
+        coeffs = stream.at(n)
+        C_prev = filt.ensemble.covariance()
+        Sigma_plus = factor_matrix(filt._factor_for(coeffs))
+        S_hat = filt.step(truth.observations[n]).forecast_spread
+        C_hat = S_hat @ S_hat.T / (cfg.K - 1) + cfg.tau * cfg.rho * np.eye(stream.d)
+        lam, mu = compute_lambda_mu(
+            C_hat, coeffs.A, C_prev, Sigma_plus, cfg.r, cfg.tau, cfg.rho
+        )
+        assert (row.lam, row.mu) == (lam, mu)
 
 
 def test_lambda_mu_concentrate_for_large_ensembles():

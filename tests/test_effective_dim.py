@@ -135,7 +135,11 @@ def test_general_verifier_on_jump_stream():
     p = TurbulenceParams(J=8, sigma_obs=10.0, tau=0.6, jump_spec=jump)
     stream = build_turbulence(p)
     stream.seed = 7
+    fetched = []
+    generate = stream.generator
+    stream.generator = lambda n, rng: fetched.append(n) or generate(n, rng)
     rep = verify_dim_general(stream, r=p.r, tau=p.tau, rho=p.rho)
+    assert fetched == list(range(120))  # burn_in + window, one fetch per step
     plain = TurbulenceParams(J=8, sigma_obs=10.0, tau=0.6)
     base = verify_dim_general(build_turbulence(plain), r=p.r, tau=p.tau, rho=p.rho)
     # amplifying unstable modes can only grow the count

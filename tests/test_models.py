@@ -5,6 +5,7 @@ import pytest
 import scipy.sparse
 
 from enkf_lab.models import (
+    DOMAIN_JUMP,
     CoefficientStream,
     InvalidChain,
     InvalidParams,
@@ -18,6 +19,35 @@ from enkf_lab.models import (
 )
 
 SIGMA_11 = 0.009900663346622374  # 0.5 * (1 - exp(-2 * 0.02 * 0.5))
+
+
+def block_diag_A(params, mults=None):
+    """Reference A: one dense block per mode, assembled by block_diag.
+
+    ``mults`` maps a wavenumber to the factor its block is scaled by.
+    """
+    g = params.gamma()
+    h = params.h
+    omega = (
+        np.zeros(params.J + 1)
+        if params.omega_spec is None
+        else np.asarray(params.omega_spec, dtype=float)
+    )
+    blocks = [np.array([[np.exp(-g[0] * h)]])]
+    for k in range(1, params.J + 1):
+        c, s = np.cos(omega[k] * h), np.sin(omega[k] * h)
+        blk = np.exp(-g[k] * h) * np.array([[c, -s], [s, c]])
+        if mults and k in mults:
+            blk = mults[k] * blk
+        blocks.append(blk)
+    return scipy.sparse.block_diag(blocks, format="csr")
+
+
+def assert_same_csr(A, B):
+    assert A.shape == B.shape
+    assert np.array_equal(A.indptr, B.indptr)
+    assert np.array_equal(A.indices, B.indices)
+    assert A.data.tobytes() == B.data.tobytes()
 
 
 def test_substream_determinism():
@@ -92,6 +122,26 @@ def test_turbulence_A_rotation_with_omega():
     np.testing.assert_allclose(blk, want, atol=1e-15)
     # orthogonality up to the damping scale
     np.testing.assert_allclose(blk.T @ blk, scale**2 * np.eye(2), atol=1e-15)
+
+
+@pytest.mark.parametrize(
+    "J,omega",
+    [(0, None), (3, None), (3, [0.0, 1.0, 2.0, 3.0]), (50, "random")],
+)
+def test_turbulence_A_matches_block_diag(J, omega):
+    if omega == "random":
+        omega = list(np.random.default_rng(0).normal(scale=3.0, size=J + 1))
+    p = TurbulenceParams(J=J, omega_spec=omega)
+    assert_same_csr(build_turbulence(p).at(0).A, block_diag_A(p))
+
+
+def test_turbulence_A_keeps_underflowed_blocks():
+    # exp(-gamma_k h) is 0.0 for large k; those blocks stay stored
+    p = TurbulenceParams(J=5000, omega_spec=np.linspace(0.0, 4.0, 5001))
+    A = build_turbulence(p).at(0).A
+    assert np.exp(-p.gamma()[-1] * p.h) == 0.0
+    assert A.nnz == 4 * p.J + 1
+    assert_same_csr(A, block_diag_A(p))
 
 
 def test_observation_operator_scaling():
@@ -231,3 +281,53 @@ def test_jump_stream_reproducible_per_seed():
     # random-access equals sequential access
     s3 = build_turbulence(p)
     assert float(s3.at(17).A[1, 1]) == seq1[17]
+
+
+def test_jump_stream_matches_block_diag_over_chain_path():
+    spec = JumpSpec(
+        transition=[[0.6, 0.3, 0.1], [0.2, 0.5, 0.3], [0.3, 0.3, 0.4]],
+        multipliers=[[1.0, 0.9], [1.3, 1.1], [0.7, 1.5]],
+        modes=(4, 2),
+        init_state=1,
+    )
+    p = TurbulenceParams(J=6, omega_spec=np.linspace(0.0, 3.0, 7), jump_spec=spec)
+    stream = build_turbulence(p)
+    stream.seed = 5
+    state = spec.init_state
+    seen = set()
+    for n in range(30):
+        if n > 0:
+            state, _ = markov_jump_step(spec, state, substream(5, DOMAIN_JUMP, n))
+        seen.add(state)
+        mults = dict(zip(spec.modes, spec.multipliers[state]))
+        assert_same_csr(stream.at(n).A, block_diag_A(p, mults))
+    assert seen == {0, 1, 2}
+
+
+def test_jump_stream_does_not_rebuild_A(monkeypatch):
+    spec = JumpSpec(
+        transition=[[0.5, 0.5], [0.5, 0.5]], multipliers=[[1.0], [1.2]], modes=(2,)
+    )
+    stream = build_turbulence(TurbulenceParams(J=40, jump_spec=spec))
+
+    def no_block_diag(*args, **kwargs):
+        raise AssertionError("A rebuilt from blocks")
+
+    monkeypatch.setattr(scipy.sparse, "block_diag", no_block_diag)
+    for n in (0, 1, 7, 30):
+        assert stream.at(n).A.nnz == 4 * 40 + 1
+
+
+@pytest.mark.parametrize(
+    "modes,mults,msg",
+    [
+        ((0,), [[1.0]], "1..J"),
+        ((1, 4), [[1.0, 1.0]], "1..J"),
+        ((2, 2), [[1.0, 1.5]], "distinct"),
+    ],
+    ids=["mode_zero", "mode_above_J", "repeated_mode"],
+)
+def test_jump_modes_validated(modes, mults, msg):
+    spec = JumpSpec(transition=[[1.0]], multipliers=mults, modes=modes)
+    with pytest.raises(InvalidParams, match=msg):
+        build_turbulence(TurbulenceParams(J=3, jump_spec=spec))
