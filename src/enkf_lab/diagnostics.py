@@ -28,7 +28,14 @@ import numpy as np
 import scipy.linalg
 
 from .enkf import EnkfConfig, EnkfFilter
-from .linalg import factor_matrix, loewner_ratio, mahalanobis_sq, symmetrize
+from .linalg import (
+    DimensionMismatch,
+    NotPositiveDefinite,
+    is_positive_definite,
+    loewner_ratio,
+    lowrank_loewner_ratio,
+    symmetrize,
+)
 from .models import (
     DOMAIN_TRIAL,
     CoefficientStream,
@@ -91,7 +98,16 @@ class ConcentrationTrial:
     in_rare_event: bool
 
 
-def compute_lambda_mu(C_hat_taurho, A, C_prev, Sigma_plus, r, tau, rho):
+def _thin_factor(S):
+    """``W`` with ``W W.T = S S.T / (K-1)``, one column per direction of
+    ``S`` above roundoff, from the eigenpairs of its K x K Gram."""
+    K = S.shape[1]
+    g, Phi = np.linalg.eigh(S.T @ S)
+    keep = g > K * np.finfo(float).eps * max(g[-1], 0.0)
+    return S @ Phi[:, keep] / np.sqrt(K - 1)
+
+
+def compute_lambda_mu(S_hat, A, S_prev, sigma_plus, r, tau, rho):
     """Concentration ratios of the forecast covariance around its mean.
 
     ``lam = max(1, ratio(C_hat^{tau rho}, r A C A.T + r Sigma+ + r tau rho I))``
@@ -99,13 +115,30 @@ def compute_lambda_mu(C_hat_taurho, A, C_prev, Sigma_plus, r, tau, rho):
     (not ``r tau rho I``); it is computed as a generalized eigenvalue of
     the un-inverted pencil, since ``X^{-1} <= m Y^{-1}`` iff ``Y <= m X``
     for positive definite X, Y.
+
+    From factors, in O(d K^2): ``C_hat^{tau rho} = tau rho I + V V.T`` with
+    ``V = S_hat / sqrt(K-1)``, ``C = W W.T`` from the previous posterior
+    spread ``S_prev``, and each base is ``c I + Y Y.T`` with
+    ``Y = sqrt(r) [A W, U sqrt(s)]``, ``sigma_plus = (U, s)`` the Sigma+ factor.
     """
-    A = _dense(A)
-    base = r * (A @ _dense(C_prev) @ A.T) + r * _dense(Sigma_plus)
-    d = base.shape[0]
-    lam = max(1.0, loewner_ratio(C_hat_taurho, symmetrize(base + r * tau * rho * np.eye(d))))
-    mu = max(1.0, loewner_ratio(symmetrize(base + tau * rho * np.eye(d)), C_hat_taurho))
+    S_hat = np.asarray(S_hat, dtype=float)
+    V = S_hat / np.sqrt(S_hat.shape[1] - 1)
+    U, s = sigma_plus
+    AW = np.asarray(A @ _thin_factor(np.asarray(S_prev, dtype=float)))
+    Y = np.sqrt(r) * np.hstack((AW, _dense(U) * np.sqrt(s)))
+    lam = max(1.0, lowrank_loewner_ratio(tau * rho, V, r * tau * rho, Y))
+    mu = max(1.0, lowrank_loewner_ratio(tau * rho, Y, tau * rho, V))
     return lam, mu
+
+
+def _reference_factor(r_ref, d: int) -> np.ndarray:
+    """Lower Cholesky factor of a finite, positive definite d x d ``r_ref``."""
+    r_ref = _dense(r_ref)
+    if r_ref.shape != (d, d):
+        raise DimensionMismatch(f"r_ref is {r_ref.shape}, expected ({d}, {d})")
+    if not np.all(np.isfinite(r_ref)) or not is_positive_definite(r_ref):
+        raise NotPositiveDefinite("r_ref must be finite and positive definite")
+    return scipy.linalg.cholesky(symmetrize(r_ref), lower=True)
 
 
 def compute_nu(C, R_ref) -> float:
@@ -125,6 +158,33 @@ def _long_run_reference(stream, cfg, burn_in: int = 200) -> np.ndarray:
     return state.cov
 
 
+def _step_diagnostics(step, rec, S_prev, A, sigma_plus, x_true, L, cfg) -> FilterDiagnostics:
+    """One row of diagnostics from the step's factors, in O(d K^2) work
+    plus O(d^2 K) for the whitening by the lower factor ``L`` of r_ref."""
+    d, K = rec.posterior.spread.shape
+    lam, mu = compute_lambda_mu(
+        rec.forecast_spread, A, S_prev, sigma_plus, cfg.r, cfg.tau, cfg.rho
+    )
+    X = rec.posterior.spread / np.sqrt(K - 1)  # C_post = X X.T
+    # C_post <= nu r_ref  iff  (L^{-1} X)(L^{-1} X).T <= nu I
+    Z = scipy.linalg.solve_triangular(L, X, lower=True)
+    cov_fidelity = lowrank_loewner_ratio(0.0, Z, 1.0, np.empty((d, 0)))
+    e = rec.posterior.mean - x_true
+    # e.T (C_post + rho I)^{-1} e is the ratio of e e.T to C_post + rho I;
+    # taken on span[e, X], it does not cancel when e lies almost in span(X)
+    maha = lowrank_loewner_ratio(0.0, e[:, None], cfg.rho, X)
+    return FilterDiagnostics(
+        step=step,
+        maha_sq_per_d=maha / d,
+        l2_error=float(np.linalg.norm(e)),
+        lam=float(lam),
+        mu=float(mu),
+        nu=float(max(1.0, cov_fidelity)),
+        chi=float(rec.chi),
+        cov_fidelity=float(cov_fidelity),
+    )
+
+
 def run_filter_experiment(
     stream: CoefficientStream,
     cfg: EnkfConfig,
@@ -137,7 +197,10 @@ def run_filter_experiment(
     """Run truth + filter per seed and collect full diagnostics.
 
     ``r_ref`` is the reference covariance for nu / cov_fidelity; when
-    omitted it is the 200-step augmented Riccati iterate. Returns
+    omitted it is the 200-step augmented Riccati iterate. It is checked
+    and Cholesky-factored once, before any seed runs: a wrong shape
+    raises :class:`DimensionMismatch`, a non-finite or non-positive
+    definite one :class:`NotPositiveDefinite`. Returns
     ``(per_seed, aggregate)`` where ``per_seed`` maps seed to a list of
     :class:`FilterDiagnostics` and ``aggregate`` holds per-step mean and
     (0.1, 0.5, 0.9) quantiles of the error quantities across seeds.
@@ -145,7 +208,7 @@ def run_filter_experiment(
     d = stream.d
     if r_ref is None:
         r_ref = _long_run_reference(stream, cfg)
-    r_ref = _dense(r_ref)
+    L = _reference_factor(r_ref, d)
     x0 = np.zeros(d) if x0 is None else np.asarray(x0, dtype=float)
     per_seed = {}
     for seed in seeds:
@@ -153,33 +216,14 @@ def run_filter_experiment(
         filt = EnkfFilter(stream, cfg, seed, init_mean=init_mean)
         series = []
         for n in range(T):
-            C_prev = filt.ensemble.covariance()
+            S_prev = filt.ensemble.spread
             y = truth.observations[n] if truth.observations is not None else None
             rec = filt.step(y)
             coeffs = filt.coeffs  # the step's coefficients; its factor is memoised
-            Sigma_plus = factor_matrix(filt._factor_for(coeffs))
-            S_hat = rec.forecast_spread
-            K = S_hat.shape[1]
-            C_hat_taurho = symmetrize(
-                S_hat @ S_hat.T / (K - 1) + cfg.tau * cfg.rho * np.eye(d)
-            )
-            lam, mu = compute_lambda_mu(
-                C_hat_taurho, coeffs.A, C_prev, Sigma_plus, cfg.r, cfg.tau, cfg.rho
-            )
-            C_post = rec.posterior.covariance()
-            cov_fidelity = loewner_ratio(C_post, r_ref)
-            e = filt.ensemble.mean - truth.states[n + 1]
-            maha = mahalanobis_sq(e, C_post + cfg.rho * np.eye(d)) / d
             series.append(
-                FilterDiagnostics(
-                    step=n + 1,
-                    maha_sq_per_d=float(maha),
-                    l2_error=float(np.linalg.norm(e)),
-                    lam=float(lam),
-                    mu=float(mu),
-                    nu=float(max(1.0, cov_fidelity)),
-                    chi=float(rec.chi),
-                    cov_fidelity=float(cov_fidelity),
+                _step_diagnostics(
+                    n + 1, rec, S_prev, coeffs.A, filt._factor_for(coeffs),
+                    truth.states[n + 1], L, cfg,
                 )
             )
         per_seed[seed] = series

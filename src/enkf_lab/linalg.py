@@ -30,6 +30,7 @@ __all__ = [
     "is_positive_definite",
     "mahalanobis_sq",
     "loewner_ratio",
+    "lowrank_loewner_ratio",
     "kalman_gain",
     "kalman_update_operator",
     "make_gain_context",
@@ -84,11 +85,11 @@ def eigh_desc(M) -> tuple[np.ndarray, np.ndarray]:
     order = np.argsort(-w, kind="stable")
     w = w[order]
     V = V[:, order]
-    for j in range(V.shape[1]):
-        col = V[:, j]
-        nz = np.nonzero(np.abs(col) > 1e-12)[0]
-        if nz.size and col[nz[0]] < 0:
-            V[:, j] = -col
+    # each column's first entry above 1e-12 in magnitude (row 0 when there
+    # is none, whose entry then cannot be below -1e-12)
+    lead = V[np.argmax(np.abs(V) > 1e-12, axis=0), np.arange(V.shape[1])]
+    flip = lead < -1e-12
+    V[:, flip] = -V[:, flip]
     return w, V
 
 
@@ -162,6 +163,36 @@ def loewner_ratio(B, A) -> float:
         symmetrize(B), symmetrize(A), eigvals_only=True, check_finite=False
     )
     return float(max(w[-1], 0.0))
+
+
+def lowrank_loewner_ratio(a: float, F, b: float, G) -> float:
+    """:func:`loewner_ratio` of ``B = a I + F F.T`` to ``A = b I + G G.T``.
+
+    ``F`` is d x f and ``G`` d x g, with ``a >= 0`` and ``b > 0``. On an
+    orthonormal basis ``Q`` of ``span[F, G]`` both reduce exactly to k x k
+    matrices, from ``Q.T [F, G]``, the ``R`` of a QR factorization (``Q`` is
+    never formed); off it the ratio is ``a / b``. When ``f + g`` reaches d,
+    ``Q = I``. O(d k^2 + k^3) work, no d x d matrix while ``k < d``.
+    """
+    F = np.asarray(F, dtype=float)
+    G = np.asarray(G, dtype=float)
+    if F.ndim != 2 or G.ndim != 2 or F.shape[0] != G.shape[0]:
+        raise DimensionMismatch(f"F is {F.shape}, G is {G.shape}")
+    if not b > 0:
+        raise NotPositiveDefinite("b must be positive")
+    d, f = F.shape
+    if f + G.shape[1] < d:
+        R = np.linalg.qr(np.hstack((F, G)), mode="r")
+        F, G = R[:, :f], R[:, f:]
+    k = F.shape[0]
+    w = scipy.linalg.eigh(
+        symmetrize(a * np.eye(k) + F @ F.T),
+        symmetrize(b * np.eye(k) + G @ G.T),
+        eigvals_only=True,
+    )
+    if k < d:
+        w = np.append(w, a / b)
+    return float(max(w.max(), 0.0))
 
 
 def kalman_gain(C, H) -> np.ndarray:

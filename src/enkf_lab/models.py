@@ -321,18 +321,20 @@ def build_turbulence(params: TurbulenceParams) -> CoefficientStream:
         return CoefficientStream(d=d, q=q, generator=generator)
 
     spec = params.jump_spec
-    # chain paths grown lazily per stream seed; transition i uses its own
-    # substream, so state at step n never requires replaying other seeds
-    paths: dict = {}
+    # the latest (step, state) per stream seed; transition i uses its own
+    # substream, so a later step continues from there and an earlier one
+    # replays from step 0, in memory bounded on any stream length
+    latest: dict = {}
 
     def chain_state(n: int, stream_seed: int) -> np.ndarray:
-        path = paths.setdefault(stream_seed, [spec.init_state])
-        while len(path) <= n:
-            i = len(path)
-            rng = substream(stream_seed, DOMAIN_JUMP, i)
-            s, _ = markov_jump_step(spec, path[-1], rng)
-            path.append(s)
-        return spec.multipliers[path[n]]
+        i, s = latest.get(stream_seed, (0, spec.init_state))
+        if n < i:
+            i, s = 0, spec.init_state
+        while i < n:
+            i += 1
+            s, _ = markov_jump_step(spec, s, substream(stream_seed, DOMAIN_JUMP, i))
+        latest[stream_seed] = (i, s)
+        return spec.multipliers[s]
 
     stream = CoefficientStream(d=d, q=q, generator=None)
 

@@ -3,10 +3,15 @@
 import csv
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.sparse
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from enkf_lab import diagnostics
 from enkf_lab.diagnostics import (
     CSV_COLUMNS,
     ConcentrationTrial,
@@ -22,9 +27,45 @@ from enkf_lab.diagnostics import (
 )
 from enkf_lab import enkf
 from enkf_lab.enkf import EnkfConfig, EnkfFilter
-from enkf_lab.linalg import factor_matrix
+from enkf_lab.linalg import (
+    DimensionMismatch,
+    NotPositiveDefinite,
+    factor_matrix,
+    loewner_ratio,
+    mahalanobis_sq,
+    positive_part_factor,
+    symmetrize,
+)
 from enkf_lab.models import JumpSpec, TurbulenceParams, build_turbulence, simulate_truth
 from enkf_lab.reference import stationary_riccati_ambient
+
+
+def dense_lambda_mu(C_hat_taurho, A, C_prev, Sigma_plus, r, tau, rho):
+    """The retired d x d form of compute_lambda_mu, kept as its oracle."""
+    A = A.toarray() if scipy.sparse.issparse(A) else np.asarray(A, dtype=float)
+    base = r * (A @ C_prev @ A.T) + r * Sigma_plus
+    d = base.shape[0]
+    lam = max(1.0, loewner_ratio(C_hat_taurho, symmetrize(base + r * tau * rho * np.eye(d))))
+    mu = max(1.0, loewner_ratio(symmetrize(base + tau * rho * np.eye(d)), C_hat_taurho))
+    return lam, mu
+
+
+def spread_for(C, K):
+    """Zero-column-sum d x K spread S with S S.T / (K-1) = C, for K > d."""
+    d = C.shape[0]
+    w, V = np.linalg.eigh(C)
+    root = V * np.sqrt(np.maximum(w, 0.0))
+    # orthonormal K-vectors orthogonal to the ones vector
+    E = np.linalg.qr(np.column_stack((np.ones(K), np.eye(K)[:, : K - 1])))[0][:, 1:]
+    return np.sqrt(K - 1) * root @ E[:, :d].T
+
+
+def factored_lambda_mu(C_hat_taurho, A, C_prev, Sigma_plus, r, tau, rho):
+    """compute_lambda_mu on spreads and a factor of the given d x d operands."""
+    K = C_prev.shape[0] + 1
+    S_hat = spread_for(C_hat_taurho - tau * rho * np.eye(K - 1), K)
+    factor = positive_part_factor(Sigma_plus)
+    return compute_lambda_mu(S_hat, A, spread_for(C_prev, K), factor, r, tau, rho)
 
 
 def scalar_bases(a, c, sp, r, tau, rho):
@@ -35,12 +76,12 @@ def scalar_bases(a, c, sp, r, tau, rho):
 def test_compute_lambda_mu_scalar_floors():
     a, c, sp, r, tau, rho = 0.8, 2.0, 0.3, 1.1, 0.6, 0.04
     b_lam, b_mu = scalar_bases(a, c, sp, r, tau, rho)
-    args = ([[a]], [[c]], [[sp]], r, tau, rho)
-    lam, mu = compute_lambda_mu(np.array([[b_lam]]), *args)
+    args = (np.array([[a]]), np.array([[c]]), np.array([[sp]]), r, tau, rho)
+    lam, mu = factored_lambda_mu(np.array([[b_lam]]), *args)
     assert lam == pytest.approx(1.0) and mu == pytest.approx(1.0)
-    lam, mu = compute_lambda_mu(np.array([[2 * b_lam]]), *args)
+    lam, mu = factored_lambda_mu(np.array([[2 * b_lam]]), *args)
     assert lam == pytest.approx(2.0, rel=1e-12) and mu == pytest.approx(1.0)
-    lam, mu = compute_lambda_mu(np.array([[0.5 * b_lam]]), *args)
+    lam, mu = factored_lambda_mu(np.array([[0.5 * b_lam]]), *args)
     assert lam == pytest.approx(1.0)
     assert mu == pytest.approx(b_mu / (0.5 * b_lam), rel=1e-12)
 
@@ -56,7 +97,7 @@ def test_compute_lambda_mu_matrix_oracle():
     r, tau, rho = 1.1, 0.6, 0.04
     W = rng.standard_normal((d, d))
     C_hat = W @ W.T / d + 0.1 * np.eye(d)
-    lam, mu = compute_lambda_mu(C_hat, A, C_prev, Sigma_plus, r, tau, rho)
+    lam, mu = factored_lambda_mu(C_hat, A, C_prev, Sigma_plus, r, tau, rho)
     core = r * (A @ C_prev @ A.T + Sigma_plus)
     b_lam = core + r * tau * rho * np.eye(d)
     b_mu = core + tau * rho * np.eye(d)
@@ -78,9 +119,168 @@ def test_compute_lambda_mu_at_the_mean_realization():
     Sigma_plus = 0.2 * np.eye(d)
     r, tau, rho = 1.2, 0.8, 0.05
     base = r * (A @ C_prev @ A.T + Sigma_plus) + r * tau * rho * np.eye(d)
-    lam, mu = compute_lambda_mu(base, A, C_prev, Sigma_plus, r, tau, rho)
+    lam, mu = factored_lambda_mu(base, A, C_prev, Sigma_plus, r, tau, rho)
     assert lam == pytest.approx(1.0)
     assert mu == pytest.approx(1.0)
+
+
+def centred(M):
+    return M - M.mean(axis=1, keepdims=True)
+
+
+@settings(deadline=None, max_examples=120)
+@given(st.integers(0, 10**6))
+def test_compute_lambda_mu_matches_dense_oracle(seed):
+    # random (d, K < d, p); the stacked width K + rank(S_prev) + rank(Sigma+)
+    # falls below d and at or above it (Q = I), with sparse and dense A
+    rng = np.random.default_rng(seed)
+    d = int(rng.integers(3, 30))
+    K = int(rng.integers(2, d))
+    p = int(rng.integers(1, d + 1))
+    r, tau, rho = float(rng.uniform(1.01, 1.5)), float(rng.uniform(0.3, 1.0)), 0.04
+    scale = rng.uniform(0.05, 2.0, d)
+    S_hat = centred(scale[:, None] * rng.standard_normal((d, K)))
+    if rng.random() < 0.3:  # a full-rank initial ensemble
+        S_prev = centred(rng.standard_normal((d, K)))
+    else:  # a posterior spread of rank at most p
+        S_prev = centred(rng.standard_normal((d, p)) @ rng.standard_normal((p, K)))
+    m = int(rng.integers(0, d + 1))
+    if rng.random() < 0.5:
+        A = scipy.sparse.random(d, d, density=0.2, random_state=rng, format="csr")
+        A = A + scipy.sparse.identity(d, format="csr") * 0.9
+        Sigma_plus = scipy.sparse.diags(np.where(np.arange(d) < m, scale, 0.0))
+    else:
+        A = 0.4 * rng.standard_normal((d, d))
+        Gm = rng.standard_normal((d, m))
+        Sigma_plus = Gm @ Gm.T / max(m, 1)
+    factor = positive_part_factor(Sigma_plus)
+    lam, mu = compute_lambda_mu(S_hat, A, S_prev, factor, r, tau, rho)
+    C_hat = S_hat @ S_hat.T / (K - 1) + tau * rho * np.eye(d)
+    C_prev = S_prev @ S_prev.T / (K - 1)
+    want = dense_lambda_mu(C_hat, A, C_prev, factor_matrix(factor), r, tau, rho)
+    np.testing.assert_allclose((lam, mu), want, rtol=1e-8)
+
+
+def dense_rows(stream, cfg, T, seed, r_ref):
+    """Every diagnostic of one seed recomputed from d x d matrices."""
+    d = stream.d
+    truth = simulate_truth(stream, np.zeros(d), T, seed)
+    filt = EnkfFilter(stream, cfg, seed)
+    rows = []
+    for n in range(T):
+        C_prev = filt.ensemble.covariance()
+        rec = filt.step(truth.observations[n])
+        coeffs = filt.coeffs
+        S_hat = rec.forecast_spread
+        C_hat = S_hat @ S_hat.T / (cfg.K - 1) + cfg.tau * cfg.rho * np.eye(d)
+        Sigma_plus = factor_matrix(filt._factor_for(coeffs))
+        lam, mu = dense_lambda_mu(
+            C_hat, coeffs.A, C_prev, Sigma_plus, cfg.r, cfg.tau, cfg.rho
+        )
+        C_post = rec.posterior.covariance()
+        fid = loewner_ratio(C_post, r_ref)
+        e = rec.posterior.mean - truth.states[n + 1]
+        maha = mahalanobis_sq(e, C_post + cfg.rho * np.eye(d)) / d
+        rows.append((maha, lam, mu, max(1.0, fid), fid))
+    return np.array(rows)
+
+
+@pytest.mark.parametrize("J,K", [(3, 8), (30, 6)], ids=["width_at_d", "width_below_d"])
+@pytest.mark.parametrize("reference", ["diagonal", "long_run"])
+@pytest.mark.parametrize("jump", [False, True], ids=["constant", "jump"])
+def test_run_filter_experiment_matches_dense_oracle(J, K, reference, jump):
+    spec = None
+    if jump:
+        spec = JumpSpec(
+            transition=[[0.5, 0.5], [0.5, 0.5]], multipliers=[[1.0, 1.0], [1.2, 0.8]],
+            modes=(1, 2),
+        )
+    p = TurbulenceParams(J=J, sigma_obs=10.0, tau=0.6, jump_spec=spec)
+    stream = build_turbulence(p)
+    cfg = EnkfConfig(K=K, p=3, r=p.r, rho=p.rho, tau=p.tau)
+    if reference == "diagonal":
+        r_ref = np.diag(stationary_riccati_ambient(p))
+    else:  # the dense default
+        r_ref = diagnostics._long_run_reference(stream, cfg)
+    T = 6
+    per_seed, _ = run_filter_experiment(
+        stream, cfg, T=T, seeds=(0,), r_ref=r_ref if reference == "diagonal" else None
+    )
+    got = np.array(
+        [(x.maha_sq_per_d, x.lam, x.mu, x.nu, x.cov_fidelity) for x in per_seed[0]]
+    )
+    np.testing.assert_allclose(got, dense_rows(stream, cfg, T, 0, r_ref), rtol=1e-8)
+
+
+def test_mahalanobis_without_cancellation():
+    # a step whose error e lies almost inside span(X), C_post = X X.T, with
+    # variances 1e12 times rho: there e.e / rho and a Woodbury correction
+    # agree in their leading 12 digits
+    rng = np.random.default_rng(7)
+    d, K = 40, 7
+    cfg = EnkfConfig(K=K, p=3, r=1.1, rho=1e-4, tau=0.6)
+    spread = centred(1e4 * np.sqrt(K - 1) * rng.standard_normal((d, K)))
+    X = spread / np.sqrt(K - 1)
+    factor = positive_part_factor(np.eye(d))
+    for tilt in (0.0, 1e-9, 1e-6):
+        e = X @ rng.standard_normal(K) + tilt * rng.standard_normal(d)
+        rec = enkf.StepRecord(
+            forecast_spread=spread, posterior=enkf.Ensemble(e, spread),
+            gain_residual=np.zeros(d), chi=1.0, projection_discard=0.0,
+        )
+        row = diagnostics._step_diagnostics(
+            1, rec, spread, np.eye(d), factor, np.zeros(d), np.eye(d), cfg
+        )
+        want = mahalanobis_sq(e, X @ X.T + cfg.rho * np.eye(d))
+        np.testing.assert_allclose(row.maha_sq_per_d * d, want, rtol=1e-8)
+
+
+def test_step_diagnostics_form_no_d_by_d_array():
+    # d = 4001, K = 8: one step's diagnostics peak below d^2 * 8 / 4 bytes
+    p = TurbulenceParams(J=2000, sigma_obs=10.0, tau=0.6)
+    stream = build_turbulence(p)
+    d = stream.d
+    cfg = EnkfConfig(K=8, p=4, r=p.r, rho=p.rho, tau=p.tau)
+    truth = simulate_truth(stream, np.zeros(d), 2, seed=0)
+    filt = EnkfFilter(stream, cfg, seed=0)
+    filt.step(truth.observations[0])
+    S_prev = filt.ensemble.spread
+    rec = filt.step(truth.observations[1])
+    factor = filt._factor_for(filt.coeffs)
+    L = np.diag(np.sqrt(stationary_riccati_ambient(p)))  # d x d, made before tracing
+    tracemalloc.start()
+    try:
+        row = diagnostics._step_diagnostics(
+            2, rec, S_prev, filt.coeffs.A, factor, truth.states[2], L, cfg
+        )
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert math.isfinite(row.lam) and math.isfinite(row.maha_sq_per_d)
+    assert peak < d * d * 8 / 4
+
+
+@pytest.mark.parametrize(
+    "make_bad,error",
+    [
+        (lambda R: np.eye(R.shape[0] + 1), DimensionMismatch),
+        (lambda R: R - 2.0 * R[0, 0] * np.eye(R.shape[0]), NotPositiveDefinite),
+        (lambda R: np.where(np.eye(R.shape[0]) > 0, R, np.nan), NotPositiveDefinite),
+    ],
+    ids=["wrong_shape", "not_positive_definite", "non_finite"],
+)
+def test_run_filter_experiment_rejects_bad_r_ref(monkeypatch, make_bad, error):
+    p = TurbulenceParams(J=2, sigma_obs=10.0, tau=0.6)
+    stream = build_turbulence(p)
+    cfg = EnkfConfig(K=6, p=3, r=p.r, rho=p.rho, tau=p.tau)
+    r_ref = np.diag(stationary_riccati_ambient(p))
+
+    def no_truth(*args, **kwargs):
+        raise AssertionError("a seed ran before r_ref was checked")
+
+    monkeypatch.setattr(diagnostics, "simulate_truth", no_truth)
+    with pytest.raises(error):
+        run_filter_experiment(stream, cfg, T=3, seeds=(0,), r_ref=make_bad(r_ref))
 
 
 def test_compute_nu():
@@ -153,12 +353,11 @@ def test_run_filter_experiment_fetches_and_factors_once_per_step(monkeypatch):
     filt = EnkfFilter(stream, cfg, seed=0)
     for n, row in enumerate(per_seed[0]):
         coeffs = stream.at(n)
-        C_prev = filt.ensemble.covariance()
-        Sigma_plus = factor_matrix(filt._factor_for(coeffs))
+        S_prev = filt.ensemble.spread
+        factor = filt._factor_for(coeffs)
         S_hat = filt.step(truth.observations[n]).forecast_spread
-        C_hat = S_hat @ S_hat.T / (cfg.K - 1) + cfg.tau * cfg.rho * np.eye(stream.d)
         lam, mu = compute_lambda_mu(
-            C_hat, coeffs.A, C_prev, Sigma_plus, cfg.r, cfg.tau, cfg.rho
+            S_hat, coeffs.A, S_prev, factor, cfg.r, cfg.tau, cfg.rho
         )
         assert (row.lam, row.mu) == (lam, mu)
 
@@ -188,13 +387,15 @@ def test_lambda_mu_certify_recorded_steps():
     eye = np.eye(d)
     for n in range(10):
         coeffs = stream.at(n)
+        S_prev = filt.ensemble.spread
         C_prev = filt.ensemble.covariance()
-        Sigma_plus = factor_matrix(filt._factor_for(coeffs))
+        factor = filt._factor_for(coeffs)
+        Sigma_plus = factor_matrix(factor)
         rec = filt.step(truth.observations[n])
         S_hat = rec.forecast_spread
         C_hat = S_hat @ S_hat.T / (cfg.K - 1) + cfg.tau * cfg.rho * eye
         lam, mu = compute_lambda_mu(
-            C_hat, coeffs.A, C_prev, Sigma_plus, cfg.r, cfg.tau, cfg.rho
+            S_hat, coeffs.A, S_prev, factor, cfg.r, cfg.tau, cfg.rho
         )
         A = np.asarray(coeffs.A.todense())
         core = cfg.r * (A @ C_prev @ A.T + Sigma_plus)

@@ -17,6 +17,7 @@ from enkf_lab.linalg import (
     kalman_gain,
     kalman_update_operator,
     loewner_ratio,
+    lowrank_loewner_ratio,
     mahalanobis_sq,
     make_gain_context,
     positive_part,
@@ -55,6 +56,51 @@ def test_eigh_desc_descending_and_canonical():
     for j in range(V.shape[1]):
         nz = np.nonzero(np.abs(V[:, j]) > 1e-12)[0]
         assert V[nz[0], j] > 0
+
+
+def eigh_desc_loop(M):
+    """The retired per-column sign loop of eigh_desc, kept as its oracle."""
+    w, V = np.linalg.eigh(M)
+    order = np.argsort(-w, kind="stable")
+    w = w[order]
+    V = V[:, order]
+    for j in range(V.shape[1]):
+        col = V[:, j]
+        nz = np.nonzero(np.abs(col) > 1e-12)[0]
+        if nz.size and col[nz[0]] < 0:
+            V[:, j] = -col
+    return w, V
+
+
+def tiny_leading_entries(rng, d, lead):
+    """Symmetric matrix whose eigenvectors have row 0 entries of size ``lead``.
+
+    Row 0 is decoupled (exact zeros in every other eigenvector), then
+    rotated into row 1 by an angle of ``lead``.
+    """
+    Q = np.linalg.qr(rng.standard_normal((d, d)))[0]
+    Q[0, :] = 0.0
+    Q[:, 0] = 0.0
+    Q[0, 0] = 1.0
+    Q[1:, 1:] = np.linalg.qr(rng.standard_normal((d - 1, d - 1)))[0]
+    c, s = np.cos(lead), np.sin(lead)
+    G = np.eye(d)
+    G[:2, :2] = [[c, -s], [s, c]]
+    Q = G @ Q
+    return symmetrize(Q @ np.diag(rng.uniform(-2.0, 2.0, d)) @ Q.T)
+
+
+def test_eigh_desc_matches_sign_loop_bitwise():
+    rng = np.random.default_rng(12)
+    cases = [rand_psd(rng, 40, rank=rng.integers(1, 41)) for _ in range(10)]
+    cases += [symmetrize(rng.standard_normal((d, d))) for d in (1, 2, 7, 25)]
+    cases += [tiny_leading_entries(rng, 6, lead) for lead in (0.0, 3e-13, 1e-12, 5e-12)]
+    cases += [-tiny_leading_entries(rng, 9, 0.0), np.zeros((4, 4)), np.eye(3)]
+    for M in cases:
+        w, V = eigh_desc(M)
+        w0, V0 = eigh_desc_loop(M)
+        assert w.tobytes() == w0.tobytes()
+        assert V.tobytes() == V0.tobytes()
 
 
 def test_mahalanobis_against_dense_inverse():
@@ -119,6 +165,45 @@ def test_loewner_ratio_scaling_property(seed):
     base = loewner_ratio(B, A)
     np.testing.assert_allclose(loewner_ratio(c * B, A), c * base, rtol=1e-9, atol=1e-12)
     np.testing.assert_allclose(loewner_ratio(B, c * A), base / c, rtol=1e-9, atol=1e-12)
+
+
+def low_rank(rng, d, k):
+    """d x k factor of rank at most k, sometimes deficient."""
+    if k and rng.random() < 0.3:
+        return rng.standard_normal((d, 1)) @ rng.standard_normal((1, k))
+    return rng.standard_normal((d, k)) * rng.uniform(0.1, 3.0)
+
+
+@settings(deadline=None, max_examples=150)
+@given(st.integers(0, 10**6))
+def test_lowrank_loewner_ratio_matches_dense(seed):
+    # stacked width f + g below d (QR basis) and at or above d (Q = I)
+    rng = np.random.default_rng(seed)
+    d = int(rng.integers(1, 13))
+    f, g = (int(x) for x in rng.integers(0, d + 4, size=2))
+    F, G = low_rank(rng, d, f), low_rank(rng, d, g)
+    a = 0.0 if rng.random() < 0.25 else float(rng.uniform(0.01, 2.0))
+    b = float(rng.uniform(0.05, 2.0))
+    want = loewner_ratio(a * np.eye(d) + F @ F.T, b * np.eye(d) + G @ G.T)
+    got = lowrank_loewner_ratio(a, F, b, G)
+    np.testing.assert_allclose(got, want, rtol=1e-8, atol=1e-13)
+
+
+def test_lowrank_loewner_ratio_complement_and_errors():
+    d = 5
+    none = np.empty((d, 0))
+    assert lowrank_loewner_ratio(0.3, none, 0.6, none) == 0.5
+    # F and G share one direction, where the ratio is 2.01 / 2; the
+    # complement's a / b = 2 dominates
+    F = np.zeros((d, 1))
+    F[1, 0] = 0.1
+    G = np.zeros((d, 1))
+    G[1, 0] = 1.0
+    assert lowrank_loewner_ratio(2.0, F, 1.0, G) == pytest.approx(2.0, rel=1e-15)
+    with pytest.raises(NotPositiveDefinite):
+        lowrank_loewner_ratio(1.0, F, 0.0, G)
+    with pytest.raises(DimensionMismatch):
+        lowrank_loewner_ratio(1.0, F, 1.0, np.zeros((d + 1, 1)))
 
 
 def test_kalman_gain_identity():

@@ -1,9 +1,12 @@
 """Tests for coefficient streams, the turbulence testbed, and truth runs."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.sparse
 
+from enkf_lab import models
 from enkf_lab.models import (
     DOMAIN_JUMP,
     CoefficientStream,
@@ -302,6 +305,64 @@ def test_jump_stream_matches_block_diag_over_chain_path():
         mults = dict(zip(spec.modes, spec.multipliers[state]))
         assert_same_csr(stream.at(n).A, block_diag_A(p, mults))
     assert seen == {0, 1, 2}
+
+
+def path_list_states(spec, stream_seed, requests):
+    """Chain states by the retired path list, which kept every state reached."""
+    path = [spec.init_state]
+    out = []
+    for n in requests:
+        while len(path) <= n:
+            rng = substream(stream_seed, DOMAIN_JUMP, len(path))
+            path.append(markov_jump_step(spec, path[-1], rng)[0])
+        out.append(path[n])
+    return out
+
+
+def test_jump_chain_matches_path_list_over_request_order():
+    # forward, repeated and backward requests, interleaved over two seeds
+    spec = JumpSpec(
+        transition=[[0.6, 0.3, 0.1], [0.2, 0.5, 0.3], [0.3, 0.3, 0.4]],
+        multipliers=[[1.0, 0.9], [1.3, 1.1], [0.7, 1.5]],
+        modes=(4, 2),
+        init_state=1,
+    )
+    p = TurbulenceParams(J=6, jump_spec=spec)
+    stream = build_turbulence(p)
+    requests = [0, 1, 2, 7, 7, 12, 3, 3, 0, 0, 15, 4, 25, 24, 25, 1]
+    for seed in (5, 9):
+        want = path_list_states(spec, seed, requests)
+        assert len(set(want)) == 3
+        for n, state in zip(requests, want):
+            for s in (seed, 9 if seed == 5 else 5):  # the other seed moves too
+                stream.seed = s
+                A = stream.at(n).A
+                if s == seed:
+                    mults = dict(zip(spec.modes, spec.multipliers[state]))
+                    assert_same_csr(A, block_diag_A(p, mults))
+
+
+def test_jump_chain_memory_bounded(monkeypatch):
+    # the per-transition draw is stubbed (an alternating chain), since 1e5
+    # Philox draws under tracemalloc take tens of seconds; what is measured
+    # is the chain's own bookkeeping
+    spec = JumpSpec(
+        transition=[[0.5, 0.5], [0.5, 0.5]], multipliers=[[1.0], [1.2]], modes=(1,)
+    )
+    stream = build_turbulence(TurbulenceParams(J=3, jump_spec=spec))
+    monkeypatch.setattr(models, "substream", lambda *key: None)
+    monkeypatch.setattr(
+        models, "markov_jump_step", lambda spec, state, rng: (1 - state, None)
+    )
+    stream.at(1)
+    tracemalloc.start()
+    try:
+        stream.at(100_000)
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert retained < 10_000
+    assert stream.at(100_000).A[1, 1] == stream.at(0).A[1, 1]  # even step: state 0
 
 
 def test_jump_stream_does_not_rebuild_A(monkeypatch):
