@@ -2,7 +2,7 @@
 
 Library layout:
 
-* :mod:`enkf_lab.linalg` PSD kernels (gains, Loewner ratios, projections)
+* :mod:`enkf_lab.linalg` PSD kernels (gains, low-rank Loewner ratios, projections)
 * :mod:`enkf_lab.models` coefficient streams and the turbulence testbed
 * :mod:`enkf_lab.reference` exact/augmented Kalman benchmarks
 * :mod:`enkf_lab.effective_dim` low-effective-dimension verifier
@@ -29,19 +29,25 @@ from .effective_dim import (
     verify_dim_observed,
     verify_dim_unfiltered,
 )
-from .enkf import Ensemble, EnkfConfig, EnkfFilter, StepRecord, enkf_assimilate, enkf_forecast, enkf_step
+from .enkf import (
+    Ensemble,
+    EnkfConfig,
+    EnkfFilter,
+    FilterDiverged,
+    StepRecord,
+    enkf_assimilate,
+    enkf_forecast,
+    enkf_step,
+)
 from .linalg import (
     DimensionMismatch,
     KalmanGainContext,
     NotPositiveDefinite,
     SingularInnerSolve,
     SpectralDecomp,
-    condition_number,
     gain_apply_woodbury,
     kalman_gain,
     kalman_update_operator,
-    loewner_ratio,
-    mahalanobis_sq,
     make_gain_context,
     positive_part,
     symmetrize,
@@ -77,7 +83,6 @@ from .diagnostics import (
     ConcentrationTrial,
     FilterDiagnostics,
     compute_lambda_mu,
-    compute_nu,
     run_accuracy_experiment,
     run_concentration_experiment,
     run_filter_experiment,

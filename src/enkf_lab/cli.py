@@ -298,7 +298,7 @@ def _config_comment(cfg: ExperimentConfig) -> str:
 def _reference_for(model: TurbulenceParams):
     if model.sigma_obs is None:
         return None
-    return np.diag(stationary_riccati_ambient(model, r=model.r, tau=model.tau, rho=model.rho))
+    return stationary_riccati_ambient(model, r=model.r, tau=model.tau, rho=model.rho)
 
 
 def _run_simulate(cfg: ExperimentConfig, out_dir: str) -> int:

@@ -29,10 +29,10 @@ import scipy.linalg
 
 from .enkf import EnkfConfig, EnkfFilter
 from .linalg import (
+    PD_RTOL,
     DimensionMismatch,
     NotPositiveDefinite,
     is_positive_definite,
-    loewner_ratio,
     lowrank_loewner_ratio,
     symmetrize,
 )
@@ -49,7 +49,6 @@ __all__ = [
     "FilterDiagnostics",
     "ConcentrationTrial",
     "compute_lambda_mu",
-    "compute_nu",
     "run_filter_experiment",
     "run_concentration_experiment",
     "run_stability_experiment",
@@ -132,18 +131,25 @@ def compute_lambda_mu(S_hat, A, S_prev, sigma_plus, r, tau, rho):
 
 
 def _reference_factor(r_ref, d: int) -> np.ndarray:
-    """Lower Cholesky factor of a finite, positive definite d x d ``r_ref``."""
+    """Whitening factor of a finite, positive definite reference covariance.
+
+    A 1-D ``r_ref`` is the diagonal; the factor is then ``1/sqrt(r_ref)``,
+    applied by a multiply. A 2-D one gives its lower Cholesky factor, applied
+    by a triangular solve. Positive definite means the package's floor,
+    ``min > PD_RTOL * max(1, max)``, for the diagonal as for the matrix.
+    """
     r_ref = _dense(r_ref)
-    if r_ref.shape != (d, d):
-        raise DimensionMismatch(f"r_ref is {r_ref.shape}, expected ({d}, {d})")
-    if not np.all(np.isfinite(r_ref)) or not is_positive_definite(r_ref):
+    if r_ref.shape not in ((d,), (d, d)):
+        raise DimensionMismatch(f"r_ref is {r_ref.shape}, expected ({d},) or ({d}, {d})")
+    if not np.all(np.isfinite(r_ref)) or not (
+        r_ref.min() > PD_RTOL * max(1.0, float(r_ref.max()))
+        if r_ref.ndim == 1
+        else is_positive_definite(r_ref)
+    ):
         raise NotPositiveDefinite("r_ref must be finite and positive definite")
+    if r_ref.ndim == 1:
+        return 1.0 / np.sqrt(r_ref)
     return scipy.linalg.cholesky(symmetrize(r_ref), lower=True)
-
-
-def compute_nu(C, R_ref) -> float:
-    """Floored Loewner ratio ``max(1, inf{nu: C <= nu R_ref})``."""
-    return max(1.0, loewner_ratio(C, R_ref))
 
 
 def _long_run_reference(stream, cfg, burn_in: int = 200) -> np.ndarray:
@@ -159,15 +165,21 @@ def _long_run_reference(stream, cfg, burn_in: int = 200) -> np.ndarray:
 
 
 def _step_diagnostics(step, rec, S_prev, A, sigma_plus, x_true, L, cfg) -> FilterDiagnostics:
-    """One row of diagnostics from the step's factors, in O(d K^2) work
-    plus O(d^2 K) for the whitening by the lower factor ``L`` of r_ref."""
+    """One row of diagnostics from the step's factors, in O(d K^2) work.
+
+    ``L`` is r_ref's factor from :func:`_reference_factor`: ``1/sqrt`` of a
+    diagonal r_ref (whitening is an O(d K) multiply) or a lower Cholesky
+    factor (an O(d^2 K) triangular solve)."""
     d, K = rec.posterior.spread.shape
     lam, mu = compute_lambda_mu(
         rec.forecast_spread, A, S_prev, sigma_plus, cfg.r, cfg.tau, cfg.rho
     )
     X = rec.posterior.spread / np.sqrt(K - 1)  # C_post = X X.T
     # C_post <= nu r_ref  iff  (L^{-1} X)(L^{-1} X).T <= nu I
-    Z = scipy.linalg.solve_triangular(L, X, lower=True)
+    if L.ndim == 1:
+        Z = L[:, None] * X
+    else:
+        Z = scipy.linalg.solve_triangular(L, X, lower=True)
     cov_fidelity = lowrank_loewner_ratio(0.0, Z, 1.0, np.empty((d, 0)))
     e = rec.posterior.mean - x_true
     # e.T (C_post + rho I)^{-1} e is the ratio of e e.T to C_post + rho I;
@@ -196,11 +208,12 @@ def run_filter_experiment(
 ):
     """Run truth + filter per seed and collect full diagnostics.
 
-    ``r_ref`` is the reference covariance for nu / cov_fidelity; when
-    omitted it is the 200-step augmented Riccati iterate. It is checked
-    and Cholesky-factored once, before any seed runs: a wrong shape
-    raises :class:`DimensionMismatch`, a non-finite or non-positive
-    definite one :class:`NotPositiveDefinite`. Returns
+    ``r_ref`` is the reference covariance for nu / cov_fidelity: a d x d
+    matrix, or a length-d vector holding a diagonal one; when omitted it
+    is the 200-step augmented Riccati iterate. It is checked and factored
+    once, before any seed runs: a wrong shape raises
+    :class:`DimensionMismatch`, a non-finite or non-positive definite one
+    :class:`NotPositiveDefinite`. Returns
     ``(per_seed, aggregate)`` where ``per_seed`` maps seed to a list of
     :class:`FilterDiagnostics` and ``aggregate`` holds per-step mean and
     (0.1, 0.5, 0.9) quantiles of the error quantities across seeds.

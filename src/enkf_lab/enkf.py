@@ -7,17 +7,19 @@ One step, given ensemble mean/spread (X_bar, S), coefficients
    ``rho A A.T + Sigma - (rho tau / r) I``; mean advances by
    ``A X_bar + B + mean(xi)``; spread becomes
    ``S_hat = sqrt(r) (A S + [xi - mean(xi)])``,
-2. assimilate: gain of ``C_hat + tau rho I`` (Woodbury form, never a
-   d x d matrix) moves the mean; the spread is rebuilt by a deterministic
-   square-root transform so that ``S+ S+.T / (K-1)`` equals the rank-p
-   projection ``P (K(C_hat + tau rho I) - rho I) P`` with negative
-   directions clamped,
+2. assimilate: the gain of ``C_hat + tau rho I`` moves the mean; the
+   spread is rebuilt by a deterministic square-root transform so that
+   ``S+ S+.T / (K-1)`` equals the rank-p projection
+   ``P (K(C_hat + tau rho I) - rho I) P`` with negative directions clamped,
 3. the state estimate is N(mean, S+ S+.T / (K-1) + rho I).
 
-Two equivalent assimilation routes exist: a dense one (general H) and a
-Gram-matrix one usable when ``H = eta I`` and K < d, which costs
-O(K^2 d + K^3) per step and keeps the whole filter linear in d for
-diagonal-structured coefficients.
+Two equivalent assimilation routes exist. When ``H = eta I`` (or None)
+and K < d, the whole analysis runs in ensemble space: the eigenpairs of
+the K x K Gram ``S_hat.T S_hat / (K-1)`` give both the mean update (the
+gain acts as ``eta kappa(s_i)`` on the spread's left singular vectors and
+as ``eta kappa(0)`` off them, the LETKF form) and the posterior spread, in
+O(K^2 d + K^3) per step with no d x d matrix. Otherwise a dense route
+(general H) forms the posterior map and factors the q x q gain system.
 """
 
 from __future__ import annotations
@@ -46,13 +48,13 @@ from .models import (
     CoefficientStream,
     StepCoefficients,
     _LastValueMemo,
-    sample_noise,
     substream,
 )
 
 __all__ = [
     "RankDeficit",
     "InvalidObservation",
+    "FilterDiverged",
     "Ensemble",
     "EnkfConfig",
     "StepRecord",
@@ -73,6 +75,25 @@ class RankDeficit(UserWarning):
 
 class InvalidObservation(ValueError):
     """An observation is missing or non-finite where the system is observed."""
+
+
+class FilterDiverged(ValueError):
+    """The forecast mean or spread went non-finite.
+
+    ``quantity`` is "forecast mean" or "forecast spread". ``step`` counts
+    filter steps from 1, as the diagnostics rows do, and ``seed`` names
+    the filter's seed; both are None when the error comes from
+    :func:`enkf_assimilate` called outside an :class:`EnkfFilter`.
+    """
+
+    def __init__(self, step, quantity: str, seed=None):
+        super().__init__(step, quantity, seed)
+        self.step, self.quantity, self.seed = step, quantity, seed
+
+    def __str__(self):
+        where = "" if self.step is None else f" at step {self.step}"
+        who = "" if self.seed is None else f" (seed {self.seed})"
+        return f"filter diverged{where}{who}: the {self.quantity} is non-finite"
 
 
 @dataclass
@@ -190,14 +211,20 @@ def enkf_forecast(
 
     ``factor`` optionally supplies a precomputed Sigma+ factor from
     :func:`sigma_plus_factor` (worth caching on constant streams).
+
+    Member k's standard normals come from its own substream, in the same
+    order as a per-member :func:`~enkf_lab.models.sample_noise` call, and
+    fill row k of one ``(K, m)`` block; a single product with
+    ``U sqrt(s)`` then maps the block to all K draws.
     """
     if factor is None:
         factor = sigma_plus_factor(coeffs, cfg)
-    K = ens.K
-    children = rng.spawn(K)
-    xi = np.empty((ens.mean.shape[0], K))
-    for k, child in enumerate(children):
-        xi[:, k] = sample_noise(factor, child)
+    U, s = factor
+    K, m = ens.K, s.shape[0]
+    Z = np.empty((K, m))
+    for k, child in enumerate(rng.spawn(K)):
+        Z[k] = child.standard_normal(m)
+    xi = U @ (np.sqrt(s)[:, None] * Z.T)
     xi_mean = xi.mean(axis=1)
     mean = np.asarray(coeffs.A @ ens.mean).ravel() + coeffs.B + xi_mean
     S_hat = np.sqrt(cfg.r) * (
@@ -206,20 +233,14 @@ def enkf_forecast(
     return mean, S_hat
 
 
-def _posterior(mean_hat, S_hat, S_plus, H, y, cfg, rho_next):
-    """Shared tail of both routes: mean update, posterior and step record.
+def _posterior(mean_plus, S_hat, S_plus, resid, cfg, rho_next):
+    """Shared tail of both routes: the posterior and the step record.
 
     ``S_plus`` is recentred into a new array; callers pass it without
     keeping a reference, so the un-centred d x K array is freed at once.
     """
     # zero column sums are exact in theory; enforced against roundoff drift
     S_plus = S_plus - S_plus.mean(axis=1, keepdims=True)
-    if H is None:
-        mean_plus, resid = mean_hat.copy(), np.zeros(0)
-    else:
-        resid = y - np.asarray(H @ mean_hat).ravel()
-        ctx = make_gain_context(S_hat, H, cfg.tau * cfg.rho)
-        mean_plus = mean_hat + gain_apply_woodbury(ctx, resid)
     ens = Ensemble(mean=mean_plus, spread=S_plus)
     rec = StepRecord(
         forecast_spread=S_hat,
@@ -238,16 +259,21 @@ def _kappa(s, eta: float, c: float):
     return sc / (1.0 + eta * eta * sc)
 
 
-def _assimilate_structured(mean_hat, S_hat, eta, y, cfg, H=None):
-    """Gram-matrix route, H = eta I (eta may be 0 for no observation).
+def _assimilate_structured(mean_hat, S_hat, eta, y, cfg):
+    """Ensemble-space route, H = eta I (eta = 0 and y None when unobserved).
 
-    Eigenvectors of the posterior map are the left singular vectors of
-    S_hat because the map is a monotone function of the forecast
-    covariance spectrum; everything reduces to a K x K eigenproblem.
+    Eigenvectors of the posterior map and of the gain are the left
+    singular vectors ``S_hat phi_i / sing_i`` of S_hat, because both are
+    monotone functions of the forecast covariance spectrum; everything
+    reduces to the eigenpairs ``(s_i, phi_i)`` of the K x K Gram. Raises
+    :class:`FilterDiverged` when the Gram is non-finite, as any non-finite
+    entry of S_hat makes it.
     """
     d, K = S_hat.shape
     c = cfg.tau * cfg.rho
     gram = S_hat.T @ S_hat / (K - 1)
+    if not np.all(np.isfinite(gram)):
+        raise FilterDiverged(None, "forecast spread")
     s, Phi = eigh_desc(gram)
     s = np.maximum(s, 0.0)
     sing = np.sqrt(s * (K - 1))  # singular values of S_hat
@@ -264,10 +290,23 @@ def _assimilate_structured(mean_hat, S_hat, eta, y, cfg, H=None):
             f"spans {m}",
             RankDeficit,
         )
+    if y is None:
+        mean_plus, resid = mean_hat.copy(), np.zeros(0)
+    else:
+        # G r = eta [kappa(0) r + sum_i (kappa(s_i) - kappa(0)) psi_i psi_i.T r]
+        # over the left singular vectors psi_i; the weight
+        # (kappa(s_i) - kappa(0)) / (s_i (K-1)) is taken in closed form,
+        # which does not cancel for small s_i
+        resid = y - eta * mean_hat
+        a = 1.0 + eta * eta * c
+        g = 1.0 / ((K - 1) * a * (1.0 + eta * eta * (s[:m] + c)))
+        Phi_m = Phi[:, :m]
+        t = Phi_m @ (g * (Phi_m.T @ (S_hat.T @ resid)))
+        mean_plus = mean_hat + eta * (kappa_tail * resid + S_hat @ t)
     take = min(p, m)
     D = _kappa(s[:take], eta, c) - cfg.rho
     w = np.sqrt(np.maximum(D, 0.0) * (K - 1))
-    Psi = S_hat @ (Phi[:, :take] / sing[:take])  # left singular vectors
+    Phi_t = Phi[:, :take]
     # (p+1)-th eigenvalue of the posterior map, padding the spectrum
     # with the flat tail value
     if p < d:
@@ -275,20 +314,25 @@ def _assimilate_structured(mean_hat, S_hat, eta, y, cfg, H=None):
     else:
         rho_next = 0.0
     return _posterior(
-        mean_hat, S_hat, (Psi * w) @ Phi[:, :take].T, H, y, cfg, rho_next
+        mean_plus, S_hat, S_hat @ ((Phi_t * (w / sing[:take])) @ Phi_t.T),
+        resid, cfg, rho_next,
     )
 
 
 def _assimilate_dense(mean_hat, S_hat, H, y, cfg):
-    """Dense route: explicit posterior map, projection, and SVD transform."""
+    """Dense route: explicit posterior map, projection, and SVD transform;
+    the mean moves by the gain applied through :func:`make_gain_context`."""
     d, K = S_hat.shape
     c = cfg.tau * cfg.rho
     C_hat = symmetrize(S_hat @ S_hat.T / (K - 1) + c * np.eye(d))
     if H is None:
         Kmat = C_hat
+        mean_plus, resid = mean_hat.copy(), np.zeros(0)
     else:
         Hd = np.asarray(H.todense()) if scipy.sparse.issparse(H) else np.asarray(H, dtype=float)
         Kmat = kalman_update_operator(C_hat, Hd)
+        resid = y - np.asarray(H @ mean_hat).ravel()
+        mean_plus = mean_hat + gain_apply_woodbury(make_gain_context(S_hat, H, c), resid)
     _, pairs, rho_next = top_p_projection(Kmat, cfg.p)
     D = pairs.eigenvalues - cfg.rho
     Q = pairs.eigenvectors
@@ -306,7 +350,7 @@ def _assimilate_dense(mean_hat, S_hat, H, y, cfg):
     # i-th eigenvector of the projected target pairs with the i-th right
     # singular direction of S_hat (both in descending order)
     return _posterior(
-        mean_hat, S_hat, (Q[:, :take] * w) @ PhiT[:take, :], H, y, cfg, rho_next
+        mean_plus, S_hat, (Q[:, :take] * w) @ PhiT[:take, :], resid, cfg, rho_next
     )
 
 
@@ -321,7 +365,9 @@ def enkf_assimilate(mean_hat, S_hat, coeffs: StepCoefficients, y, cfg: EnkfConfi
 
     With ``coeffs.H`` set, ``y`` must be a finite array of shape ``(q,)``
     (else :class:`InvalidObservation`, or :class:`DimensionMismatch` for
-    the shape); with ``coeffs.H`` None, ``y`` is ignored.
+    the shape); with ``coeffs.H`` None, ``y`` is ignored. A non-finite
+    forecast mean or spread raises :class:`FilterDiverged`; the spread is
+    checked through the K x K Gram on the ensemble-space route.
     """
     mean_hat = np.asarray(mean_hat, dtype=float).ravel()
     S_hat = np.asarray(S_hat, dtype=float)
@@ -337,11 +383,15 @@ def enkf_assimilate(mean_hat, S_hat, coeffs: StepCoefficients, y, cfg: EnkfConfi
             raise DimensionMismatch(f"y has shape {y.shape}, expected ({H.shape[0]},)")
         if not np.all(np.isfinite(y)):
             raise InvalidObservation("y has non-finite entries")
+    if not np.all(np.isfinite(mean_hat)):
+        raise FilterDiverged(None, "forecast mean")
     eta = _scaled_identity_coeff(H, d)
-    if H is None and S_hat.shape[1] < d:
-        return _assimilate_structured(mean_hat, S_hat, 0.0, y, cfg, H=None)
-    if eta is not None and S_hat.shape[1] < d:
-        return _assimilate_structured(mean_hat, S_hat, eta, y, cfg, H=H)
+    if S_hat.shape[1] < d and (H is None or eta is not None):
+        return _assimilate_structured(
+            mean_hat, S_hat, 0.0 if H is None else eta, None if H is None else y, cfg
+        )
+    if not np.all(np.isfinite(S_hat)):
+        raise FilterDiverged(None, "forecast spread")
     return _assimilate_dense(mean_hat, S_hat, H, y, cfg)
 
 
@@ -408,12 +458,17 @@ class EnkfFilter:
         return self._factor_memo(coeffs)
 
     def step(self, y) -> StepRecord:
+        """Advance one step; a non-finite forecast raises
+        :class:`FilterDiverged` naming this step (from 1) and the seed."""
         coeffs = self.stream.at(self.n)
         rng = substream(self.seed, DOMAIN_FORECAST, self.n)
         factor = self._factor_for(coeffs)
-        self.ensemble, rec = enkf_step(
-            self.ensemble, coeffs, y, self.cfg, rng, factor=factor
-        )
+        try:
+            self.ensemble, rec = enkf_step(
+                self.ensemble, coeffs, y, self.cfg, rng, factor=factor
+            )
+        except FilterDiverged as exc:
+            raise FilterDiverged(self.n + 1, exc.quantity, self.seed) from None
         self.coeffs = coeffs
         self.n += 1
         return rec

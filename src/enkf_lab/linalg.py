@@ -28,8 +28,6 @@ __all__ = [
     "KalmanGainContext",
     "symmetrize",
     "is_positive_definite",
-    "mahalanobis_sq",
-    "loewner_ratio",
     "lowrank_loewner_ratio",
     "kalman_gain",
     "kalman_update_operator",
@@ -39,7 +37,6 @@ __all__ = [
     "positive_part",
     "positive_part_factor",
     "factor_matrix",
-    "condition_number",
     "eigh_desc",
 ]
 
@@ -122,51 +119,10 @@ def _cho(C, name: str):
         raise NotPositiveDefinite(f"{name} is not positive definite") from exc
 
 
-def mahalanobis_sq(v, C) -> float:
-    """Squared Mahalanobis norm ``v.T @ inv(C) @ v`` for PD ``C``.
-
-    Parameters
-    ----------
-    v : (d,) array_like
-    C : (d, d) symmetric positive definite
-
-    Raises
-    ------
-    NotPositiveDefinite
-        If the Cholesky factorization of ``C`` fails.
-    DimensionMismatch
-        If shapes are incompatible.
-    """
-    v = np.asarray(v, dtype=float).ravel()
-    C = _as_square(C, "C")
-    if C.shape[0] != v.shape[0]:
-        raise DimensionMismatch(f"v has length {v.shape[0]}, C is {C.shape}")
-    cf = _cho(C, "C")
-    x = scipy.linalg.cho_solve(cf, v, check_finite=False)
-    return float(v @ x)
-
-
-def loewner_ratio(B, A) -> float:
-    """Smallest ``lam >= 0`` with ``B <= lam * A`` in the Loewner order.
-
-    Equals the largest generalized eigenvalue of the pencil ``(B, A)``.
-    ``B`` must be PSD and ``A`` PD; tiny negative generalized eigenvalues
-    from roundoff clamp to zero.
-    """
-    B = _as_square(B, "B")
-    A = _as_square(A, "A")
-    if B.shape != A.shape:
-        raise DimensionMismatch(f"B is {B.shape}, A is {A.shape}")
-    if not is_positive_definite(A):
-        raise NotPositiveDefinite("A must be positive definite")
-    w = scipy.linalg.eigh(
-        symmetrize(B), symmetrize(A), eigvals_only=True, check_finite=False
-    )
-    return float(max(w[-1], 0.0))
-
-
 def lowrank_loewner_ratio(a: float, F, b: float, G) -> float:
-    """:func:`loewner_ratio` of ``B = a I + F F.T`` to ``A = b I + G G.T``.
+    """Smallest ``lam >= 0`` with ``B <= lam * A`` in the Loewner order, for
+    ``B = a I + F F.T`` and ``A = b I + G G.T``: the largest generalized
+    eigenvalue of the pencil ``(B, A)``, clamped at zero.
 
     ``F`` is d x f and ``G`` d x g, with ``a >= 0`` and ``b > 0``. On an
     orthonormal basis ``Q`` of ``span[F, G]`` both reduce exactly to k x k
@@ -255,48 +211,31 @@ class KalmanGainContext:
     Built from the spread factor ``S_hat`` (d x K), the observation
     operator ``H`` (q x d, dense or sparse, possibly ``eta * I``), and the
     additive floor ``tau_rho``, where ``C = S_hat S_hat.T / (K - 1)
-    + tau_rho * I``. Applying the gain never forms a d x d matrix.
-
-    ``M^{-1}`` is applied on the q-side, by the Cholesky factor of
-    ``M = I_q + tau_rho H H.T + U U.T`` itself, unless ``H = eta * I`` and
-    ``q > K``. Only then is the K-side cheaper: the K x K Woodbury inner
-    system ``I_K + q0_scale U.T U`` is factored, with
-    ``Q0 = (I_q + tau_rho H H.T)^{-1} = q0_scale * I_q``. A general H
-    needs a q x q factor of ``I_q + tau_rho H H.T`` on either side, so
-    it always takes the q-side.
+    + tau_rho * I``. ``M^{-1}`` is applied by the Cholesky factor of the
+    q x q matrix ``M = I_q + tau_rho H H.T + U U.T`` itself, with
+    ``U = H S_hat / sqrt(K - 1)``; applying the gain then never forms a
+    d x d matrix. (For ``H = eta I`` with K < d the filter does not build
+    a context: it takes the gain from the eigenpairs of the K x K Gram.)
     """
 
     V: np.ndarray  # S_hat / sqrt(K - 1), d x K
     H: object  # q x d operator (ndarray or sparse), kept for H.T applies
     tau_rho: float
     eta: float | None  # scalar when H = eta * I, else None
-    q0_scale: float | None  # K-side only: (1 + tau_rho * eta^2)^{-1}; None on the q-side
-    inner_factor: object  # Cholesky of M (q-side) or of I_K + q0_scale U.T U (K-side)
+    inner_factor: object  # Cholesky factor of M, q x q
     U: np.ndarray  # H V, q x K
-
-
-def _cho_inner(M: np.ndarray, what: str):
-    if not np.all(np.isfinite(M)):
-        raise SingularInnerSolve(f"{what} is non-finite")
-    try:
-        return scipy.linalg.cho_factor(symmetrize(M), lower=True, check_finite=False)
-    except scipy.linalg.LinAlgError as exc:
-        raise SingularInnerSolve(f"{what} is singular") from exc
 
 
 def make_gain_context(S_hat, H, tau_rho: float) -> KalmanGainContext:
     """Precompute the factors for repeated gain applications.
 
     Cost is O(q d K) to form ``H S_hat`` (O(d K) when ``H`` has O(d)
-    nonzeros), plus O(q^2 K + q^3) for the q x q factor of ``M``, or
-    O(q K^2 + K^3) for the K x K inner system when ``H = eta * I`` and
-    ``q > K``.
+    nonzeros), plus O(q^2 K + q^3) for the q x q factor of ``M``.
 
     Raises
     ------
     SingularInnerSolve
-        If the factored system (q x q or K x K) cannot be factored or is
-        non-finite.
+        If ``M`` cannot be factored or is non-finite.
     """
     S_hat = np.asarray(S_hat, dtype=float)
     if S_hat.ndim != 2:
@@ -308,17 +247,9 @@ def make_gain_context(S_hat, H, tau_rho: float) -> KalmanGainContext:
         raise NotPositiveDefinite("tau_rho must be positive")
     V = S_hat / np.sqrt(K - 1)
     eta = _scaled_identity_coeff(H, d)
-    q0_scale = None
     if eta is not None:
         U = eta * V
-        if d > K:
-            q0_scale = 1.0 / (1.0 + tau_rho * eta * eta)
-            inner_factor = _cho_inner(
-                np.eye(K) + q0_scale * (U.T @ U), "inner K x K system"
-            )
-        else:
-            M = (1.0 + tau_rho * eta * eta) * np.eye(d) + U @ U.T
-            inner_factor = _cho_inner(M, "I + H C H.T")
+        M = (1.0 + tau_rho * eta * eta) * np.eye(d) + U @ U.T
     else:
         if scipy.sparse.issparse(H):
             U = np.asarray(H @ V, dtype=float)
@@ -328,39 +259,30 @@ def make_gain_context(S_hat, H, tau_rho: float) -> KalmanGainContext:
             U = Hd @ V
             HHt = Hd @ Hd.T
         M = np.eye(U.shape[0]) + tau_rho * HHt + U @ U.T
-        inner_factor = _cho_inner(M, "I + H C H.T")
+    if not np.all(np.isfinite(M)):
+        raise SingularInnerSolve("I + H C H.T is non-finite")
+    try:
+        inner_factor = scipy.linalg.cho_factor(symmetrize(M), lower=True, check_finite=False)
+    except scipy.linalg.LinAlgError as exc:
+        raise SingularInnerSolve("I + H C H.T is singular") from exc
     return KalmanGainContext(
-        V=V,
-        H=H,
-        tau_rho=float(tau_rho),
-        eta=eta,
-        q0_scale=q0_scale,
-        inner_factor=inner_factor,
-        U=U,
+        V=V, H=H, tau_rho=float(tau_rho), eta=eta, inner_factor=inner_factor, U=U
     )
 
 
 def gain_apply_woodbury(ctx: KalmanGainContext, y):
     """Apply the gain to ``y`` (a q-vector or q x m batch) without d x d work.
 
-    Computes ``w = M^{-1} y`` with ``M = I_q + H C H.T``: by the q x q
-    Cholesky factor of ``M`` on the q-side, or on the K-side
-    (``H = eta * I``, ``q > K``) by Woodbury,
-    ``M^{-1} = c I - c^2 U (I_K + c U.T U)^{-1} U.T`` with
-    ``c = (1 + tau_rho eta^2)^{-1}`` and ``U = H S_hat / sqrt(K-1)``.
-    Then ``G y = V (V.T (H.T w)) + tau_rho H.T w``.
+    Solves ``w = M^{-1} y`` with the q x q Cholesky factor of
+    ``M = I_q + H C H.T``, then returns
+    ``G y = V (V.T (H.T w)) + tau_rho H.T w``, which splits ``C`` into
+    its low-rank part ``V V.T`` and its floor ``tau_rho I``.
     """
     y = np.asarray(y, dtype=float)
     squeeze = y.ndim == 1
     if squeeze:
         y = y[:, None]
-    c = ctx.q0_scale
-    if c is None:
-        w = scipy.linalg.cho_solve(ctx.inner_factor, y, check_finite=False)
-    else:
-        Q0y = c * y
-        t = scipy.linalg.cho_solve(ctx.inner_factor, ctx.U.T @ Q0y, check_finite=False)
-        w = Q0y - c * (ctx.U @ t)
+    w = scipy.linalg.cho_solve(ctx.inner_factor, y, check_finite=False)
     if ctx.eta is not None:
         Htw = ctx.eta * w
     else:
@@ -447,11 +369,3 @@ def factor_matrix(factor) -> np.ndarray:
     U = np.asarray(U, dtype=float)
     return (U * s) @ U.T
 
-
-def condition_number(A) -> float:
-    """Spectral condition number ``lambda_max / lambda_min`` of a PD matrix."""
-    A = _as_square(A, "A")
-    w = np.linalg.eigvalsh(symmetrize(A))
-    if w[0] <= PD_RTOL * max(1.0, float(w[-1])):
-        raise NotPositiveDefinite("A must be positive definite")
-    return float(w[-1] / w[0])

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from enkf_lab.cli import (
@@ -195,6 +196,26 @@ def test_runtime_failure_exits_1(tmp_path, capsys):
     rc = cli_main(["verify-dim", "--config", path, "--out", str(tmp_path / "o")])
     assert rc == 1
     assert "enkf-lab: error:" in capsys.readouterr().err
+
+
+def test_simulate_divergence_exits_1_naming_seed_and_step(tmp_path, capsys, monkeypatch):
+    from enkf_lab import enkf
+
+    real, calls = enkf.enkf_forecast, []
+
+    def nan_on_third_step(*args, **kwargs):
+        mean, S_hat = real(*args, **kwargs)
+        calls.append(None)
+        if len(calls) == 3:
+            mean[0] = np.nan
+        return mean, S_hat
+
+    monkeypatch.setattr(enkf, "enkf_forecast", nan_on_third_step)
+    cfg = tiny_simulate_config(T=5, seeds=[7])
+    rc = cli_main(["simulate", "--config", write_config(tmp_path, cfg), "--out", str(tmp_path / "o")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "FilterDiverged" in err and "step 3" in err and "seed 7" in err
 
 
 # ------------------------------------------------------------ config semantics

@@ -17,7 +17,6 @@ from enkf_lab.diagnostics import (
     ConcentrationTrial,
     FilterDiagnostics,
     compute_lambda_mu,
-    compute_nu,
     run_accuracy_experiment,
     run_concentration_experiment,
     run_filter_experiment,
@@ -31,13 +30,13 @@ from enkf_lab.linalg import (
     DimensionMismatch,
     NotPositiveDefinite,
     factor_matrix,
-    loewner_ratio,
-    mahalanobis_sq,
     positive_part_factor,
     symmetrize,
 )
 from enkf_lab.models import JumpSpec, TurbulenceParams, build_turbulence, simulate_truth
 from enkf_lab.reference import stationary_riccati_ambient
+
+from oracles import compute_nu, loewner_ratio, mahalanobis_sq
 
 
 def dense_lambda_mu(C_hat_taurho, A, C_prev, Sigma_plus, r, tau, rho):
@@ -186,7 +185,7 @@ def dense_rows(stream, cfg, T, seed, r_ref):
 
 
 @pytest.mark.parametrize("J,K", [(3, 8), (30, 6)], ids=["width_at_d", "width_below_d"])
-@pytest.mark.parametrize("reference", ["diagonal", "long_run"])
+@pytest.mark.parametrize("reference", ["diagonal", "long_run", "diagonal_vector"])
 @pytest.mark.parametrize("jump", [False, True], ids=["constant", "jump"])
 def test_run_filter_experiment_matches_dense_oracle(J, K, reference, jump):
     spec = None
@@ -198,14 +197,14 @@ def test_run_filter_experiment_matches_dense_oracle(J, K, reference, jump):
     p = TurbulenceParams(J=J, sigma_obs=10.0, tau=0.6, jump_spec=spec)
     stream = build_turbulence(p)
     cfg = EnkfConfig(K=K, p=3, r=p.r, rho=p.rho, tau=p.tau)
-    if reference == "diagonal":
-        r_ref = np.diag(stationary_riccati_ambient(p))
-    else:  # the dense default
-        r_ref = diagnostics._long_run_reference(stream, cfg)
+    if reference == "long_run":  # the dense default
+        r_ref, passed = diagnostics._long_run_reference(stream, cfg), None
+    else:  # the diagonal reference as a d x d matrix or as its diagonal
+        r_diag = stationary_riccati_ambient(p)
+        r_ref = np.diag(r_diag)
+        passed = r_diag if reference == "diagonal_vector" else r_ref
     T = 6
-    per_seed, _ = run_filter_experiment(
-        stream, cfg, T=T, seeds=(0,), r_ref=r_ref if reference == "diagonal" else None
-    )
+    per_seed, _ = run_filter_experiment(stream, cfg, T=T, seeds=(0,), r_ref=passed)
     got = np.array(
         [(x.maha_sq_per_d, x.lam, x.mu, x.nu, x.cov_fidelity) for x in per_seed[0]]
     )
@@ -236,7 +235,8 @@ def test_mahalanobis_without_cancellation():
 
 
 def test_step_diagnostics_form_no_d_by_d_array():
-    # d = 4001, K = 8: one step's diagnostics peak below d^2 * 8 / 4 bytes
+    # d = 4001, K = 8: one step's diagnostics peak below d^2 * 8 / 4 bytes,
+    # with r_ref's Cholesky factor and with the factor of its diagonal
     p = TurbulenceParams(J=2000, sigma_obs=10.0, tau=0.6)
     stream = build_turbulence(p)
     d = stream.d
@@ -247,17 +247,25 @@ def test_step_diagnostics_form_no_d_by_d_array():
     S_prev = filt.ensemble.spread
     rec = filt.step(truth.observations[1])
     factor = filt._factor_for(filt.coeffs)
-    L = np.diag(np.sqrt(stationary_riccati_ambient(p)))  # d x d, made before tracing
-    tracemalloc.start()
-    try:
-        row = diagnostics._step_diagnostics(
-            2, rec, S_prev, filt.coeffs.A, factor, truth.states[2], L, cfg
-        )
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert math.isfinite(row.lam) and math.isfinite(row.maha_sq_per_d)
-    assert peak < d * d * 8 / 4
+    r_diag = stationary_riccati_ambient(p)
+    L = np.diag(np.sqrt(r_diag))  # d x d, made before tracing
+    rows = []
+    for ref in (L, r_diag):
+        tracemalloc.start()
+        try:
+            if ref.ndim == 1:
+                ref = diagnostics._reference_factor(ref, d)
+            row = diagnostics._step_diagnostics(
+                2, rec, S_prev, filt.coeffs.A, factor, truth.states[2], ref, cfg
+            )
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert math.isfinite(row.lam) and math.isfinite(row.maha_sq_per_d)
+        assert peak < d * d * 8 / 4
+        rows.append(row)
+    assert rows[1].nu == pytest.approx(rows[0].nu, rel=1e-12)
+    assert rows[1].cov_fidelity == pytest.approx(rows[0].cov_fidelity, rel=1e-12)
 
 
 @pytest.mark.parametrize(
@@ -266,8 +274,15 @@ def test_step_diagnostics_form_no_d_by_d_array():
         (lambda R: np.eye(R.shape[0] + 1), DimensionMismatch),
         (lambda R: R - 2.0 * R[0, 0] * np.eye(R.shape[0]), NotPositiveDefinite),
         (lambda R: np.where(np.eye(R.shape[0]) > 0, R, np.nan), NotPositiveDefinite),
+        (lambda R: np.diag(R)[:-1], DimensionMismatch),
+        (lambda R: np.where(np.arange(R.shape[0]) == 1, 0.0, np.diag(R)), NotPositiveDefinite),
+        (lambda R: -np.diag(R), NotPositiveDefinite),
+        (lambda R: np.where(np.arange(R.shape[0]) == 1, np.nan, np.diag(R)), NotPositiveDefinite),
     ],
-    ids=["wrong_shape", "not_positive_definite", "non_finite"],
+    ids=[
+        "wrong_shape", "not_positive_definite", "non_finite", "diagonal_wrong_length",
+        "diagonal_zero_entry", "diagonal_negative", "diagonal_non_finite",
+    ],
 )
 def test_run_filter_experiment_rejects_bad_r_ref(monkeypatch, make_bad, error):
     p = TurbulenceParams(J=2, sigma_obs=10.0, tau=0.6)

@@ -1,17 +1,21 @@
 """Tests for the augmented ensemble filter."""
 
 import gc
+import warnings
 import weakref
 
 import numpy as np
 import pytest
 import scipy.sparse
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from enkf_lab import enkf
 from enkf_lab.enkf import (
     Ensemble,
     EnkfConfig,
     EnkfFilter,
+    FilterDiverged,
     InvalidObservation,
     RankDeficit,
     enkf_assimilate,
@@ -19,7 +23,7 @@ from enkf_lab.enkf import (
     sigma_plus_factor,
     _assimilate_dense,
 )
-from enkf_lab.linalg import DimensionMismatch, factor_matrix, kalman_update_operator
+from enkf_lab.linalg import DimensionMismatch, factor_matrix, kalman_gain, kalman_update_operator
 from enkf_lab.models import (
     JumpSpec,
     StepCoefficients,
@@ -30,6 +34,8 @@ from enkf_lab.models import (
     substream,
 )
 from enkf_lab.reference import KalmanState, kalman_step
+
+from oracles import forecast_per_member
 
 
 def make_ensemble(d, K, seed=0, scale=1.0):
@@ -156,6 +162,155 @@ def test_forecast_mean_unbiased():
     drift = mean - (A @ ens.mean + coeffs.B)
     se = np.sqrt(np.diag(target) / K)
     assert np.all(np.abs(drift) <= 3 * se + 1e-12)
+
+
+@pytest.mark.parametrize("J, jump", [(3, False), (10, False), (10, True)])
+def test_batched_forecast_bit_identical_to_per_member_loop(J, jump):
+    # the turbulence model's Sigma+ factor has a sparse selector U: one
+    # product with the (K, m) block of draws gives the loop's exact bits
+    spec = JumpSpec(transition=[[0.5, 0.5], [0.5, 0.5]], multipliers=[[1.0], [1.3]], modes=(1,))
+    p = TurbulenceParams(J=J, sigma_obs=10.0, tau=0.6, jump_spec=spec if jump else None)
+    stream = build_turbulence(p)
+    cfg = EnkfConfig(K=7, p=3, r=p.r, rho=p.rho, tau=p.tau)
+    for n in range(4):
+        coeffs = stream.at(n)
+        factor = sigma_plus_factor(coeffs, cfg)
+        assert scipy.sparse.issparse(factor[0]) and factor[1].size > 0
+        ens = make_ensemble(stream.d, cfg.K, seed=n)
+        got = enkf_forecast(ens, coeffs, cfg, substream(5, 4, n), factor=factor)
+        want = forecast_per_member(ens, coeffs, cfg, substream(5, 4, n), factor)
+        assert np.array_equal(got[0], want[0])
+        assert np.array_equal(got[1], want[1])
+
+
+@pytest.mark.parametrize("d, K", [(4, 9), (21, 40), (30, 8)])
+def test_batched_forecast_matches_per_member_loop_dense_factor(d, K):
+    # a dense U changes the product's summation order only: agreement
+    # to 1e-15 relative to the largest entry
+    cfg = EnkfConfig(K=K, p=2, r=1.1, rho=0.05, tau=1.0)
+    coeffs = dense_coeffs(d, seed=d, sigma_scale=0.5)
+    factor = sigma_plus_factor(coeffs, cfg)
+    assert isinstance(factor[0], np.ndarray) and factor[1].size > 0
+    ens = make_ensemble(d, K, seed=K)
+    got = enkf_forecast(ens, coeffs, cfg, substream(6, 4, 0), factor=factor)
+    want = forecast_per_member(ens, coeffs, cfg, substream(6, 4, 0), factor)
+    for g, w in zip(got, want):
+        assert np.abs(g - w).max() <= 1e-15 * np.abs(w).max()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    d=st.integers(3, 40),
+    k_frac=st.floats(0.0, 1.0),
+    rank_frac=st.floats(0.0, 1.0),
+    eta=st.floats(0.05, 5.0),
+    seed=st.integers(0, 2**31 - 1),
+)
+def test_ensemble_space_mean_update_matches_kalman_gain(d, k_frac, rank_frac, eta, seed):
+    # H = eta I, K < d: the mean moves by G r with G = C H.T (I + H C H.T)^{-1}
+    # of C = S_hat S_hat.T / (K-1) + tau rho I, also when the spread has
+    # fewer than K - 1 directions (rank 0 included)
+    rng = np.random.default_rng(seed)
+    K = 2 + int(k_frac * (d - 3))
+    rank = int(rank_frac * (K - 1))
+    S_hat = rng.standard_normal((d, rank)) @ rng.standard_normal((rank, K))
+    S_hat -= S_hat.mean(axis=1, keepdims=True)
+    cfg = EnkfConfig(K=K, p=1, r=1.1, rho=0.04, tau=0.6)
+    H = scipy.sparse.identity(d, format="csr") * eta
+    coeffs = StepCoefficients(A=np.eye(d), B=np.zeros(d), Sigma=np.eye(d), H=H)
+    y = rng.standard_normal(d)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RankDeficit)
+        ens, rec = enkf_assimilate(np.zeros(d), S_hat, coeffs, y, cfg)
+    C = S_hat @ S_hat.T / (K - 1) + cfg.tau * cfg.rho * np.eye(d)
+    want = kalman_gain(C, eta * np.eye(d)) @ y
+    np.testing.assert_allclose(ens.mean, want, rtol=1e-8, atol=1e-8 * np.abs(want).max())
+    np.testing.assert_array_equal(rec.gain_residual, y)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    d=st.integers(3, 30),
+    k_frac=st.floats(0.0, 1.0),
+    p_frac=st.floats(0.0, 1.0),
+    eta=st.floats(0.05, 5.0),
+    seed=st.integers(0, 2**31 - 1),
+)
+def test_structured_and_dense_routes_agree(d, k_frac, p_frac, eta, seed):
+    rng = np.random.default_rng(seed)
+    K = 2 + int(k_frac * (d - 3))
+    p = 1 + int(p_frac * (d - 1))
+    cfg = EnkfConfig(K=K, p=p, r=1.1, rho=0.04, tau=0.6)
+    H = scipy.sparse.identity(d, format="csr") * eta
+    coeffs = StepCoefficients(A=np.eye(d), B=np.zeros(d), Sigma=np.eye(d), H=H)
+    S_hat = rng.standard_normal((d, K))
+    S_hat -= S_hat.mean(axis=1, keepdims=True)
+    mean_hat = rng.standard_normal(d)
+    y = rng.standard_normal(d)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RankDeficit)
+        ens_s, rec_s = enkf_assimilate(mean_hat, S_hat, coeffs, y, cfg)
+        ens_d, rec_d = _assimilate_dense(mean_hat, S_hat, H, y, cfg)
+    np.testing.assert_allclose(ens_s.mean, ens_d.mean, atol=1e-9)
+    np.testing.assert_allclose(
+        ens_s.spread @ ens_s.spread.T, ens_d.spread @ ens_d.spread.T, atol=1e-9
+    )
+    assert rec_s.projection_discard == pytest.approx(rec_d.projection_discard, abs=1e-12)
+
+
+def test_structured_step_builds_no_gain_context(monkeypatch):
+    # H = eta I with K < d: the gain comes from the Gram eigenpairs
+    def forbidden(*args, **kwargs):
+        raise AssertionError("make_gain_context ran on a structured step")
+
+    monkeypatch.setattr(enkf, "make_gain_context", forbidden)
+    p = TurbulenceParams(J=10, sigma_obs=10.0, tau=0.6)
+    stream = build_turbulence(p)
+    cfg = EnkfConfig(K=8, p=4, r=p.r, rho=p.rho, tau=p.tau)
+    truth = simulate_truth(stream, np.zeros(stream.d), 3, seed=0)
+    f = EnkfFilter(stream, cfg, seed=0)
+    for n in range(3):
+        f.step(truth.observations[n])
+
+
+def _diverging_filter(seed):
+    # d = 5, K = 3, H = 2 I: the ensemble-space route
+    d = 5
+    coeffs = StepCoefficients(
+        A=0.5 * np.eye(d), B=np.zeros(d), Sigma=0.1 * np.eye(d),
+        H=scipy.sparse.identity(d, format="csr") * 2.0,
+    )
+    stream = CoefficientStream(d=d, q=d, generator=lambda n, r_: coeffs)
+    return EnkfFilter(stream, EnkfConfig(K=3, p=2, r=1.1, rho=0.04, tau=0.6), seed=seed)
+
+
+def test_filter_diverged_on_non_finite_forecast_mean():
+    f = _diverging_filter(seed=4)
+    f.step(np.zeros(5))
+    f.ensemble.mean[2] = np.inf
+    with pytest.raises(FilterDiverged) as info, np.errstate(invalid="ignore"):
+        f.step(np.zeros(5))
+    assert (info.value.step, info.value.quantity, info.value.seed) == (2, "forecast mean", 4)
+    assert "step 2" in str(info.value) and "seed 4" in str(info.value)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_filter_diverged_on_non_finite_forecast_spread(bad):
+    f = _diverging_filter(seed=1)
+    f.ensemble.spread[0, 0] = bad
+    with pytest.raises(FilterDiverged) as info, np.errstate(invalid="ignore"):
+        f.step(np.zeros(5))
+    assert (info.value.step, info.value.quantity, info.value.seed) == (1, "forecast spread", 1)
+    assert np.all(np.isfinite(f.ensemble.mean))
+
+
+def test_dense_route_rejects_non_finite_forecast_spread():
+    d, K = 4, 6
+    cfg = EnkfConfig(K=K, p=2, r=1.1, rho=0.05, tau=1.0)
+    S_hat = make_ensemble(d, K).spread
+    S_hat[1, 2] = np.nan
+    with pytest.raises(FilterDiverged, match="forecast spread"):
+        enkf_assimilate(np.zeros(d), S_hat, dense_coeffs(d, q=2), np.zeros(2), cfg)
 
 
 @pytest.mark.parametrize("q", [None, 3])

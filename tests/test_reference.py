@@ -312,7 +312,8 @@ def test_augmented_converges_to_stationary_under_benchmark_noise():
 
 def test_augmented_step_preserves_ratio_bounds():
     # C <= nu R' is preserved through K(r^2 A C A.T + Sigma') for nu >= 1
-    from enkf_lab.linalg import kalman_update_operator, loewner_ratio
+    from enkf_lab.linalg import kalman_update_operator
+    from oracles import loewner_ratio
 
     for t in range(200):
         rng = np.random.default_rng((50, t))
