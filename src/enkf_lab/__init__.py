@@ -58,6 +58,7 @@ from .models import (
     InvalidChain,
     InvalidParams,
     JumpSpec,
+    NotASubstream,
     StepCoefficients,
     TruthTrajectory,
     TurbulenceParams,

@@ -48,6 +48,9 @@ from .models import (
     CoefficientStream,
     StepCoefficients,
     _LastValueMemo,
+    _fill_normals,
+    _spawn_keys,
+    _substream_keys,
     substream,
 )
 
@@ -204,26 +207,30 @@ def enkf_forecast(
 ):
     """Forecast the ensemble one step.
 
-    Draws one instability-noise vector per member from substreams
-    spawned off ``rng`` (pass a freshly keyed per-step generator for
-    reproducibility). Returns ``(forecast_mean, forecast_spread)``;
-    the spread columns sum to zero.
+    Draws one instability-noise vector per member, member k from the k-th
+    child that ``rng.spawn(K)`` would make. ``rng`` must be a Philox
+    substream, as :func:`~enkf_lab.models.substream` makes (else
+    :class:`~enkf_lab.models.NotASubstream`, a ``TypeError``). The children's
+    keys are derived from ``rng``'s SeedSequence in one vectorised pass, so
+    ``rng`` is read but not advanced: two forecasts on the same ``rng``
+    draw the same noise, and a freshly keyed per-step generator gives each
+    step its own. Returns ``(forecast_mean, forecast_spread)``; the spread
+    columns sum to zero.
 
     ``factor`` optionally supplies a precomputed Sigma+ factor from
     :func:`sigma_plus_factor` (worth caching on constant streams).
 
-    Member k's standard normals come from its own substream, in the same
-    order as a per-member :func:`~enkf_lab.models.sample_noise` call, and
-    fill row k of one ``(K, m)`` block; a single product with
-    ``U sqrt(s)`` then maps the block to all K draws.
+    Member k's standard normals, the ones its child would draw in a
+    per-member :func:`~enkf_lab.models.sample_noise` call, fill row k of
+    one ``(K, m)`` block; a single product with ``U sqrt(s)`` then maps
+    the block to all K draws.
     """
     if factor is None:
         factor = sigma_plus_factor(coeffs, cfg)
     U, s = factor
     K, m = ens.K, s.shape[0]
     Z = np.empty((K, m))
-    for k, child in enumerate(rng.spawn(K)):
-        Z[k] = child.standard_normal(m)
+    _fill_normals(_spawn_keys(rng, K), Z)
     xi = U @ (np.sqrt(s)[:, None] * Z.T)
     xi_mean = xi.mean(axis=1)
     mean = np.asarray(coeffs.A @ ens.mean).ravel() + coeffs.B + xi_mean
@@ -443,11 +450,10 @@ class EnkfFilter:
             else np.asarray(init_mean, dtype=float).ravel()
         )
         scale = np.sqrt(cfg.rho if init_cov is None else init_cov)
+        # column k holds substream(seed, DOMAIN_INIT, k)'s first d normals
         noise = np.empty((stream.d, cfg.K))
-        for k in range(cfg.K):
-            noise[:, k] = scale * substream(self.seed, DOMAIN_INIT, k).standard_normal(
-                stream.d
-            )
+        _fill_normals(_substream_keys((self.seed, DOMAIN_INIT), cfg.K), noise.T)
+        noise *= scale
         # Center the noise before attaching the mean: the spread is then a
         # function of the seed alone, so paired runs that differ only in
         # init_mean carry bitwise-identical spreads forever.

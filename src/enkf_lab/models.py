@@ -9,7 +9,10 @@ equilibrium spectrum) is the built-in instance.
 
 All randomness is drawn from counter-based Philox substreams keyed by
 ``(seed, domain, step[, member])``, so trajectories are bit-reproducible
-and noise draws never depend on ensemble size or on program state.
+and noise draws never depend on ensemble size or on program state. For
+per-member draws, the K members' Philox keys, the ones K separate
+``SeedSequence`` objects would produce, are derived in one vectorised
+pass of numpy's SeedSequence mix, and one reused Philox draws from each.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ from .linalg import positive_part_factor
 __all__ = [
     "InvalidParams",
     "InvalidChain",
+    "NotASubstream",
     "StepCoefficients",
     "CoefficientStream",
     "TurbulenceParams",
@@ -57,6 +61,143 @@ class InvalidChain(ValueError):
 def substream(*key: int) -> np.random.Generator:
     """Counter-based generator keyed by a tuple of non-negative ints."""
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(key)))
+
+
+class NotASubstream(TypeError):
+    """A generator that is not a SeedSequence-keyed Philox, as
+    :func:`substream` makes, where per-member keys are derived from it."""
+
+
+# numpy's SeedSequence constants (O'Neill's seed_seq hash and mix)
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_M32 = 0xFFFFFFFF
+_POOL_SIZE = 4  # SeedSequence's default pool_size
+_SHIFT = np.uint32(16)
+
+
+def _uint32_words(x) -> list:
+    """The uint32 entropy words SeedSequence makes of an int (little end
+    first, 0 giving one word) or of a sequence of ints (concatenated)."""
+    if isinstance(x, (int, np.integer)):
+        n, words = int(x), []
+        if n < 0:
+            raise ValueError(f"entropy must be non-negative, got {n}")
+        while True:
+            words.append(n & _M32)
+            n >>= 32
+            if not n:
+                return words
+    return [w for v in x for w in _uint32_words(v)]
+
+
+def _philox_keys(words, pool_size: int = _POOL_SIZE) -> np.ndarray:
+    """Philox keys of K SeedSequences at once: row k of the ``(K, L)`` uint32
+    ``words`` is one sequence's assembled entropy, and row k of the
+    ``(K, 2)`` uint64 result is ``Philox(SeedSequence(words[k])).state``'s
+    key. numpy's ``mix_entropy`` then ``generate_state(2, uint64)``, run as
+    uint32 array operations over all rows; the hash constants do not depend
+    on the data, so they stay scalars.
+    """
+    words = np.asarray(words, dtype=np.uint32)
+    K, L = words.shape
+    h = _INIT_A
+
+    def hashmix(v):
+        nonlocal h
+        v = v ^ np.uint32(h)
+        h = (h * _MULT_A) & _M32
+        v = v * np.uint32(h)
+        return v ^ (v >> _SHIFT)
+
+    def mix(x, y):
+        out = _MIX_L * x - _MIX_R * y
+        return out ^ (out >> _SHIFT)
+
+    zero = np.zeros(K, dtype=np.uint32)
+    pool = [hashmix(words[:, i] if i < L else zero) for i in range(pool_size)]
+    for src in range(pool_size):
+        for dst in range(pool_size):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for src in range(pool_size, L):
+        for dst in range(pool_size):
+            pool[dst] = mix(pool[dst], hashmix(words[:, src]))
+    h = _INIT_B
+    state = np.empty((K, 4), dtype=np.uint32)
+    for i in range(4):
+        v = pool[i % pool_size] ^ np.uint32(h)
+        h = (h * _MULT_B) & _M32
+        v = v * np.uint32(h)
+        state[:, i] = v ^ (v >> _SHIFT)
+    return state.astype("<u4").view("<u8").astype(np.uint64)
+
+
+def _indexed_keys(prefix: list, first: int, count: int, pool_size: int) -> np.ndarray:
+    """Philox keys of the sequences with entropy words ``prefix + [i]`` for
+    ``i = first, ..., first + count - 1``, each index one uint32 word (as
+    numpy's child counter is)."""
+    if first + count - 1 > _M32:
+        raise ValueError(f"indices up to {first + count - 1} exceed one uint32 word")
+    words = np.empty((count, len(prefix) + 1), dtype=np.uint32)
+    words[:, :-1] = prefix
+    words[:, -1] = np.arange(first, first + count)
+    return _philox_keys(words, pool_size)
+
+
+def _substream_keys(key: tuple, count: int) -> np.ndarray:
+    """Philox keys of ``substream(*key, k)`` for ``k < count``."""
+    return _indexed_keys(_uint32_words(key), 0, count, _POOL_SIZE)
+
+
+def _spawn_keys(rng: np.random.Generator, count: int) -> np.ndarray:
+    """Philox keys of the children ``rng.spawn(count)`` would make, read off
+    ``rng``'s SeedSequence without spawning, so ``rng`` is not advanced.
+
+    A child's entropy is the parent's, zero-padded to ``pool_size``, then
+    the parent's ``spawn_key``, then its index from ``n_children_spawned``.
+    Raises :class:`NotASubstream` unless ``rng`` is a Philox generator keyed
+    by a SeedSequence, as :func:`substream` makes.
+    """
+    bg = getattr(rng, "bit_generator", None)
+    seq = getattr(bg, "seed_seq", None) if isinstance(bg, np.random.Philox) else None
+    if not isinstance(seq, np.random.SeedSequence):
+        raise NotASubstream(
+            "member noise needs a Philox generator keyed by a SeedSequence, "
+            f"such as models.substream(...); got {type(bg).__name__}"
+        )
+    run = _uint32_words(seq.entropy)
+    prefix = run + [0] * (seq.pool_size - len(run)) + _uint32_words(seq.spawn_key)
+    return _indexed_keys(prefix, seq.n_children_spawned, count, seq.pool_size)
+
+
+def _fill_normals(keys: np.ndarray, out: np.ndarray) -> None:
+    """Fill row k of ``out`` (any layout) with the standard normals a fresh
+    ``Generator(Philox)`` keyed by ``keys[k]`` draws first.
+
+    One Philox is reset per row to the key, counter 0 and an empty buffer,
+    which is exactly the state a newly seeded Philox starts in.
+    """
+    if out.shape[1] == 0:
+        return
+    bg = np.random.Philox(0)
+    gen = np.random.Generator(bg)
+    zeros = (0, 0, 0, 0)
+    inner = {"counter": zeros, "key": None}
+    state = {
+        "bit_generator": "Philox",
+        "state": inner,
+        "buffer": zeros,
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    m = out.shape[1]
+    for k, key in enumerate(keys.tolist()):
+        inner["key"] = key
+        bg.state = state
+        out[k] = gen.standard_normal(m)
 
 
 @dataclass

@@ -16,7 +16,8 @@ from enkf_lab.linalg import (
     is_positive_definite,
     symmetrize,
 )
-from enkf_lab.models import sample_noise
+from enkf_lab.enkf import Ensemble
+from enkf_lab.models import DOMAIN_INIT, sample_noise, substream
 
 
 def mahalanobis_sq(v, C) -> float:
@@ -80,3 +81,39 @@ def forecast_per_member(ens, coeffs, cfg, rng, factor):
         np.asarray(coeffs.A @ ens.spread) + (xi - xi_mean[:, None])
     )
     return mean, S_hat
+
+
+def spawn_normals(rng, K, m):
+    """``(K, m)`` block whose row k is ``rng.spawn(K)[k].standard_normal(m)``:
+    the per-member loop whose keys ``models._spawn_keys`` now derives in bulk.
+    Advances ``rng``'s child counter, as ``spawn`` does."""
+    Z = np.empty((K, m))
+    for k, child in enumerate(rng.spawn(K)):
+        Z[k] = child.standard_normal(m)
+    return Z
+
+
+def forecast_spawned_block(ens, coeffs, cfg, rng, factor):
+    """The batched forecast with the draws taken through ``rng.spawn(K)``:
+    the same ``U @ (sqrt(s)[:, None] * Z.T)`` product ``enkf_forecast`` uses."""
+    U, s = factor
+    Z = spawn_normals(rng, ens.K, s.shape[0])
+    xi = U @ (np.sqrt(s)[:, None] * Z.T)
+    xi_mean = xi.mean(axis=1)
+    mean = np.asarray(coeffs.A @ ens.mean).ravel() + coeffs.B + xi_mean
+    S_hat = np.sqrt(cfg.r) * (
+        np.asarray(coeffs.A @ ens.spread) + (xi - xi_mean[:, None])
+    )
+    return mean, S_hat
+
+
+def initial_ensemble_per_member(d, cfg, seed, init_mean=None, init_cov=None):
+    """``EnkfFilter``'s initial ensemble with one ``substream(seed,
+    DOMAIN_INIT, k)`` generator per member, written column by column."""
+    mean0 = np.zeros(d) if init_mean is None else np.asarray(init_mean, dtype=float).ravel()
+    scale = np.sqrt(cfg.rho if init_cov is None else init_cov)
+    noise = np.empty((d, cfg.K))
+    for k in range(cfg.K):
+        noise[:, k] = scale * substream(seed, DOMAIN_INIT, k).standard_normal(d)
+    mu_noise = noise.mean(axis=1)
+    return Ensemble(mean=mean0 + mu_noise, spread=noise - mu_noise[:, None])

@@ -25,7 +25,9 @@ from enkf_lab.enkf import (
 )
 from enkf_lab.linalg import DimensionMismatch, factor_matrix, kalman_gain, kalman_update_operator
 from enkf_lab.models import (
+    DOMAIN_FORECAST,
     JumpSpec,
+    NotASubstream,
     StepCoefficients,
     CoefficientStream,
     TurbulenceParams,
@@ -35,7 +37,11 @@ from enkf_lab.models import (
 )
 from enkf_lab.reference import KalmanState, kalman_step
 
-from oracles import forecast_per_member
+from oracles import (
+    forecast_per_member,
+    forecast_spawned_block,
+    initial_ensemble_per_member,
+)
 
 
 def make_ensemble(d, K, seed=0, scale=1.0):
@@ -181,6 +187,65 @@ def test_batched_forecast_bit_identical_to_per_member_loop(J, jump):
         want = forecast_per_member(ens, coeffs, cfg, substream(5, 4, n), factor)
         assert np.array_equal(got[0], want[0])
         assert np.array_equal(got[1], want[1])
+
+
+def test_forecast_matches_spawned_draws_at_kalman_limit_setup():
+    # acceptance 03's set-up (d=4, K=1000, dense U): the keys derived in
+    # bulk reproduce the rng.spawn(K) draws, so the forecast keeps its bits
+    d, K = 4, 1000
+    cfg = EnkfConfig(K=K, p=d, r=1.0 + 1e-6, rho=1e-6, tau=1.0)
+    rng = np.random.default_rng(2)
+    A = rng.standard_normal((d, d))
+    A *= 0.7 / max(np.abs(np.linalg.eigvals(A)))
+    coeffs = StepCoefficients(A=A, B=np.zeros(d), Sigma=0.3 * np.eye(d), H=np.eye(d))
+    factor = sigma_plus_factor(coeffs, cfg)
+    assert isinstance(factor[0], np.ndarray) and factor[1].size > 0
+    stream = CoefficientStream(d=d, q=d, generator=lambda n, r_: coeffs)
+    for seed in (0, 3):
+        ens = EnkfFilter(stream, cfg, seed=seed, init_cov=1.0).ensemble
+        for n in range(3):
+            got = enkf_forecast(ens, coeffs, cfg, substream(seed, DOMAIN_FORECAST, n), factor)
+            want = forecast_spawned_block(
+                ens, coeffs, cfg, substream(seed, DOMAIN_FORECAST, n), factor
+            )
+            assert np.array_equal(got[0], want[0])
+            assert np.array_equal(got[1], want[1])
+
+
+def test_forecast_reads_rng_without_advancing_it():
+    # the documented contract: the same rng object gives the same draws
+    d, K = 5, 12
+    cfg = EnkfConfig(K=K, p=2, r=1.1, rho=0.05, tau=1.0)
+    coeffs = dense_coeffs(d, seed=4, sigma_scale=0.5)
+    ens = make_ensemble(d, K, seed=2)
+    rng = substream(1, 4, 0)
+    first = enkf_forecast(ens, coeffs, cfg, rng)
+    second = enkf_forecast(ens, coeffs, cfg, rng)
+    assert rng.bit_generator.seed_seq.n_children_spawned == 0
+    assert np.array_equal(first[1], second[1])
+    assert np.array_equal(first[0], second[0])
+
+
+def test_forecast_rejects_a_generator_that_is_not_a_substream():
+    d, K = 3, 4
+    cfg = EnkfConfig(K=K, p=1, r=1.1, rho=0.05, tau=1.0)
+    with pytest.raises(NotASubstream, match="models.substream"):
+        enkf_forecast(make_ensemble(d, K), dense_coeffs(d), cfg, np.random.default_rng(0))
+
+
+@pytest.mark.parametrize(
+    "d, K, seed, init_mean, init_cov",
+    [(4, 1000, 0, None, 1.0), (21, 40, 7, None, None), (101, 8, 2**40 + 5, "ramp", 0.3)],
+)
+def test_initial_ensemble_matches_per_member_substreams(d, K, seed, init_mean, init_cov):
+    cfg = EnkfConfig(K=K, p=1, r=1.1, rho=0.04, tau=1.0)
+    stream = CoefficientStream(d=d, q=0, generator=None)
+    mean = np.linspace(-1.0, 2.0, d) if init_mean == "ramp" else None
+    got = EnkfFilter(stream, cfg, seed, init_mean=mean, init_cov=init_cov).ensemble
+    want = initial_ensemble_per_member(d, cfg, seed, init_mean=mean, init_cov=init_cov)
+    assert np.array_equal(got.mean, want.mean)
+    assert np.array_equal(got.spread, want.spread)
+    assert got.spread.flags.c_contiguous
 
 
 @pytest.mark.parametrize("d, K", [(4, 9), (21, 40), (30, 8)])

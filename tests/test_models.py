@@ -5,9 +5,12 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.sparse
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from enkf_lab import models
 from enkf_lab.models import (
+    DOMAIN_INIT,
     DOMAIN_JUMP,
     CoefficientStream,
     InvalidChain,
@@ -20,6 +23,8 @@ from enkf_lab.models import (
     simulate_truth,
     substream,
 )
+
+from oracles import spawn_normals
 
 SIGMA_11 = 0.009900663346622374  # 0.5 * (1 - exp(-2 * 0.02 * 0.5))
 
@@ -59,6 +64,72 @@ def test_substream_determinism():
     assert np.array_equal(a, b)
     c = substream(7, 2, 3).standard_normal(5)
     assert not np.array_equal(a, c)
+
+
+def _numpy_keys(seqs):
+    return np.array(
+        [np.random.Philox(q).state["state"]["key"] for q in seqs], dtype=np.uint64
+    )
+
+
+_WORD = st.integers(min_value=0, max_value=2**64)
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    entropy=st.one_of(_WORD, st.tuples(_WORD), st.lists(_WORD, min_size=1, max_size=6).map(tuple)),
+    spawn_key=st.lists(_WORD, max_size=3).map(tuple),
+    spawned=st.integers(min_value=0, max_value=10**6),
+    pool_size=st.sampled_from([4, 5, 8]),
+    K=st.integers(min_value=1, max_value=2000),
+)
+def test_spawn_keys_match_numpy(entropy, spawn_key, spawned, pool_size, K):
+    # the vectorised SeedSequence mix gives every child's Philox key, for
+    # parents that are themselves children and parents that already spawned
+    seq = np.random.SeedSequence(
+        entropy, spawn_key=spawn_key, pool_size=pool_size, n_children_spawned=spawned
+    )
+    rng = np.random.Generator(np.random.Philox(seq))
+    got = models._spawn_keys(rng, K)
+    assert seq.n_children_spawned == spawned  # read, not advanced
+    assert got.dtype == np.uint64 and got.shape == (K, 2)
+    assert np.array_equal(got, _numpy_keys(seq.spawn(K)))
+
+
+@pytest.mark.parametrize("seed", [0, 7, 901000, 2**40 + 5])
+def test_substream_keys_match_numpy(seed):
+    got = models._substream_keys((seed, DOMAIN_INIT), 1000)
+    want = _numpy_keys(np.random.SeedSequence((seed, DOMAIN_INIT, k)) for k in range(1000))
+    assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("K", [1, 2, 1000])
+@pytest.mark.parametrize("m", [0, 1, 4, 19])
+def test_fill_normals_matches_spawned_children(m, K):
+    # a fresh Philox per key, counter 0, empty buffer: the children's bits
+    rng = substream(5, 4, 11)
+    Z = np.empty((K, m))
+    models._fill_normals(models._spawn_keys(rng, K), Z)
+    assert np.array_equal(Z, spawn_normals(rng, K, m))
+
+
+def test_fill_normals_writes_strided_rows():
+    # rows of a transposed view are the columns of the C-ordered array
+    out = np.empty((30, 6))
+    models._fill_normals(models._substream_keys((3, DOMAIN_INIT), 6), out.T)
+    for k in range(6):
+        assert np.array_equal(out[:, k], substream(3, DOMAIN_INIT, k).standard_normal(30))
+
+
+@pytest.mark.parametrize(
+    "rng",
+    [np.random.default_rng(0), np.random.Generator(np.random.Philox(key=5)), None],
+    ids=["pcg64", "philox_without_seed_seq", "none"],
+)
+def test_spawn_keys_need_a_substream(rng):
+    with pytest.raises(models.NotASubstream, match="models.substream"):
+        models._spawn_keys(rng, 3)
+    assert issubclass(models.NotASubstream, TypeError)
 
 
 def test_params_dimensions_and_gamma():
