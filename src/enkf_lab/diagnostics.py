@@ -32,6 +32,7 @@ from .linalg import (
     PD_RTOL,
     DimensionMismatch,
     NotPositiveDefinite,
+    _gram_keep,
     is_positive_definite,
     lowrank_loewner_ratio,
     symmetrize,
@@ -102,8 +103,7 @@ def _thin_factor(S):
     ``S`` above roundoff, from the eigenpairs of its K x K Gram."""
     K = S.shape[1]
     g, Phi = np.linalg.eigh(S.T @ S)
-    keep = g > K * np.finfo(float).eps * max(g[-1], 0.0)
-    return S @ Phi[:, keep] / np.sqrt(K - 1)
+    return S @ Phi[:, _gram_keep(g, K)] / np.sqrt(K - 1)
 
 
 def compute_lambda_mu(S_hat, A, S_prev, sigma_plus, r, tau, rho):

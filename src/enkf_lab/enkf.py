@@ -33,6 +33,7 @@ import scipy.sparse
 
 from .linalg import (
     DimensionMismatch,
+    _gram_keep,
     _scaled_identity_coeff,
     eigh_desc,
     gain_apply_woodbury,
@@ -68,7 +69,7 @@ __all__ = [
     "sigma_plus_factor",
 ]
 
-# Relative singular-value cutoff for the pseudoinverse of the spread SVD.
+# Relative singular-value cutoff for the dense route's spread SVD.
 SVD_RTOL = 1e-12
 
 
@@ -284,8 +285,7 @@ def _assimilate_structured(mean_hat, S_hat, eta, y, cfg):
     s, Phi = eigh_desc(gram)
     s = np.maximum(s, 0.0)
     sing = np.sqrt(s * (K - 1))  # singular values of S_hat
-    keep = sing > SVD_RTOL * max(sing[0], 1e-300)
-    m = int(np.count_nonzero(keep))
+    m = int(np.count_nonzero(_gram_keep(s, K)))
     kappa_tail = _kappa(0.0, eta, c)
     p = cfg.p
     n_above = int(np.count_nonzero(_kappa(s[:m], eta, c) > cfg.rho)) + (

@@ -90,6 +90,18 @@ def eigh_desc(M) -> tuple[np.ndarray, np.ndarray]:
     return w, V
 
 
+def _gram_keep(g, K: int) -> np.ndarray:
+    """Mask of the eigenvalues ``g`` of a K-column factor's Gram that lie
+    above roundoff, ``g_i > K eps max(g)``.
+
+    The null directions of an exactly rank-deficient factor leave Gram
+    eigenvalues of order eps max(g); their square roots, the factor's
+    singular values, sit near 1e-8 of the largest, so a cut on those
+    would keep them.
+    """
+    return g > K * np.finfo(float).eps * max(float(np.max(g)), 0.0)
+
+
 @dataclass
 class SpectralDecomp:
     """Top-``k`` eigenpairs of a symmetric matrix, descending.

@@ -445,6 +445,42 @@ def test_structured_route_matches_dense_route():
     )
 
 
+def test_structured_route_cuts_rank_like_dense_route():
+    # an exactly rank-3 spread at d=50, K=10: the null Gram eigenvalues
+    # (~eps s_0) must not count as directions, so both routes see m = 3 and
+    # both warn; tau > 1 puts the flat tail kappa(0) above rho
+    d, K, eta = 50, 10, 0.5
+    cfg = EnkfConfig(K=K, p=6, r=1.1, rho=0.04, tau=2.0)
+    rng = np.random.default_rng(11)
+    S_hat = rng.standard_normal((d, 3)) @ rng.standard_normal((3, K))
+    S_hat -= S_hat.mean(axis=1, keepdims=True)
+    H = scipy.sparse.identity(d, format="csr") * eta
+    coeffs = StepCoefficients(A=np.eye(d), B=np.zeros(d), Sigma=np.eye(d), H=H)
+    y, mean_hat = np.cos(np.arange(d)), np.sin(np.arange(d))
+    out = {}
+    for route, run in (
+        ("structured", lambda: enkf_assimilate(mean_hat, S_hat, coeffs, y, cfg)),
+        ("dense", lambda: _assimilate_dense(mean_hat, S_hat, H, y, cfg)),
+    ):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            ens, rec = run()
+        out[route] = (
+            [str(w.message) for w in caught if issubclass(w.category, RankDeficit)],
+            ens,
+        )
+    assert out["structured"][0] == out["dense"][0]
+    assert out["dense"][0] == ["projection wants 6 directions but the spread spans 3"]
+    for _, ens in out.values():
+        sv = np.linalg.svd(ens.spread, compute_uv=False)
+        assert np.count_nonzero(sv > 1e-12 * sv[0]) == 3
+    np.testing.assert_allclose(
+        out["structured"][1].spread @ out["structured"][1].spread.T,
+        out["dense"][1].spread @ out["dense"][1].spread.T,
+        atol=1e-12,
+    )
+
+
 def test_structured_route_unobserved_matches_dense():
     d, K = 25, 6
     cfg = EnkfConfig(K=K, p=3, r=1.1, rho=0.04, tau=0.6)
