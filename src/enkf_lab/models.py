@@ -92,7 +92,7 @@ def _uint32_words(x) -> list:
     return [w for v in x for w in _uint32_words(v)]
 
 
-def _philox_keys(words, pool_size: int = _POOL_SIZE) -> np.ndarray:
+def _philox_keys(words, pool_size: int) -> np.ndarray:
     """Philox keys of K SeedSequences at once: row k of the ``(K, L)`` uint32
     ``words`` is one sequence's assembled entropy, and row k of the
     ``(K, 2)`` uint64 result is ``Philox(SeedSequence(words[k])).state``'s
