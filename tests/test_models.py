@@ -113,14 +113,6 @@ def test_fill_normals_matches_spawned_children(m, K):
     assert np.array_equal(Z, spawn_normals(rng, K, m))
 
 
-def test_fill_normals_writes_strided_rows():
-    # rows of a transposed view are the columns of the C-ordered array
-    out = np.empty((30, 6))
-    models._fill_normals(models._substream_keys((3, DOMAIN_INIT), 6), out.T)
-    for k in range(6):
-        assert np.array_equal(out[:, k], substream(3, DOMAIN_INIT, k).standard_normal(30))
-
-
 @pytest.mark.parametrize(
     "rng",
     [np.random.default_rng(0), np.random.Generator(np.random.Philox(key=5)), None],
