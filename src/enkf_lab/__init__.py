@@ -49,7 +49,6 @@ from .linalg import (
     kalman_gain,
     kalman_update_operator,
     make_gain_context,
-    positive_part,
     symmetrize,
     top_p_projection,
 )
@@ -72,7 +71,6 @@ from .reference import (
     KalmanState,
     NoConvergence,
     augmented_riccati_step,
-    instability_covariance,
     kalman_step,
     observability_gramian,
     stationary_riccati_ambient,

@@ -61,6 +61,8 @@ _RMT_KEYS = {
     "d", "p", "K_list", "rho", "delta", "trials", "cond_targets",
     "tail_K", "tail_trials", "tail_t_grid", "tail_min_count",
 }
+_RMT_LISTS = {"K_list", "cond_targets", "tail_t_grid"}
+_RMT_FLOATS = {"rho", "delta", "cond_targets", "tail_t_grid"}
 _RMT_DEFAULTS = dict(
     d=200, p=5, K_list=(10, 20, 40, 80), rho=0.1, delta=0.1, trials=2000
 )
@@ -105,19 +107,52 @@ def _require(cond, message, field_name):
         raise ParseError(message, field=field_name)
 
 
+def _convert(kind, raw, field_name):
+    """The JSON number ``raw`` as ``kind`` (int or float). Anything else,
+    or a fractional value where ``kind`` is int, is a ParseError naming
+    ``field_name``."""
+    number = isinstance(raw, (int, float)) and not isinstance(raw, bool)
+    _require(
+        number and (kind is float or raw == int(raw)),
+        f"expected {'an integer' if kind is int else 'a number'}, got {raw!r}",
+        field_name,
+    )
+    return kind(raw)
+
+
+def _convert_list(kind, raw, field_name) -> tuple:
+    """The entries of the nonempty JSON list ``raw``, each converted by ``kind``."""
+    _require(isinstance(raw, list) and raw, "must be a nonempty list", field_name)
+    return tuple(_convert(kind, v, field_name) for v in raw)
+
+
+def _reject_unknown(raw: dict, allowed, section: Optional[str] = None, note: str = ""):
+    """ParseError naming the first key of ``raw`` (sorted) not in ``allowed``."""
+    unknown = sorted(set(raw) - allowed)
+    if unknown:
+        key = unknown[0]
+        raise ParseError(f"unknown key {key!r}{note}", field=key if section is None else f"{section}.{key}")
+
+
+def _finite_float(token: str) -> float:
+    """JSON number hook: NaN, Infinity and literals that overflow to
+    infinity are not finite JSON numbers."""
+    value = float(token)
+    if not np.isfinite(value):
+        raise ParseError(f"{token} is not a finite JSON number")
+    return value
+
+
 def _parse_model(raw) -> tuple:
     if isinstance(raw, str):
         _require(raw in MODEL_PRESETS, f"unknown model preset {raw!r} "
                  f"(known: {', '.join(sorted(MODEL_PRESETS))})", "model")
         return TurbulenceParams(**MODEL_PRESETS[raw]), raw
     _require(isinstance(raw, dict), "model must be a preset name or an object", "model")
-    unknown = set(raw) - _MODEL_KEYS
-    if unknown:
-        key = sorted(unknown)[0]
-        raise ParseError(f"unknown key {key!r}", field=f"model.{key}")
+    _reject_unknown(raw, _MODEL_KEYS, "model")
     kwargs = dict(raw)
     if "omega_spec" in kwargs and kwargs["omega_spec"] is not None:
-        kwargs["omega_spec"] = tuple(float(v) for v in kwargs["omega_spec"])
+        kwargs["omega_spec"] = _convert_list(float, kwargs["omega_spec"], "model.omega_spec")
     kwargs.setdefault("tau", 1.0)  # single-timescale default
     try:
         params = TurbulenceParams(**kwargs)
@@ -131,17 +166,15 @@ def _parse_seeds(raw) -> tuple:
     if raw is None:
         return (0,)
     if isinstance(raw, dict):
-        unknown = set(raw) - {"base", "count"}
-        if unknown:
-            key = sorted(unknown)[0]
-            raise ParseError(f"unknown key {key!r}", field=f"seeds.{key}")
+        _reject_unknown(raw, {"base", "count"}, "seeds")
         _require("base" in raw and "count" in raw,
                  "seeds object needs both 'base' and 'count'", "seeds")
-        base, count = int(raw["base"]), int(raw["count"])
+        base = _convert(int, raw["base"], "seeds.base")
+        count = _convert(int, raw["count"], "seeds.count")
         _require(count >= 1, "count must be >= 1", "seeds.count")
         return tuple(range(base, base + count))
     _require(isinstance(raw, list) and raw, "seeds must be a nonempty list or {base, count}", "seeds")
-    return tuple(int(s) for s in raw)
+    return _convert_list(int, raw, "seeds")
 
 
 def load_config(path: str, experiment: Optional[str] = None) -> ExperimentConfig:
@@ -156,7 +189,7 @@ def load_config(path: str, experiment: Optional[str] = None) -> ExperimentConfig
         raise ParseError(f"config file not found: {path}")
     with open(path) as fh:
         try:
-            raw = json.load(fh)
+            raw = json.load(fh, parse_constant=_finite_float, parse_float=_finite_float)
         except json.JSONDecodeError as exc:
             raise ParseError(f"invalid JSON in {path} (line {exc.lineno}, column {exc.colno}): {exc.msg}") from exc
     if not isinstance(raw, dict):
@@ -168,11 +201,7 @@ def load_config(path: str, experiment: Optional[str] = None) -> ExperimentConfig
     if experiment is not None and exp != experiment:
         raise ParseError(f"config says {exp!r} but the subcommand is {experiment!r}", field="experiment")
 
-    allowed = _ALLOWED_KEYS[exp]
-    unknown = set(raw) - allowed
-    if unknown:
-        key = sorted(unknown)[0]
-        raise ParseError(f"unknown key {key!r} for experiment {exp!r}", field=key)
+    _reject_unknown(raw, _ALLOWED_KEYS[exp], note=f" for experiment {exp!r}")
 
     cfg = ExperimentConfig(experiment=exp)
     cfg.seeds = _parse_seeds(raw.get("seeds", raw.get("seed")))
@@ -183,17 +212,14 @@ def load_config(path: str, experiment: Optional[str] = None) -> ExperimentConfig
     if exp == "rmt":
         sub = raw.get("rmt", {})
         _require(isinstance(sub, dict), "must be an object", "rmt")
-        unknown = set(sub) - _RMT_KEYS
-        if unknown:
-            key = sorted(unknown)[0]
-            raise ParseError(f"unknown key {key!r}", field=f"rmt.{key}")
+        _reject_unknown(sub, _RMT_KEYS, "rmt")
         merged = dict(_RMT_DEFAULTS)
-        merged.update(sub)
-        merged["K_list"] = tuple(int(k) for k in merged["K_list"])
-        if "cond_targets" in merged:
-            merged["cond_targets"] = tuple(float(c) for c in merged["cond_targets"])
-        if "tail_t_grid" in merged:
-            merged["tail_t_grid"] = tuple(float(t) for t in merged["tail_t_grid"])
+        for key, value in sub.items():
+            kind = float if key in _RMT_FLOATS else int
+            if key in _RMT_LISTS:
+                merged[key] = _convert_list(kind, value, f"rmt.{key}")
+            else:
+                merged[key] = _convert(kind, value, f"rmt.{key}")
         _require(merged["trials"] >= 1, "trials must be >= 1", "rmt.trials")
         cfg.rmt = merged
         return cfg
@@ -204,26 +230,19 @@ def load_config(path: str, experiment: Optional[str] = None) -> ExperimentConfig
 
     if exp == "verify-dim":
         if raw.get("rho_grid") is not None:
-            grid = raw["rho_grid"]
-            _require(isinstance(grid, list) and grid, "must be a nonempty list", "rho_grid")
-            cfg.rho_grid = tuple(float(v) for v in grid)
+            cfg.rho_grid = _convert_list(float, raw["rho_grid"], "rho_grid")
         return cfg
 
     # simulate / stability / accuracy: ensemble + horizon
     enkf_raw = raw.get("enkf")
     _require(enkf_raw is not None, "experiment needs an 'enkf' section", "enkf")
     _require(isinstance(enkf_raw, dict), "must be an object", "enkf")
-    unknown = set(enkf_raw) - {"K", "p"}
-    if unknown:
-        key = sorted(unknown)[0]
-        raise ParseError(
-            f"unknown key {key!r} (r, tau, rho live in the model section)",
-            field=f"enkf.{key}",
-        )
+    _reject_unknown(enkf_raw, {"K", "p"}, "enkf", note=" (r, tau, rho live in the model section)")
     _require("K" in enkf_raw and "p" in enkf_raw, "needs both 'K' and 'p'", "enkf")
+    K, p = _convert(int, enkf_raw["K"], "enkf.K"), _convert(int, enkf_raw["p"], "enkf.p")
     try:
         cfg.enkf = EnkfConfig(
-            K=int(enkf_raw["K"]), p=int(enkf_raw["p"]),
+            K=K, p=p,
             r=cfg.model.r, rho=cfg.model.rho, tau=cfg.model.tau,
         )
     except ValueError as exc:
@@ -237,14 +256,10 @@ def load_config(path: str, experiment: Optional[str] = None) -> ExperimentConfig
     cfg.T = T
 
     if exp == "stability" and raw.get("shifts") is not None:
-        shifts = raw["shifts"]
-        _require(isinstance(shifts, list) and shifts, "must be a nonempty list", "shifts")
-        cfg.shifts = tuple(float(s) for s in shifts)
+        cfg.shifts = _convert_list(float, raw["shifts"], "shifts")
     if exp == "accuracy" and raw.get("eps_list") is not None:
-        eps = raw["eps_list"]
-        _require(isinstance(eps, list) and eps, "must be a nonempty list", "eps_list")
-        _require(all(float(e) > 0 for e in eps), "entries must be positive", "eps_list")
-        cfg.eps_list = tuple(float(e) for e in eps)
+        cfg.eps_list = _convert_list(float, raw["eps_list"], "eps_list")
+        _require(all(e > 0 for e in cfg.eps_list), "entries must be positive", "eps_list")
     return cfg
 
 

@@ -20,6 +20,7 @@ paired-run exponential stability, and small-noise accuracy scaling.
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import asdict, dataclass
 from typing import Optional, Sequence
@@ -32,6 +33,7 @@ from .linalg import (
     PD_RTOL,
     DimensionMismatch,
     NotPositiveDefinite,
+    _dense,
     _gram_keep,
     is_positive_definite,
     lowrank_loewner_ratio,
@@ -41,10 +43,11 @@ from .models import (
     DOMAIN_TRIAL,
     CoefficientStream,
     StepCoefficients,
+    _LastValueMemo,
     simulate_truth,
     substream,
 )
-from .reference import AugmentedRiccatiState, _dense, augmented_riccati_step
+from .reference import _benchmark_iterates
 
 __all__ = [
     "FilterDiagnostics",
@@ -154,14 +157,11 @@ def _reference_factor(r_ref, d: int) -> np.ndarray:
 
 def _long_run_reference(stream, cfg, burn_in: int = 200) -> np.ndarray:
     """Long-run augmented Riccati iterate (stationary-benchmark noise)."""
-    d = stream.d
-    state = AugmentedRiccatiState(cov=np.zeros((d, d)), r=cfg.r, tau=cfg.tau, rho=cfg.rho)
-    eye = np.eye(d)
-    for n in range(burn_in):
-        coeffs = stream.at(n)
-        sp = cfg.r**2 * _dense(coeffs.Sigma) + cfg.tau * cfg.rho * eye
-        state = augmented_riccati_step(state, coeffs, sigma_prime=sp)
-    return state.cov
+    cov = np.zeros((stream.d, stream.d))
+    iterates = _benchmark_iterates(stream, cfg.r, cfg.tau, cfg.rho)
+    for _, state in itertools.islice(iterates, burn_in):
+        cov = state.cov
+    return cov
 
 
 def _step_diagnostics(step, rec, S_prev, A, sigma_plus, x_true, L, cfg) -> FilterDiagnostics:
@@ -454,25 +454,18 @@ def _scaled_stream(stream: CoefficientStream, eps: float) -> CoefficientStream:
     ``H -> H / eps`` (and observations divided by eps, which
     simulate_truth then produces directly).
     """
-    base0 = stream.at(0)
-    homogeneous = base0 is stream.at(1)
 
     def scale(c: StepCoefficients) -> StepCoefficients:
         H = None if c.H is None else c.H / eps
         return StepCoefficients(A=c.A, B=c.B, Sigma=c.Sigma * (eps * eps), H=H)
 
-    if homogeneous:
-        scaled0 = scale(base0)
-
-        def generator(n, rng):
-            return scaled0
-
-    else:
-
-        def generator(n, rng):
-            return scale(stream.at(n))
-
-    return CoefficientStream(d=stream.d, q=stream.q, generator=generator, seed=stream.seed)
+    # a constant stream hands out one object, so it maps to one scaled
+    # object and the filter factors Sigma+ once
+    scaled = _LastValueMemo(scale)
+    return CoefficientStream(
+        d=stream.d, q=stream.q, generator=lambda n, rng: scaled(stream.at(n)),
+        seed=stream.seed,
+    )
 
 
 def run_accuracy_experiment(

@@ -20,19 +20,15 @@ is the max of the two branches. Boundary equality passes (strictly
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from .enkf import sigma_plus_factor
 from .linalg import PD_RTOL
 from .models import CoefficientStream, InvalidParams, TurbulenceParams
-from .reference import (
-    AugmentedRiccatiState,
-    _dense,
-    augmented_riccati_step,
-    instability_covariance,
-    stationary_riccati_diag,
-)
+from .reference import _benchmark_iterates, stationary_riccati_diag
 
 __all__ = [
     "DimReport",
@@ -95,10 +91,13 @@ def instability_modes(params: TurbulenceParams, rho=None, r=None, tau=None) -> l
     return [int(k) for k in np.nonzero(lhs >= tau * rho / r)[0]]
 
 
-def _assemble(params, rho, branch1, branch2, fail_cov, r_k=None) -> DimReport:
-    J = params.J
+def _assemble(params, rho, branch1, fail_cov, r_k=None) -> DimReport:
+    """Either closed-form verifier's report, with the instability branch
+    ``(r rho / tau) e^{-2 gamma_k h} + (r / tau) Sigma_kk`` both tabulate."""
+    J, r, tau = params.J, params.r, params.tau
     g = params.gamma()
     sig = params.mode_sigma()
+    branch2 = (r * rho / tau) * np.exp(-2.0 * g * params.h) + (r / tau) * sig
     inst = instability_modes(params, rho=rho)
     failing = [int(k) for k in np.nonzero(fail_cov)[0]]
     p_cov = len(failing)
@@ -151,9 +150,8 @@ def verify_dim_unfiltered(params: TurbulenceParams, rho=None) -> DimReport:
     num = r * r * sig
     with np.errstate(divide="ignore", invalid="ignore"):
         branch1 = np.where(den != 0, num / den, np.inf)
-    branch2 = (r * rho / tau) * decay + (r / tau) * sig
     fail_cov = ((den <= 0) & (sig > 0)) | ((den > 0) & (branch1 > rho))
-    return _assemble(params, rho, branch1, branch2, fail_cov)
+    return _assemble(params, rho, branch1, fail_cov)
 
 
 def verify_dim_observed(params: TurbulenceParams, rho=None) -> DimReport:
@@ -166,12 +164,9 @@ def verify_dim_observed(params: TurbulenceParams, rho=None) -> DimReport:
     if params.sigma_obs is None:
         raise InvalidParams("sigma_obs must be set for the observed verifier")
     rho = params.rho if rho is None else rho
-    r, tau = params.r, params.tau
     r_k = stationary_riccati_diag(params, rho=rho)
-    decay = np.exp(-2.0 * params.gamma() * params.h)
-    branch2 = (r * rho / tau) * decay + (r / tau) * params.mode_sigma()
     fail_cov = r_k > rho
-    return _assemble(params, rho, r_k, branch2, fail_cov, r_k=r_k)
+    return _assemble(params, rho, r_k, fail_cov, r_k=r_k)
 
 
 def minimal_p_search(params: TurbulenceParams, rho_grid) -> list:
@@ -203,34 +198,22 @@ def verify_dim_general(
     noise convention ``r^2 Sigma + tau rho I``) from zero for
     ``burn_in`` steps, then over ``window`` further steps reports the
     max count of covariance eigenvalues above rho and the max rank of
-    the additive inflation target. Counts are ambient (per component,
-    not per wavenumber).
+    the additive inflation target, the filter's own Sigma+ factor. Counts
+    are ambient (per component, not per wavenumber).
     """
-    d = stream.d
-    state = AugmentedRiccatiState(cov=np.zeros((d, d)), r=r, tau=tau, rho=rho)
-    eye = np.eye(d)
-
-    def sp_ref(coeffs):
-        S = _dense(coeffs.Sigma)
-        return r * r * S + tau * rho * eye
-
-    for n in range(burn_in):
-        coeffs = stream.at(n)
-        state = augmented_riccati_step(state, coeffs, sigma_prime=sp_ref(coeffs))
     max_cov = 0
     max_rank = 0
     worst_idx: list = []
-    for n in range(burn_in, burn_in + window):
-        coeffs = stream.at(n)
-        state = augmented_riccati_step(state, coeffs, sigma_prime=sp_ref(coeffs))
+    iterates = _benchmark_iterates(stream, r, tau, rho)
+    for coeffs, state in itertools.islice(iterates, burn_in, burn_in + window):
         w = np.linalg.eigvalsh(state.cov)
         above = [int(i) for i in np.nonzero(w > rho)[0]]
         if len(above) > max_cov:
             max_cov = len(above)
             worst_idx = above
-        sp = instability_covariance(coeffs, r, tau, rho)
-        ws = np.linalg.eigvalsh(sp)
-        rank = int(np.sum(ws > PD_RTOL * max(1.0, float(ws[-1]))))
+        # Sigma+'s rank from its factor's eigenvalues, all of them positive
+        _, s = sigma_plus_factor(coeffs, state)
+        rank = int(np.sum(s > PD_RTOL * max(1.0, float(s.max(initial=0.0)))))
         max_rank = max(max_rank, rank)
     return DimReport(
         p_instability=max_rank,

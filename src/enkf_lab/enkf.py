@@ -33,6 +33,7 @@ import scipy.sparse
 
 from .linalg import (
     DimensionMismatch,
+    _dense,
     _gram_keep,
     _scaled_identity_coeff,
     eigh_desc,
@@ -175,11 +176,19 @@ class StepRecord:
     projection_discard: float
 
 
-def sigma_plus_factor(coeffs: StepCoefficients, cfg: EnkfConfig):
-    """Low-rank factor (U, s) of the additive inflation target Sigma+.
+def sigma_plus_factor(coeffs: StepCoefficients, cfg):
+    """Low-rank factor (U, s) of the additive inflation target
+    Sigma+ = PSD part of ``rho A A.T + Sigma - (rho tau / r) I``.
 
-    Sparse diagonal-structured coefficients stay O(d); anything else
-    falls back to a dense eigendecomposition.
+    Reads only ``cfg.r``, ``cfg.tau`` and ``cfg.rho``, so an
+    :class:`EnkfConfig` and an
+    :class:`~enkf_lab.reference.AugmentedRiccatiState` both serve; the
+    filter, the augmented reference recursion and the dimension verifier
+    all take Sigma+ from here. It guarantees
+    ``r Sigma+ + rho tau I >= r (rho A A.T + Sigma)`` in the Loewner order,
+    which is what lets multiplicative inflation by ``r`` dominate the
+    forecast covariance growth. Sparse diagonal-structured coefficients
+    stay O(d); anything else falls back to a dense eigendecomposition.
     """
     r, tau, rho = cfg.r, cfg.tau, cfg.rho
     A, Sigma = coeffs.A, coeffs.Sigma
@@ -189,13 +198,8 @@ def sigma_plus_factor(coeffs: StepCoefficients, cfg: EnkfConfig):
             rho * tau / r
         )
         return positive_part_factor(M)
-    A = np.asarray(A.todense()) if scipy.sparse.issparse(A) else np.asarray(A, dtype=float)
-    S = (
-        np.asarray(Sigma.todense())
-        if scipy.sparse.issparse(Sigma)
-        else np.asarray(Sigma, dtype=float)
-    )
-    M = rho * (A @ A.T) + S - (rho * tau / r) * np.eye(d)
+    A = _dense(A)
+    M = rho * (A @ A.T) + _dense(Sigma) - (rho * tau / r) * np.eye(d)
     return positive_part_factor(M)
 
 
@@ -336,11 +340,10 @@ def _assimilate_dense(mean_hat, S_hat, H, y, cfg):
         Kmat = C_hat
         mean_plus, resid = mean_hat.copy(), np.zeros(0)
     else:
-        Hd = np.asarray(H.todense()) if scipy.sparse.issparse(H) else np.asarray(H, dtype=float)
-        Kmat = kalman_update_operator(C_hat, Hd)
+        Kmat = kalman_update_operator(C_hat, _dense(H))
         resid = y - np.asarray(H @ mean_hat).ravel()
         mean_plus = mean_hat + gain_apply_woodbury(make_gain_context(S_hat, H, c), resid)
-    _, pairs, rho_next = top_p_projection(Kmat, cfg.p)
+    pairs, rho_next = top_p_projection(Kmat, cfg.p)
     D = pairs.eigenvalues - cfg.rho
     Q = pairs.eigenvectors
     Psi, sing, PhiT = np.linalg.svd(S_hat, full_matrices=False)

@@ -34,7 +34,6 @@ __all__ = [
     "make_gain_context",
     "gain_apply_woodbury",
     "top_p_projection",
-    "positive_part",
     "positive_part_factor",
     "factor_matrix",
     "eigh_desc",
@@ -61,6 +60,25 @@ def _as_square(M, name: str = "matrix") -> np.ndarray:
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise DimensionMismatch(f"{name} must be square, got shape {M.shape}")
     return M
+
+
+def _dense(M) -> np.ndarray:
+    """``M`` as a dense float array; a scipy.sparse matrix is densified."""
+    if scipy.sparse.issparse(M):
+        return np.asarray(M.todense(), dtype=float)
+    return np.asarray(M, dtype=float)
+
+
+def _diag_or_none(M):
+    """Diagonal of ``M`` when ``M`` (dense or sparse) is exactly diagonal,
+    else None. Sparse input is checked in O(d + nnz), dense in O(d^2)."""
+    if scipy.sparse.issparse(M):
+        diag = np.asarray(M.diagonal(), dtype=float)
+        off = M.count_nonzero() - np.count_nonzero(diag)
+        return diag if off == 0 else None
+    M = np.asarray(M, dtype=float)
+    diag = np.diag(M).copy()
+    return diag if np.count_nonzero(M - np.diag(diag)) == 0 else None
 
 
 def symmetrize(M) -> np.ndarray:
@@ -194,24 +212,13 @@ def _scaled_identity_coeff(H, d: int):
 
     Sparse inputs are checked in O(d + nnz); dense inputs in O(d^2).
     """
-    if H is None:
+    if H is None or np.shape(H) != (d, d):
         return None
-    if scipy.sparse.issparse(H):
-        if H.shape != (d, d):
-            return None
-        diag = H.diagonal()
-        eta = diag[0]
-        if eta <= 0 or not np.allclose(diag, eta, rtol=0, atol=0):
-            return None
-        off = H.count_nonzero() - np.count_nonzero(diag)
-        return float(eta) if off == 0 else None
-    H = np.asarray(H)
-    if H.shape != (d, d):
+    diag = _diag_or_none(H)
+    if diag is None:
         return None
-    eta = H[0, 0]
-    if eta <= 0:
-        return None
-    if np.count_nonzero(H - eta * np.eye(d)):
+    eta = diag[0]
+    if eta <= 0 or np.any(diag != eta):
         return None
     return float(eta)
 
@@ -263,14 +270,8 @@ def make_gain_context(S_hat, H, tau_rho: float) -> KalmanGainContext:
         U = eta * V
         M = (1.0 + tau_rho * eta * eta) * np.eye(d) + U @ U.T
     else:
-        if scipy.sparse.issparse(H):
-            U = np.asarray(H @ V, dtype=float)
-            HHt = np.asarray((H @ H.T).todense(), dtype=float)
-        else:
-            Hd = np.asarray(H, dtype=float)
-            U = Hd @ V
-            HHt = Hd @ Hd.T
-        M = np.eye(U.shape[0]) + tau_rho * HHt + U @ U.T
+        U = np.asarray(H @ V, dtype=float)
+        M = np.eye(U.shape[0]) + tau_rho * _dense(H @ H.T) + U @ U.T
     if not np.all(np.isfinite(M)):
         raise SingularInnerSolve("I + H C H.T is non-finite")
     try:
@@ -304,7 +305,7 @@ def gain_apply_woodbury(ctx: KalmanGainContext, y):
 
 
 def top_p_projection(C, p: int):
-    """Projector onto the span of the top-``p`` eigenvectors of ``C``.
+    """Top-``p`` eigenpairs of ``C`` and the first eigenvalue they leave out.
 
     Parameters
     ----------
@@ -313,10 +314,9 @@ def top_p_projection(C, p: int):
 
     Returns
     -------
-    P : (d, d) ndarray
-        Orthogonal projector, exactly symmetric.
     pairs : SpectralDecomp
-        The top-``p`` eigenpairs, descending.
+        The top-``p`` eigenpairs, descending; the projector onto their span
+        is ``V V.T`` with ``V = pairs.eigenvectors``.
     rho_next : float
         The (p+1)-th eigenvalue, 0.0 when ``p == d``.
 
@@ -327,18 +327,8 @@ def top_p_projection(C, p: int):
     if not 0 <= p <= d:
         raise DimensionMismatch(f"p={p} out of range for d={d}")
     w, V = eigh_desc(C)
-    top_w, top_V = w[:p], V[:, :p]
     rho_next = float(w[p]) if p < d else 0.0
-    P = symmetrize(top_V @ top_V.T)
-    return P, SpectralDecomp(np.array(top_w), np.array(top_V)), rho_next
-
-
-def positive_part(M) -> np.ndarray:
-    """PSD part of a symmetric matrix: negative eigenvalues clamp to zero."""
-    M = _as_square(M)
-    w, V = np.linalg.eigh(symmetrize(M))
-    w = np.maximum(w, 0.0)
-    return symmetrize((V * w) @ V.T)
+    return SpectralDecomp(np.array(w[:p]), np.array(V[:, :p])), rho_next
 
 
 def positive_part_factor(M) -> tuple[np.ndarray, np.ndarray]:
@@ -349,26 +339,22 @@ def positive_part_factor(M) -> tuple[np.ndarray, np.ndarray]:
     an eigensolve; sparse diagonal input yields a sparse selector ``U``
     so that applying the factor stays O(d) as well.
     """
-    if scipy.sparse.issparse(M):
-        diag = np.asarray(M.diagonal(), dtype=float)
-        off = M.count_nonzero() - np.count_nonzero(diag)
-        if off == 0:
-            idx = np.nonzero(diag > 0.0)[0]
-            U = scipy.sparse.csr_matrix(
-                (np.ones(idx.size), (idx, np.arange(idx.size))),
-                shape=(M.shape[0], idx.size),
-            )
-            return U, diag[idx]
-        M = np.asarray(M.todense())
-    M = _as_square(M)
-    d = M.shape[0]
-    diag = np.diag(M)
-    if np.count_nonzero(M - np.diag(diag)) == 0:
+    sparse = scipy.sparse.issparse(M)
+    if not sparse:
+        M = _as_square(M)
+    diag = _diag_or_none(M)
+    if diag is not None:
         idx = np.nonzero(diag > 0.0)[0]
-        U = np.zeros((d, idx.size))
-        U[idx, np.arange(idx.size)] = 1.0
+        cols = np.arange(idx.size)
+        if sparse:
+            U = scipy.sparse.csr_matrix(
+                (np.ones(idx.size), (idx, cols)), shape=(M.shape[0], idx.size)
+            )
+        else:
+            U = np.zeros((M.shape[0], idx.size))
+            U[idx, cols] = 1.0
         return U, diag[idx]
-    w, V = np.linalg.eigh(symmetrize(M))
+    w, V = np.linalg.eigh(symmetrize(_dense(M)))
     pos = w > 0.0
     return V[:, pos], w[pos]
 
@@ -376,8 +362,5 @@ def positive_part_factor(M) -> tuple[np.ndarray, np.ndarray]:
 def factor_matrix(factor) -> np.ndarray:
     """Densify a ``(U, s)`` factor into ``U diag(s) U.T``."""
     U, s = factor
-    if scipy.sparse.issparse(U):
-        U = U.toarray()
-    U = np.asarray(U, dtype=float)
+    U = _dense(U)
     return (U * s) @ U.T
-

@@ -354,6 +354,18 @@ class TurbulenceParams:
         return out
 
     def validate(self):
+        for name in (
+            "J", "alpha", "beta", "gamma0", "nu_visc", "E0", "h", "r", "tau", "rho", "sigma_obs",
+        ):
+            value = getattr(self, name)
+            if value is not None and not np.isfinite(value):
+                raise InvalidParams(f"{name} must be finite, got {value}")
+        if self.omega_spec is not None and not np.all(np.isfinite(self.omega_spec)):
+            raise InvalidParams("omega_spec entries must be finite")
+        if not self.r > 1:
+            raise InvalidParams("r must satisfy r > 1")
+        if not self.tau > 0:
+            raise InvalidParams("tau must satisfy tau > 0")
         if self.J < 0 or int(self.J) != self.J:
             raise InvalidParams("J must be a non-negative integer")
         if self.alpha <= 0:
@@ -509,18 +521,12 @@ class _LastValueMemo:
         return self._last[1]
 
 
-def sample_noise(factor, rng, size: Optional[int] = None) -> np.ndarray:
-    """Draw N(0, U diag(s) U.T) given the factor ``(U, s)``.
-
-    Returns shape (d,) for ``size=None``, else (d, size).
-    """
+def sample_noise(factor, rng) -> np.ndarray:
+    """Draw one (d,) sample of N(0, U diag(s) U.T) given the factor ``(U, s)``."""
     U, s = factor
-    m = s.shape[0]
-    if m == 0:
-        d = U.shape[0]
-        return np.zeros(d if size is None else (d, size))
-    z = rng.standard_normal(m if size is None else (m, size))
-    return U @ (np.sqrt(s)[:, None] * z if size is not None else np.sqrt(s) * z)
+    if s.shape[0] == 0:
+        return np.zeros(U.shape[0])
+    return U @ (np.sqrt(s) * rng.standard_normal(s.shape[0]))
 
 
 def simulate_truth(

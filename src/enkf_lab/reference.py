@@ -7,24 +7,28 @@ The augmented recursion inflates the exact one: covariances advance by
 Two noise conventions appear:
 
 * ``Sigma' = r^2 Sigma+ + r^2 tau rho I`` (the filter-matched form,
-  default of :func:`augmented_riccati_step`),
+  default of :func:`augmented_riccati_step`, with Sigma+ from the
+  filter's own :func:`~enkf_lab.enkf.sigma_plus_factor`),
 * ``Sigma' = r^2 Sigma + tau rho I`` (the stationary benchmark form used
-  by :func:`stationary_riccati_diag` and the dimension verifiers; pass it
-  via ``sigma_prime`` to reproduce those fixed points).
+  by :func:`stationary_riccati_diag` and the dimension verifiers;
+  :func:`_benchmark_iterates` is the one place that builds it).
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse
 
+from .enkf import sigma_plus_factor
 from .linalg import (
     DimensionMismatch,
+    _dense,
+    _diag_or_none,
+    factor_matrix,
     kalman_gain,
     kalman_update_operator,
-    positive_part,
     symmetrize,
 )
 from .models import CoefficientStream, StepCoefficients, TurbulenceParams
@@ -35,7 +39,6 @@ __all__ = [
     "KalmanState",
     "AugmentedRiccatiState",
     "kalman_step",
-    "instability_covariance",
     "augmented_riccati_step",
     "unfiltered_covariance",
     "unfiltered_mode_values",
@@ -51,12 +54,6 @@ class NoConvergence(RuntimeError):
 
 class DivergentMode(RuntimeError):
     """A mode's closed-form equilibrium variance diverges."""
-
-
-def _dense(M) -> np.ndarray:
-    if scipy.sparse.issparse(M):
-        return np.asarray(M.todense(), dtype=float)
-    return np.asarray(M, dtype=float)
 
 
 @dataclass
@@ -111,23 +108,6 @@ def kalman_step(state: KalmanState, coeffs: StepCoefficients, y) -> KalmanState:
     return KalmanState(mean=mean, cov=cov)
 
 
-def instability_covariance(coeffs: StepCoefficients, r, tau, rho) -> np.ndarray:
-    """Additive inflation target: PSD part of ``rho A A.T + Sigma - (rho tau / r) I``.
-
-    Guarantees ``r Sigma+ + rho tau I >= r (rho A A.T + Sigma)`` in the
-    Loewner order, which is what lets multiplicative inflation by ``r``
-    dominate the forecast covariance growth.
-    """
-    A = coeffs.A
-    if scipy.sparse.issparse(A):
-        M = rho * (A @ A.T) + coeffs.Sigma
-        M = _dense(M)
-    else:
-        M = rho * (A @ A.T) + _dense(coeffs.Sigma)
-    d = M.shape[0]
-    return positive_part(M - (rho * tau / r) * np.eye(d))
-
-
 def augmented_riccati_step(
     state: AugmentedRiccatiState,
     coeffs: StepCoefficients,
@@ -144,7 +124,7 @@ def augmented_riccati_step(
     r, tau, rho = state.r, state.tau, state.rho
     A = _dense(coeffs.A)
     if sigma_prime is None:
-        sp = instability_covariance(coeffs, r, tau, rho)
+        sp = factor_matrix(sigma_plus_factor(coeffs, state))
         sigma_prime = r * r * sp + (r * r * tau * rho) * np.eye(A.shape[0])
     else:
         sigma_prime = _dense(sigma_prime)
@@ -156,15 +136,22 @@ def augmented_riccati_step(
     return AugmentedRiccatiState(cov=cov, r=r, tau=tau, rho=rho)
 
 
-def _diag_or_none(M):
-    """Diagonal of M when M is exactly diagonal, else None."""
-    if scipy.sparse.issparse(M):
-        diag = np.asarray(M.diagonal(), dtype=float)
-        off = M.count_nonzero() - np.count_nonzero(diag)
-        return diag if off == 0 else None
-    M = np.asarray(M, dtype=float)
-    diag = np.diag(M).copy()
-    return diag if np.count_nonzero(M - np.diag(diag)) == 0 else None
+def _benchmark_iterates(stream: CoefficientStream, r, tau, rho):
+    """Yield ``(coeffs, state)`` for steps n = 0, 1, ...: the augmented
+    recursion from zero covariance under the stationary-benchmark noise
+    ``Sigma' = r^2 Sigma + tau rho I``.
+
+    Step n's coefficients are fetched once, when its iterate is asked for,
+    and handed out with it.
+    """
+    d = stream.d
+    state = AugmentedRiccatiState(cov=np.zeros((d, d)), r=r, tau=tau, rho=rho)
+    eye = np.eye(d)
+    for n in itertools.count():
+        coeffs = stream.at(n)
+        sigma_prime = r**2 * _dense(coeffs.Sigma) + tau * rho * eye
+        state = augmented_riccati_step(state, coeffs, sigma_prime=sigma_prime)
+        yield coeffs, state
 
 
 def unfiltered_covariance(

@@ -6,6 +6,7 @@ batched product; the direct forms here are kept only as oracles.
 
 import numpy as np
 import scipy.linalg
+import scipy.sparse
 
 from enkf_lab.linalg import (
     PD_RTOL,
@@ -13,6 +14,7 @@ from enkf_lab.linalg import (
     NotPositiveDefinite,
     _as_square,
     _cho,
+    _dense,
     is_positive_definite,
     symmetrize,
 )
@@ -66,6 +68,26 @@ def condition_number(A) -> float:
 def compute_nu(C, R_ref) -> float:
     """Floored Loewner ratio ``max(1, inf{nu: C <= nu R_ref})``."""
     return max(1.0, loewner_ratio(C, R_ref))
+
+
+def positive_part(M) -> np.ndarray:
+    """PSD part of a symmetric matrix: negative eigenvalues clamp to zero."""
+    M = _as_square(M)
+    w, V = np.linalg.eigh(symmetrize(M))
+    w = np.maximum(w, 0.0)
+    return symmetrize((V * w) @ V.T)
+
+
+def instability_covariance(coeffs, r, tau, rho) -> np.ndarray:
+    """Dense Sigma+ = PSD part of ``rho A A.T + Sigma - (rho tau / r) I``,
+    with no low-rank factor: the twin of ``enkf.sigma_plus_factor``."""
+    A = coeffs.A
+    if scipy.sparse.issparse(A):
+        M = _dense(rho * (A @ A.T) + coeffs.Sigma)
+    else:
+        M = rho * (A @ A.T) + _dense(coeffs.Sigma)
+    d = M.shape[0]
+    return positive_part(M - (rho * tau / r) * np.eye(d))
 
 
 def forecast_per_member(ens, coeffs, cfg, rng, factor):

@@ -189,6 +189,47 @@ def test_seeds_object_validation(tmp_path, capsys):
     assert "seeds" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "command,cfg,field",
+    [
+        ("simulate", tiny_simulate_config(seeds=["a"]), "seeds"),
+        ("simulate", tiny_simulate_config(seeds=[0.5]), "seeds"),
+        ("simulate", tiny_simulate_config(seeds={"base": "a", "count": 2}), "seeds.base"),
+        ("simulate", tiny_simulate_config(enkf={"K": "4", "p": 2}), "enkf.K"),
+        ("verify-dim", {"model": {"J": 2, "omega_spec": "abc"}}, "model.omega_spec"),
+        ("verify-dim", {"model": {"J": 2}, "rho_grid": ["x"]}, "rho_grid"),
+        ("rmt-experiment", {"rmt": {"trials": "5"}}, "rmt.trials"),
+        ("rmt-experiment", {"rmt": {"K_list": ["x"]}}, "rmt.K_list"),
+        ("rmt-experiment", {"rmt": {"K_list": 5}}, "rmt.K_list"),
+        ("stability", tiny_simulate_config(experiment="stability", shifts=["x"]), "shifts"),
+        ("accuracy", tiny_simulate_config(experiment="accuracy", eps_list=[None]), "eps_list"),
+    ],
+)
+def test_wrong_value_types_exit_2_naming_the_field(tmp_path, capsys, command, cfg, field):
+    rc = cli_main([command, "--config", write_config(tmp_path, cfg), "--out", str(tmp_path / "o")])
+    assert rc == 2
+    assert f"config error: {field}: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("model", [{"J": 10, "tau": 0}, {"J": 10, "r": 0.5}])
+def test_out_of_range_model_values_exit_2(tmp_path, capsys, model):
+    cfg = {"experiment": "verify-dim", "model": model}
+    rc = cli_main(["verify-dim", "--config", write_config(tmp_path, cfg), "--out", str(tmp_path / "o")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "model: " in err
+    assert "must satisfy" in err
+
+
+@pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity", "1e400"])
+def test_non_finite_json_numbers_exit_2(tmp_path, capsys, token):
+    path = tmp_path / "config.json"
+    path.write_text('{"experiment": "verify-dim", "model": {"J": 10, "alpha": %s}}' % token)
+    rc = cli_main(["verify-dim", "--config", str(path), "--out", str(tmp_path / "o")])
+    assert rc == 2
+    assert f"{token} is not a finite JSON number" in capsys.readouterr().err
+
+
 def test_runtime_failure_exits_1(tmp_path, capsys):
     payload = json.loads(open(UNFILTERED_CONFIG).read())
     payload["rho_grid"] = [-0.04]  # passes parsing, rejected by the search

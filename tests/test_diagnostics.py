@@ -537,6 +537,25 @@ def test_accuracy_experiment_tiny_eps():
         run_accuracy_experiment(stream, cfg, T=5, eps_list=(0.0,), seeds=(0,))
 
 
+def test_scaled_stream_memoises_constant_steps_and_maps_jump_steps():
+    eps = 0.5
+    const = build_turbulence(TurbulenceParams(J=3, sigma_obs=10.0, tau=0.6))
+    scaled = diagnostics._scaled_stream(const, eps)
+    # one scaled object for a constant stream, so the filter factors once
+    assert scaled.at(0) is scaled.at(5)
+    jump = JumpSpec(
+        transition=[[0.5, 0.5], [0.5, 0.5]], multipliers=[[1.0], [1.3]], modes=(1,)
+    )
+    stream = build_turbulence(TurbulenceParams(J=3, sigma_obs=10.0, tau=0.6, jump_spec=jump))
+    scaled = diagnostics._scaled_stream(stream, eps)
+    for n in range(6):
+        base, got = stream.at(n), scaled.at(n)
+        assert (got.A != base.A).nnz == 0
+        assert np.array_equal(got.B, base.B)
+        assert (got.Sigma != base.Sigma * (eps * eps)).nnz == 0
+        assert (got.H != base.H / eps).nnz == 0
+
+
 def test_write_csv_roundtrip(tmp_path):
     series = [
         FilterDiagnostics(

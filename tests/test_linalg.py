@@ -17,14 +17,13 @@ from enkf_lab.linalg import (
     kalman_update_operator,
     lowrank_loewner_ratio,
     make_gain_context,
-    positive_part,
     positive_part_factor,
     factor_matrix,
     symmetrize,
     top_p_projection,
 )
 
-from oracles import condition_number, loewner_ratio, mahalanobis_sq
+from oracles import condition_number, loewner_ratio, mahalanobis_sq, positive_part
 
 
 def rand_psd(rng, d, rank=None):
@@ -303,9 +302,16 @@ def test_make_gain_context_singular_inner_solve():
         make_gain_context(S, np.eye(2), 0.1)
 
 
+def projector(pairs):
+    """Orthogonal projector ``V V.T`` onto the span of the pairs' eigenvectors."""
+    V = pairs.eigenvectors
+    return symmetrize(V @ V.T)
+
+
 def test_top_p_projection_small():
     C = np.diag([5.0, 3.0, 1.0])
-    P, pairs, rho_next = top_p_projection(C, 2)
+    pairs, rho_next = top_p_projection(C, 2)
+    P = projector(pairs)
     np.testing.assert_allclose(P, np.diag([1.0, 1.0, 0.0]), atol=1e-12)
     np.testing.assert_allclose(pairs.eigenvalues, [5.0, 3.0])
     assert rho_next == pytest.approx(1.0)
@@ -313,11 +319,11 @@ def test_top_p_projection_small():
 
 def test_top_p_projection_edges():
     C = np.diag([2.0, 1.0])
-    P0, _, rn0 = top_p_projection(C, 0)
-    assert np.array_equal(P0, np.zeros((2, 2)))
+    pairs0, rn0 = top_p_projection(C, 0)
+    assert np.array_equal(projector(pairs0), np.zeros((2, 2)))
     assert rn0 == pytest.approx(2.0)
-    Pd, _, rnd = top_p_projection(C, 2)
-    np.testing.assert_allclose(Pd, np.eye(2), atol=1e-12)
+    pairsd, rnd = top_p_projection(C, 2)
+    np.testing.assert_allclose(projector(pairsd), np.eye(2), atol=1e-12)
     assert rnd == 0.0
 
 
@@ -327,7 +333,8 @@ def test_top_p_projection_projector_properties():
         d = int(rng.integers(2, 15))
         p = int(rng.integers(0, d + 1))
         C = rand_psd(rng, d)
-        P, pairs, rho_next = top_p_projection(C, p)
+        pairs, rho_next = top_p_projection(C, p)
+        P = projector(pairs)
         np.testing.assert_allclose(P @ P, P, atol=1e-10)
         np.testing.assert_allclose(P, P.T, atol=0)
         assert pairs.eigenvectors.shape == (d, p)
@@ -342,7 +349,7 @@ def test_top_p_projection_large_d_matches_eigvalsh():
     d = 600
     F = rng.standard_normal((d, 12))
     C = F @ F.T + 1e-3 * np.eye(d)
-    P, pairs, rho_next = top_p_projection(C, 5)
+    pairs, rho_next = top_p_projection(C, 5)
     w_all = np.linalg.eigvalsh(C)[::-1]
     np.testing.assert_allclose(pairs.eigenvalues, w_all[:5], rtol=1e-7)
     np.testing.assert_allclose(rho_next, w_all[5], rtol=1e-6)

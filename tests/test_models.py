@@ -160,6 +160,13 @@ def test_sigma_diag_strictly_positive_above_zero():
         (dict(J=2, rho=0.0), "rho"),
         (dict(J=2, omega_spec=[0.0, 1.0]), "omega_spec"),
         (dict(J=2, gamma0=-1.0, nu_visc=0.1), "gamma"),
+        (dict(J=2, alpha=float("nan")), "alpha must be finite"),
+        (dict(J=float("inf")), "J must be finite"),
+        (dict(J=2, sigma_obs=float("inf")), "sigma_obs must be finite"),
+        (dict(J=2, omega_spec=[0.0, float("nan"), 1.0]), "omega_spec entries must be finite"),
+        (dict(J=2, r=0.5), "r must satisfy r > 1"),
+        (dict(J=2, r=1.0), "r must satisfy r > 1"),
+        (dict(J=2, tau=0.0), "tau must satisfy tau > 0"),
     ],
 )
 def test_params_validate_messages(kwargs, msg):

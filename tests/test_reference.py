@@ -1,11 +1,16 @@
 """Tests for the exact Kalman recursion and the reference benchmarks."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
+import scipy.sparse
 
-from enkf_lab.linalg import DimensionMismatch
+from enkf_lab.enkf import sigma_plus_factor
+from enkf_lab.linalg import DimensionMismatch, factor_matrix
 from enkf_lab.models import (
     CoefficientStream,
+    JumpSpec,
     StepCoefficients,
     TurbulenceParams,
     build_turbulence,
@@ -15,7 +20,6 @@ from enkf_lab.reference import (
     DivergentMode,
     KalmanState,
     augmented_riccati_step,
-    instability_covariance,
     kalman_step,
     observability_gramian,
     stationary_riccati_ambient,
@@ -23,6 +27,13 @@ from enkf_lab.reference import (
     unfiltered_covariance,
     unfiltered_mode_values,
 )
+
+from oracles import instability_covariance
+
+
+def sigma_plus(coeffs, r, tau, rho):
+    """Dense Sigma+ from the filter's factor, which reads only r, tau, rho."""
+    return factor_matrix(sigma_plus_factor(coeffs, SimpleNamespace(r=r, tau=tau, rho=rho)))
 
 
 def constant_stream(A, Sigma, H=None, q=0):
@@ -106,19 +117,19 @@ def test_kalman_covariance_forgets_initialization():
 
 def test_instability_covariance_scalar():
     coeffs = StepCoefficients(A=[[1.0]], B=[0.0], Sigma=[[0.1]])
-    out = instability_covariance(coeffs, r=1.1, tau=0.6, rho=0.04)
+    out = sigma_plus(coeffs, r=1.1, tau=0.6, rho=0.04)
     want = 0.04 + 0.1 - 0.04 * 0.6 / 1.1
     assert out[0, 0] == pytest.approx(want, rel=1e-12)
     # fully damped case clamps to zero
     coeffs2 = StepCoefficients(A=[[0.0]], B=[0.0], Sigma=[[0.0]])
-    assert instability_covariance(coeffs2, 1.1, 0.6, 0.04)[0, 0] == 0.0
+    assert sigma_plus(coeffs2, 1.1, 0.6, 0.04)[0, 0] == 0.0
 
 
 def test_instability_covariance_rank():
     A = np.diag([1.0, 0.99, 0.0, 0.0, 0.0, 0.0])
     Sigma = np.diag([0.0, 0.0, 0.5, 0.0, 0.0, 0.0])
     coeffs = StepCoefficients(A=A, B=np.zeros(6), Sigma=Sigma)
-    out = instability_covariance(coeffs, r=1.1, tau=1.0, rho=0.04)
+    out = sigma_plus(coeffs, r=1.1, tau=1.0, rho=0.04)
     w = np.linalg.eigvalsh(out)
     assert int(np.sum(w > 1e-12)) == 3
 
@@ -127,7 +138,7 @@ def test_instability_covariance_turbulence_ambient_rank():
     # reference configuration: wavenumbers {0..9} unstable, 19 components
     p = TurbulenceParams(J=50, tau=0.6)
     coeffs = build_turbulence(p).at(0)
-    out = instability_covariance(coeffs, r=p.r, tau=p.tau, rho=p.rho)
+    out = sigma_plus(coeffs, r=p.r, tau=p.tau, rho=p.rho)
     w = np.linalg.eigvalsh(out)
     assert int(np.sum(w > 1e-12)) == 19
 
@@ -142,10 +153,47 @@ def test_instability_covariance_domination():
         Sigma = F @ F.T / d
         r, tau, rho = 1.0 + rng.uniform(0.01, 1), rng.uniform(0.1, 2), rng.uniform(0.01, 1)
         coeffs = StepCoefficients(A=A, B=np.zeros(d), Sigma=Sigma)
-        sp = instability_covariance(coeffs, r, tau, rho)
+        sp = sigma_plus(coeffs, r, tau, rho)
         lhs = r * sp + rho * tau * np.eye(d)
         rhs = r * (rho * A @ A.T + Sigma)
         assert np.linalg.eigvalsh(lhs - rhs)[0] >= -1e-9
+
+
+def _sigma_plus_case(case):
+    """``(coeffs, r, tau, rho)`` for one Sigma+ comparison case."""
+    if case == "dense":
+        rng = np.random.default_rng(11)
+        d = 7
+        F = rng.standard_normal((d, d))
+        coeffs = StepCoefficients(
+            A=0.6 * rng.standard_normal((d, d)), B=np.zeros(d), Sigma=F @ F.T / d
+        )
+        return coeffs, 1.2, 0.8, 0.3
+    if case == "sparse_diag":
+        a = np.array([1.0, 0.95, 0.2, 0.0, 0.5])
+        sig = np.array([0.0, 0.01, 0.3, 0.0, 0.02])
+        coeffs = StepCoefficients(
+            A=scipy.sparse.diags(a, format="csr"), B=np.zeros(5),
+            Sigma=scipy.sparse.diags(sig, format="csr"),
+        )
+        return coeffs, 1.1, 0.6, 0.04
+    jump = JumpSpec(
+        transition=((0.0, 1.0), (1.0, 0.0)),
+        multipliers=((1.0, 1.0), (1.15, 1.15)),
+        modes=(1, 2),
+        init_state=1,  # step 0 scales modes 1 and 2
+    )
+    p = TurbulenceParams(J=50, tau=0.6, jump_spec=jump if case == "jump" else None)
+    return build_turbulence(p).at(0), p.r, p.tau, p.rho
+
+
+@pytest.mark.parametrize("case", ["dense", "sparse_diag", "turbulence", "jump"])
+def test_sigma_plus_factor_matches_dense_oracle(case):
+    coeffs, r, tau, rho = _sigma_plus_case(case)
+    want = instability_covariance(coeffs, r, tau, rho)
+    got = sigma_plus(coeffs, r, tau, rho)
+    assert np.abs(got - want).max() <= 1e-12 * max(1.0, np.abs(want).max())
+    assert np.linalg.matrix_rank(got) == np.linalg.matrix_rank(want)
 
 
 def test_augmented_scalar_frozen_value():
@@ -154,7 +202,7 @@ def test_augmented_scalar_frozen_value():
     tau, rho = 0.25, 0.04
     sigma = 0.1 - rho * 0.81 + rho * tau / 1.1
     coeffs = StepCoefficients(A=[[0.9]], B=[0.0], Sigma=[[sigma]], H=[[1.0]])
-    sp = instability_covariance(coeffs, 1.1, tau, rho)
+    sp = sigma_plus(coeffs, 1.1, tau, rho)
     assert sp[0, 0] == pytest.approx(0.1, rel=1e-12)
     state = AugmentedRiccatiState(cov=np.eye(1), r=1.1, tau=tau, rho=rho)
     out = augmented_riccati_step(state, coeffs)
