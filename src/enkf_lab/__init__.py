@@ -41,14 +41,10 @@ from .enkf import (
 )
 from .linalg import (
     DimensionMismatch,
-    KalmanGainContext,
     NotPositiveDefinite,
-    SingularInnerSolve,
     SpectralDecomp,
-    gain_apply_woodbury,
     kalman_gain,
     kalman_update_operator,
-    make_gain_context,
     symmetrize,
     top_p_projection,
 )

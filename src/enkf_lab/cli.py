@@ -171,10 +171,13 @@ def _parse_seeds(raw) -> tuple:
                  "seeds object needs both 'base' and 'count'", "seeds")
         base = _convert(int, raw["base"], "seeds.base")
         count = _convert(int, raw["count"], "seeds.count")
+        _require(base >= 0, "base must be >= 0", "seeds.base")
         _require(count >= 1, "count must be >= 1", "seeds.count")
         return tuple(range(base, base + count))
     _require(isinstance(raw, list) and raw, "seeds must be a nonempty list or {base, count}", "seeds")
-    return _convert_list(int, raw, "seeds")
+    seeds = _convert_list(int, raw, "seeds")
+    _require(min(seeds) >= 0, "entries must be >= 0", "seeds")
+    return seeds
 
 
 def load_config(path: str, experiment: Optional[str] = None) -> ExperimentConfig:
@@ -221,6 +224,14 @@ def load_config(path: str, experiment: Optional[str] = None) -> ExperimentConfig
             else:
                 merged[key] = _convert(kind, value, f"rmt.{key}")
         _require(merged["trials"] >= 1, "trials must be >= 1", "rmt.trials")
+        _require(1 <= merged["p"] <= merged["d"], f"p must satisfy 1 <= p <= d = {merged['d']}", "rmt.p")
+        _require(merged["rho"] > 0, "rho must be > 0", "rmt.rho")
+        # a key left out takes the driver's default, which meets its bound
+        for key, low in (("K_list", 2), ("tail_K", 2), ("tail_trials", 1), ("cond_targets", 1)):
+            value = merged.get(key, low)
+            values = value if isinstance(value, tuple) else (value,)
+            what = "entries" if key in _RMT_LISTS else key
+            _require(min(values) >= low, f"{what} must be >= {low}", f"rmt.{key}")
         cfg.rmt = merged
         return cfg
 
@@ -486,6 +497,7 @@ def cli_main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         cfg = load_config(args.config, experiment=experiment)
         if args.seed is not None:
+            _require(args.seed >= 0, "must be >= 0", "--seed")
             cfg.seeds = (args.seed,)
     except ParseError as exc:
         print(f"enkf-lab: config error: {exc}", file=sys.stderr)

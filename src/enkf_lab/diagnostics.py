@@ -203,10 +203,10 @@ def run_filter_experiment(
     T: int,
     seeds: Sequence[int],
     r_ref=None,
-    x0=None,
-    init_mean=None,
 ):
     """Run truth + filter per seed and collect full diagnostics.
+
+    The truth starts at zero and the filter at its default initial mean.
 
     ``r_ref`` is the reference covariance for nu / cov_fidelity: a d x d
     matrix, or a length-d vector holding a diagonal one; when omitted it
@@ -222,11 +222,10 @@ def run_filter_experiment(
     if r_ref is None:
         r_ref = _long_run_reference(stream, cfg)
     L = _reference_factor(r_ref, d)
-    x0 = np.zeros(d) if x0 is None else np.asarray(x0, dtype=float)
     per_seed = {}
     for seed in seeds:
-        truth = simulate_truth(stream, x0, T, seed)
-        filt = EnkfFilter(stream, cfg, seed, init_mean=init_mean)
+        truth = simulate_truth(stream, np.zeros(d), T, seed)
+        filt = EnkfFilter(stream, cfg, seed)
         series = []
         for n in range(T):
             S_prev = filt.ensemble.spread

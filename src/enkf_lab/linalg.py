@@ -23,16 +23,12 @@ import scipy.sparse
 __all__ = [
     "NotPositiveDefinite",
     "DimensionMismatch",
-    "SingularInnerSolve",
     "SpectralDecomp",
-    "KalmanGainContext",
     "symmetrize",
     "is_positive_definite",
     "lowrank_loewner_ratio",
     "kalman_gain",
     "kalman_update_operator",
-    "make_gain_context",
-    "gain_apply_woodbury",
     "top_p_projection",
     "positive_part_factor",
     "factor_matrix",
@@ -49,10 +45,6 @@ class NotPositiveDefinite(ValueError):
 
 class DimensionMismatch(ValueError):
     """Operands have incompatible shapes."""
-
-
-class SingularInnerSolve(np.linalg.LinAlgError):
-    """The inner system of a low-rank gain solve is singular or non-finite."""
 
 
 def _as_square(M, name: str = "matrix") -> np.ndarray:
@@ -194,17 +186,25 @@ def kalman_gain(C, H) -> np.ndarray:
     return scipy.linalg.cho_solve(cf, CHt.T, check_finite=False).T
 
 
+def _gain_and_update(C, H) -> tuple[np.ndarray, np.ndarray]:
+    """The gain ``G`` of :func:`kalman_gain` and the posterior covariance
+    map :func:`kalman_update_operator` builds from it, from one
+    factorization of ``I + H C H.T``: a step that moves its mean by ``G``
+    and its covariance by ``K(C)`` takes both from here."""
+    C = _as_square(C, "C")
+    G = kalman_gain(C, H)
+    d = C.shape[0]
+    ImGH = np.eye(d) - G @ np.asarray(H, dtype=float)
+    return G, symmetrize(ImGH @ C @ ImGH.T + G @ G.T)
+
+
 def kalman_update_operator(C, H) -> np.ndarray:
     """Posterior covariance map ``K(C) = C - G H C`` in Joseph form.
 
     The Joseph form ``(I - G H) C (I - G H).T + G G.T`` keeps the result
     PSD for PSD input even when ``C`` is singular.
     """
-    C = _as_square(C, "C")
-    G = kalman_gain(C, H)
-    d = C.shape[0]
-    ImGH = np.eye(d) - G @ np.asarray(H, dtype=float)
-    return symmetrize(ImGH @ C @ ImGH.T + G @ G.T)
+    return _gain_and_update(C, H)[1]
 
 
 def _scaled_identity_coeff(H, d: int):
@@ -221,87 +221,6 @@ def _scaled_identity_coeff(H, d: int):
     if eta <= 0 or np.any(diag != eta):
         return None
     return float(eta)
-
-
-@dataclass
-class KalmanGainContext:
-    """Factored form of ``G = C H.T M^{-1}``, ``M = I_q + H C H.T``, for low-rank C.
-
-    Built from the spread factor ``S_hat`` (d x K), the observation
-    operator ``H`` (q x d, dense or sparse, possibly ``eta * I``), and the
-    additive floor ``tau_rho``, where ``C = S_hat S_hat.T / (K - 1)
-    + tau_rho * I``. ``M^{-1}`` is applied by the Cholesky factor of the
-    q x q matrix ``M = I_q + tau_rho H H.T + U U.T`` itself, with
-    ``U = H S_hat / sqrt(K - 1)``; applying the gain then never forms a
-    d x d matrix. (For ``H = eta I`` with K < d the filter does not build
-    a context: it takes the gain from the eigenpairs of the K x K Gram.)
-    """
-
-    V: np.ndarray  # S_hat / sqrt(K - 1), d x K
-    H: object  # q x d operator (ndarray or sparse), kept for H.T applies
-    tau_rho: float
-    eta: float | None  # scalar when H = eta * I, else None
-    inner_factor: object  # Cholesky factor of M, q x q
-    U: np.ndarray  # H V, q x K
-
-
-def make_gain_context(S_hat, H, tau_rho: float) -> KalmanGainContext:
-    """Precompute the factors for repeated gain applications.
-
-    Cost is O(q d K) to form ``H S_hat`` (O(d K) when ``H`` has O(d)
-    nonzeros), plus O(q^2 K + q^3) for the q x q factor of ``M``.
-
-    Raises
-    ------
-    SingularInnerSolve
-        If ``M`` cannot be factored or is non-finite.
-    """
-    S_hat = np.asarray(S_hat, dtype=float)
-    if S_hat.ndim != 2:
-        raise DimensionMismatch("S_hat must be d x K")
-    d, K = S_hat.shape
-    if K < 2:
-        raise DimensionMismatch("S_hat needs at least 2 columns")
-    if tau_rho <= 0:
-        raise NotPositiveDefinite("tau_rho must be positive")
-    V = S_hat / np.sqrt(K - 1)
-    eta = _scaled_identity_coeff(H, d)
-    if eta is not None:
-        U = eta * V
-        M = (1.0 + tau_rho * eta * eta) * np.eye(d) + U @ U.T
-    else:
-        U = np.asarray(H @ V, dtype=float)
-        M = np.eye(U.shape[0]) + tau_rho * _dense(H @ H.T) + U @ U.T
-    if not np.all(np.isfinite(M)):
-        raise SingularInnerSolve("I + H C H.T is non-finite")
-    try:
-        inner_factor = scipy.linalg.cho_factor(symmetrize(M), lower=True, check_finite=False)
-    except scipy.linalg.LinAlgError as exc:
-        raise SingularInnerSolve("I + H C H.T is singular") from exc
-    return KalmanGainContext(
-        V=V, H=H, tau_rho=float(tau_rho), eta=eta, inner_factor=inner_factor, U=U
-    )
-
-
-def gain_apply_woodbury(ctx: KalmanGainContext, y):
-    """Apply the gain to ``y`` (a q-vector or q x m batch) without d x d work.
-
-    Solves ``w = M^{-1} y`` with the q x q Cholesky factor of
-    ``M = I_q + H C H.T``, then returns
-    ``G y = V (V.T (H.T w)) + tau_rho H.T w``, which splits ``C`` into
-    its low-rank part ``V V.T`` and its floor ``tau_rho I``.
-    """
-    y = np.asarray(y, dtype=float)
-    squeeze = y.ndim == 1
-    if squeeze:
-        y = y[:, None]
-    w = scipy.linalg.cho_solve(ctx.inner_factor, y, check_finite=False)
-    if ctx.eta is not None:
-        Htw = ctx.eta * w
-    else:
-        Htw = np.asarray(ctx.H.T @ w)
-    out = ctx.V @ (ctx.V.T @ Htw) + ctx.tau_rho * Htw
-    return out[:, 0] if squeeze else out
 
 
 def top_p_projection(C, p: int):

@@ -26,8 +26,8 @@ from .linalg import (
     DimensionMismatch,
     _dense,
     _diag_or_none,
+    _gain_and_update,
     factor_matrix,
-    kalman_gain,
     kalman_update_operator,
     symmetrize,
 )
@@ -102,9 +102,8 @@ def kalman_step(state: KalmanState, coeffs: StepCoefficients, y) -> KalmanState:
     y = np.asarray(y, dtype=float).ravel()
     if y.shape[0] != H.shape[0]:
         raise DimensionMismatch(f"y has length {y.shape[0]}, H is {H.shape}")
-    G = kalman_gain(R_hat, H)
+    G, cov = _gain_and_update(R_hat, H)
     mean = m_hat + G @ (y - H @ m_hat)
-    cov = kalman_update_operator(R_hat, H)
     return KalmanState(mean=mean, cov=cov)
 
 

@@ -1,8 +1,15 @@
 """Dense and per-member reference implementations the tests compare against.
 
 The package computes these quantities on the ensemble's span or in one
-batched product; the direct forms here are kept only as oracles.
+batched product; the direct forms here are kept only as oracles. The
+factored (Woodbury) gain context is the other way round: the package
+takes its gain from :func:`enkf_lab.linalg.kalman_gain`, and the
+factored form stays here as an independent algorithm to check it with;
+``kalman_gain`` is re-exported next to it, so a test imports both sides
+of that comparison from one place.
 """
+
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
@@ -15,7 +22,9 @@ from enkf_lab.linalg import (
     _as_square,
     _cho,
     _dense,
+    _scaled_identity_coeff,
     is_positive_definite,
+    kalman_gain,
     symmetrize,
 )
 from enkf_lab.enkf import Ensemble
@@ -139,3 +148,89 @@ def initial_ensemble_per_member(d, cfg, seed, init_mean=None, init_cov=None):
         noise[:, k] = scale * substream(seed, DOMAIN_INIT, k).standard_normal(d)
     mu_noise = noise.mean(axis=1)
     return Ensemble(mean=mean0 + mu_noise, spread=noise - mu_noise[:, None])
+
+
+class SingularInnerSolve(np.linalg.LinAlgError):
+    """The inner system of a low-rank gain solve is singular or non-finite."""
+
+
+@dataclass
+class KalmanGainContext:
+    """Factored form of ``G = C H.T M^{-1}``, ``M = I_q + H C H.T``, for low-rank C.
+
+    Built from the spread factor ``S_hat`` (d x K), the observation
+    operator ``H`` (q x d, dense or sparse, possibly ``eta * I``), and the
+    additive floor ``tau_rho``, where ``C = S_hat S_hat.T / (K - 1)
+    + tau_rho * I``. ``M^{-1}`` is applied by the Cholesky factor of the
+    q x q matrix ``M = I_q + tau_rho H H.T + U U.T`` itself, with
+    ``U = H S_hat / sqrt(K - 1)``; applying the gain then never forms a
+    d x d matrix. (The filter builds no context: it takes the gain from
+    ``kalman_gain`` on its dense route and from the eigenpairs of the
+    K x K Gram on its ensemble-space route.)
+    """
+
+    V: np.ndarray  # S_hat / sqrt(K - 1), d x K
+    H: object  # q x d operator (ndarray or sparse), kept for H.T applies
+    tau_rho: float
+    eta: float | None  # scalar when H = eta * I, else None
+    inner_factor: object  # Cholesky factor of M, q x q
+    U: np.ndarray  # H V, q x K
+
+
+def make_gain_context(S_hat, H, tau_rho: float) -> KalmanGainContext:
+    """Precompute the factors for repeated gain applications.
+
+    Cost is O(q d K) to form ``H S_hat`` (O(d K) when ``H`` has O(d)
+    nonzeros), plus O(q^2 K + q^3) for the q x q factor of ``M``.
+
+    Raises
+    ------
+    SingularInnerSolve
+        If ``M`` cannot be factored or is non-finite.
+    """
+    S_hat = np.asarray(S_hat, dtype=float)
+    if S_hat.ndim != 2:
+        raise DimensionMismatch("S_hat must be d x K")
+    d, K = S_hat.shape
+    if K < 2:
+        raise DimensionMismatch("S_hat needs at least 2 columns")
+    if tau_rho <= 0:
+        raise NotPositiveDefinite("tau_rho must be positive")
+    V = S_hat / np.sqrt(K - 1)
+    eta = _scaled_identity_coeff(H, d)
+    if eta is not None:
+        U = eta * V
+        M = (1.0 + tau_rho * eta * eta) * np.eye(d) + U @ U.T
+    else:
+        U = np.asarray(H @ V, dtype=float)
+        M = np.eye(U.shape[0]) + tau_rho * _dense(H @ H.T) + U @ U.T
+    if not np.all(np.isfinite(M)):
+        raise SingularInnerSolve("I + H C H.T is non-finite")
+    try:
+        inner_factor = scipy.linalg.cho_factor(symmetrize(M), lower=True, check_finite=False)
+    except scipy.linalg.LinAlgError as exc:
+        raise SingularInnerSolve("I + H C H.T is singular") from exc
+    return KalmanGainContext(
+        V=V, H=H, tau_rho=float(tau_rho), eta=eta, inner_factor=inner_factor, U=U
+    )
+
+
+def gain_apply_woodbury(ctx: KalmanGainContext, y):
+    """Apply the gain to ``y`` (a q-vector or q x m batch) without d x d work.
+
+    Solves ``w = M^{-1} y`` with the q x q Cholesky factor of
+    ``M = I_q + H C H.T``, then returns
+    ``G y = V (V.T (H.T w)) + tau_rho H.T w``, which splits ``C`` into
+    its low-rank part ``V V.T`` and its floor ``tau_rho I``.
+    """
+    y = np.asarray(y, dtype=float)
+    squeeze = y.ndim == 1
+    if squeeze:
+        y = y[:, None]
+    w = scipy.linalg.cho_solve(ctx.inner_factor, y, check_finite=False)
+    if ctx.eta is not None:
+        Htw = ctx.eta * w
+    else:
+        Htw = np.asarray(ctx.H.T @ w)
+    out = ctx.V @ (ctx.V.T @ Htw) + ctx.tau_rho * Htw
+    return out[:, 0] if squeeze else out

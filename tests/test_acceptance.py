@@ -27,7 +27,7 @@ from enkf_lab.diagnostics import (
 )
 from enkf_lab.effective_dim import verify_dim_observed, verify_dim_unfiltered
 from enkf_lab.enkf import EnkfConfig, EnkfFilter
-from enkf_lab.linalg import gain_apply_woodbury, kalman_gain, make_gain_context
+from oracles import gain_apply_woodbury, kalman_gain, make_gain_context
 from enkf_lab.models import (
     CoefficientStream,
     StepCoefficients,

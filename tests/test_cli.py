@@ -211,6 +211,42 @@ def test_wrong_value_types_exit_2_naming_the_field(tmp_path, capsys, command, cf
     assert f"config error: {field}: " in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "seeds,flag,field",
+    [
+        ([-1], [], "seeds"),
+        ({"base": -3, "count": 2}, [], "seeds.base"),
+        ([0, 1], ["--seed", "-2"], "--seed"),
+    ],
+    ids=["list", "base", "flag"],
+)
+def test_negative_seed_exits_2_naming_the_field(tmp_path, capsys, seeds, flag, field):
+    cfg = tiny_simulate_config(seeds=seeds)
+    rc = cli_main(["simulate", "--config", write_config(tmp_path, cfg), "--out", str(tmp_path / "o")] + flag)
+    assert rc == 2
+    assert f"config error: {field}: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "rmt,field",
+    [
+        ({"d": 3, "p": 5}, "rmt.p"),
+        ({"p": 0}, "rmt.p"),
+        ({"K_list": [1]}, "rmt.K_list"),
+        ({"tail_K": 1}, "rmt.tail_K"),
+        ({"tail_trials": 0}, "rmt.tail_trials"),
+        ({"rho": -1}, "rmt.rho"),
+        ({"cond_targets": [0.5]}, "rmt.cond_targets"),
+    ],
+    ids=["p_above_d", "p_zero", "K_list", "tail_K", "tail_trials", "rho", "cond_targets"],
+)
+def test_out_of_range_rmt_values_exit_2(tmp_path, capsys, rmt, field):
+    cfg = {"experiment": "rmt", "rmt": rmt}
+    rc = cli_main(["rmt-experiment", "--config", write_config(tmp_path, cfg), "--out", str(tmp_path / "o")])
+    assert rc == 2
+    assert f"config error: {field}: " in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("model", [{"J": 10, "tau": 0}, {"J": 10, "r": 0.5}])
 def test_out_of_range_model_values_exit_2(tmp_path, capsys, model):
     cfg = {"experiment": "verify-dim", "model": model}

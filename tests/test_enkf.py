@@ -6,11 +6,12 @@ import weakref
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from enkf_lab import enkf
+from enkf_lab import enkf, linalg
 from enkf_lab.enkf import (
     Ensemble,
     EnkfConfig,
@@ -90,6 +91,33 @@ def test_ensemble_validation():
     np.testing.assert_allclose(
         ens.covariance(), ens.spread @ ens.spread.T / 4, atol=1e-14
     )
+
+
+@pytest.mark.parametrize("init_cov", [1e10, 1e12])
+def test_large_scale_ensemble_passes_the_column_sum_check(init_cov):
+    # the centred spread's column sums are roundoff of its own scale
+    p = TurbulenceParams(J=10, sigma_obs=10.0, tau=0.6)
+    stream = build_turbulence(p)
+    cfg = EnkfConfig(K=40, p=7, r=p.r, rho=p.rho, tau=p.tau)
+    truth = simulate_truth(stream, np.zeros(stream.d), 2, seed=0)
+    f = EnkfFilter(stream, cfg, seed=0, init_cov=init_cov)
+    for n in range(2):
+        f.step(truth.observations[n])
+    assert np.all(np.isfinite(f.ensemble.spread))
+
+
+def test_column_sum_check_scales_with_the_spread():
+    S = make_ensemble(4, 6, seed=43, scale=1e8).spread
+    scale = np.abs(S).max()
+    Ensemble(mean=np.zeros(4), spread=S)
+    S_off = S.copy()
+    S_off[1] += 1e-6 * scale / S.shape[1]  # row 1 sums to 1e-6 of the scale
+    with pytest.raises(ValueError, match="sum to zero"):
+        Ensemble(mean=np.zeros(4), spread=S_off)
+    S_inf = S.copy()
+    S_inf[0, 0] = np.inf
+    with pytest.raises(ValueError, match="sum to zero"):
+        Ensemble(mean=np.zeros(4), spread=S_inf)
 
 
 @pytest.mark.parametrize(
@@ -324,11 +352,13 @@ def test_structured_and_dense_routes_agree(d, k_frac, p_frac, eta, seed):
 
 
 def test_structured_step_builds_no_gain_context(monkeypatch):
-    # H = eta I with K < d: the gain comes from the Gram eigenpairs
+    # H = eta I with K < d: the gain comes from the Gram eigenpairs, and
+    # no q x q gain system is built or factored
     def forbidden(*args, **kwargs):
-        raise AssertionError("make_gain_context ran on a structured step")
+        raise AssertionError("a q x q gain ran on a structured step")
 
-    monkeypatch.setattr(enkf, "make_gain_context", forbidden)
+    monkeypatch.setattr(enkf, "_gain_and_update", forbidden)
+    monkeypatch.setattr(linalg, "kalman_gain", forbidden)
     p = TurbulenceParams(J=10, sigma_obs=10.0, tau=0.6)
     stream = build_turbulence(p)
     cfg = EnkfConfig(K=8, p=4, r=p.r, rho=p.rho, tau=p.tau)
@@ -336,6 +366,55 @@ def test_structured_step_builds_no_gain_context(monkeypatch):
     f = EnkfFilter(stream, cfg, seed=0)
     for n in range(3):
         f.step(truth.observations[n])
+
+
+def _count_gain_work(monkeypatch):
+    """Count ``kalman_gain`` calls and Cholesky factorizations."""
+    counts = {"kalman_gain": 0, "cho_factor": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(linalg, "kalman_gain", counted("kalman_gain", linalg.kalman_gain))
+    monkeypatch.setattr(
+        scipy.linalg, "cho_factor", counted("cho_factor", scipy.linalg.cho_factor)
+    )
+    return counts
+
+
+@pytest.mark.parametrize(
+    "d,q,K",
+    [(8, 3, 6), (5, 4, 9), (5, None, 8)],
+    ids=["general_H_K_lt_d", "general_H_K_gt_d", "eta_I_K_ge_d"],
+)
+def test_dense_route_factors_one_gain_per_assimilation(monkeypatch, d, q, K):
+    # the mean update and the posterior map share one gain
+    if q is None:
+        H = 1.3 * np.eye(d)
+        coeffs = StepCoefficients(A=np.eye(d), B=np.zeros(d), Sigma=np.eye(d), H=H)
+    else:
+        coeffs = dense_coeffs(d, q=q, seed=31)
+    cfg = EnkfConfig(K=K, p=3, r=1.1, rho=0.05, tau=0.8)
+    S_hat = make_ensemble(d, K, seed=37).spread
+    y = np.linspace(-1.0, 1.0, coeffs.H.shape[0])
+    counts = _count_gain_work(monkeypatch)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RankDeficit)
+        enkf_assimilate(np.zeros(d), S_hat, coeffs, y, cfg)
+    assert counts == {"kalman_gain": 1, "cho_factor": 1}
+
+
+def test_kalman_step_factors_one_gain(monkeypatch):
+    d, q = 6, 4
+    coeffs = dense_coeffs(d, q=q, seed=41)
+    state = KalmanState(mean=np.zeros(d), cov=0.5 * np.eye(d))
+    counts = _count_gain_work(monkeypatch)
+    kalman_step(state, coeffs, np.ones(q))
+    assert counts == {"kalman_gain": 1, "cho_factor": 1}
 
 
 def _diverging_filter(seed):

@@ -9,21 +9,26 @@ from hypothesis import strategies as st
 from enkf_lab.linalg import (
     DimensionMismatch,
     NotPositiveDefinite,
-    SingularInnerSolve,
     eigh_desc,
-    gain_apply_woodbury,
     is_positive_definite,
     kalman_gain,
     kalman_update_operator,
     lowrank_loewner_ratio,
-    make_gain_context,
     positive_part_factor,
     factor_matrix,
     symmetrize,
     top_p_projection,
 )
 
-from oracles import condition_number, loewner_ratio, mahalanobis_sq, positive_part
+from oracles import (
+    SingularInnerSolve,
+    condition_number,
+    gain_apply_woodbury,
+    loewner_ratio,
+    mahalanobis_sq,
+    make_gain_context,
+    positive_part,
+)
 
 
 def rand_psd(rng, d, rank=None):
