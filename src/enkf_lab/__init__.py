@@ -2,7 +2,7 @@
 
 Library layout:
 
-* :mod:`enkf_lab.linalg` PSD kernels (gains, low-rank Loewner ratios, projections)
+* :mod:`enkf_lab.linalg` PSD kernels (gains, low-rank Loewner ratios, factors)
 * :mod:`enkf_lab.models` coefficient streams and the turbulence testbed
 * :mod:`enkf_lab.reference` exact/augmented Kalman benchmarks
 * :mod:`enkf_lab.effective_dim` low-effective-dimension verifier
@@ -37,16 +37,13 @@ from .enkf import (
     StepRecord,
     enkf_assimilate,
     enkf_forecast,
-    enkf_step,
 )
 from .linalg import (
     DimensionMismatch,
     NotPositiveDefinite,
-    SpectralDecomp,
     kalman_gain,
     kalman_update_operator,
     symmetrize,
-    top_p_projection,
 )
 from .models import (
     CoefficientStream,

@@ -226,8 +226,12 @@ def load_config(path: str, experiment: Optional[str] = None) -> ExperimentConfig
         _require(merged["trials"] >= 1, "trials must be >= 1", "rmt.trials")
         _require(1 <= merged["p"] <= merged["d"], f"p must satisfy 1 <= p <= d = {merged['d']}", "rmt.p")
         _require(merged["rho"] > 0, "rho must be > 0", "rmt.rho")
+        _require(merged["delta"] > 0, "delta must be > 0", "rmt.delta")
         # a key left out takes the driver's default, which meets its bound
-        for key, low in (("K_list", 2), ("tail_K", 2), ("tail_trials", 1), ("cond_targets", 1)):
+        for key, low in (
+            ("K_list", 2), ("tail_K", 2), ("tail_trials", 1), ("cond_targets", 1),
+            ("tail_min_count", 1),
+        ):
             value = merged.get(key, low)
             values = value if isinstance(value, tuple) else (value,)
             what = "entries" if key in _RMT_LISTS else key

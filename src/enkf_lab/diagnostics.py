@@ -278,22 +278,12 @@ def _concentration_trial(
         a = np.zeros((p, K))
     xi = np.sqrt(sig_vals)[:, None] * rng.standard_normal((p, K))
     xi -= xi.mean(axis=1, keepdims=True)
-    zv = a + xi
-    Z = zv @ zv.T / (K - 1)
-    D = a @ a.T / (K - 1) + np.diag(sig_vals)
-    eyep = np.eye(p)
-    lam = float(
-        scipy.linalg.eigh(
-            symmetrize(Z), symmetrize(D + rho * eyep), eigvals_only=True
-        )[-1]
-    )
-    lam = max(lam, 0.0)
-    mu = float(
-        scipy.linalg.eigh(
-            symmetrize(D + rho * eyep), symmetrize(Z + rho * eyep), eigvals_only=True
-        )[-1]
-    )
-    mu = max(mu, 1.0)  # orthocomplement block of the pencil sits at 1
+    # sample covariance F F.T against its mean a a.T / (K-1) + diag(sig) = G G.T
+    F = (a + xi) / np.sqrt(K - 1)
+    G = np.hstack((a / np.sqrt(K - 1), np.diag(np.sqrt(sig_vals))))
+    lam = lowrank_loewner_ratio(0.0, F, rho, G)
+    # orthocomplement block of the pencil sits at 1
+    mu = max(1.0, lowrank_loewner_ratio(rho, G, rho, F))
     thr = 1.0 + 5.0 * delta
     return ConcentrationTrial(
         d=d, p=p, K=K, rho=rho, delta=delta, lam=lam, mu=mu,

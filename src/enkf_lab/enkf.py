@@ -20,7 +20,11 @@ gain acts as ``eta kappa(s_i)`` on the spread's left singular vectors and
 as ``eta kappa(0)`` off them, the LETKF form) and the posterior spread, in
 O(K^2 d + K^3) per step with no d x d matrix. Otherwise a dense route
 (general H) factors the q x q gain system once and takes both the mean
-update and the posterior map from that gain.
+update and the posterior map from that gain. Both routes count the
+spread's rank ``m`` by one rule (:func:`~enkf_lab.linalg._gram_keep` on
+the squared singular values) and hand the posterior map's spectrum to
+one rank-p cut, :func:`_projection`, which keeps ``min(p, m)``
+directions and reports the first one left out.
 """
 
 from __future__ import annotations
@@ -41,7 +45,6 @@ from .linalg import (
     eigh_desc,
     positive_part_factor,
     symmetrize,
-    top_p_projection,
 )
 from .models import (
     DOMAIN_FORECAST,
@@ -64,14 +67,9 @@ __all__ = [
     "StepRecord",
     "enkf_forecast",
     "enkf_assimilate",
-    "enkf_step",
     "EnkfFilter",
     "sigma_plus_factor",
 ]
-
-# Relative singular-value cutoff for the dense route's spread SVD.
-SVD_RTOL = 1e-12
-
 
 class RankDeficit(UserWarning):
     """The projected target needs more directions than the spread spans."""
@@ -268,6 +266,30 @@ def _posterior(mean_plus, S_hat, S_plus, resid, cfg, rho_next):
     return ens, rec
 
 
+def _projection(lam, m: int, K: int, cfg):
+    """The rank-p cut both routes share: ``(take, w, rho_next)``.
+
+    ``lam`` is the posterior map's spectrum, descending, with at least
+    ``min(p+1, d)`` values, and ``m`` the number of directions the forecast
+    spread spans. The cut keeps the top ``take = min(p, m)`` directions,
+    with square-root transform weights ``w_i = sqrt((lam_i - rho)+ (K-1))``,
+    and warns :class:`RankDeficit` when more of the top p exceed rho than
+    the spread spans. ``rho_next`` is the (p+1)-th value, 0.0 when
+    ``lam`` has no more than p values (``p == d``).
+    """
+    p, rho = cfg.p, cfg.rho
+    want = int(np.count_nonzero(lam[:p] > rho))
+    if want > m:
+        warnings.warn(
+            f"projection wants {want} directions but the spread spans {m}",
+            RankDeficit,
+        )
+    take = min(p, m)
+    w = np.sqrt(np.maximum(lam[:take] - rho, 0.0) * (K - 1))
+    rho_next = float(lam[p]) if p < lam.shape[0] else 0.0
+    return take, w, rho_next
+
+
 def _kappa(s, eta: float, c: float):
     """Eigenvalue map of the update operator for H = eta I:
     s + c on the forecast side becomes (s + c) / (1 + eta^2 (s + c))."""
@@ -295,16 +317,11 @@ def _assimilate_structured(mean_hat, S_hat, eta, y, cfg):
     sing = np.sqrt(s * (K - 1))  # singular values of S_hat
     m = int(np.count_nonzero(_gram_keep(s, K)))
     kappa_tail = _kappa(0.0, eta, c)
-    p = cfg.p
-    n_above = int(np.count_nonzero(_kappa(s[:m], eta, c) > cfg.rho)) + (
-        (d - m) if kappa_tail > cfg.rho else 0
-    )
-    if min(n_above, p) > m:
-        warnings.warn(
-            f"projection wants {min(n_above, p)} directions but the spread "
-            f"spans {m}",
-            RankDeficit,
-        )
+    # the posterior map's spectrum: kappa(s_i) on the spread's m directions,
+    # the flat tail kappa(0) on the rest
+    lam = np.full(max(m, min(cfg.p + 1, d)), kappa_tail)
+    lam[:m] = _kappa(s[:m], eta, c)
+    take, w, rho_next = _projection(lam, m, K, cfg)
     if y is None:
         mean_plus, resid = mean_hat.copy(), np.zeros(0)
     else:
@@ -318,16 +335,7 @@ def _assimilate_structured(mean_hat, S_hat, eta, y, cfg):
         Phi_m = Phi[:, :m]
         t = Phi_m @ (g * (Phi_m.T @ (S_hat.T @ resid)))
         mean_plus = mean_hat + eta * (kappa_tail * resid + S_hat @ t)
-    take = min(p, m)
-    D = _kappa(s[:take], eta, c) - cfg.rho
-    w = np.sqrt(np.maximum(D, 0.0) * (K - 1))
     Phi_t = Phi[:, :take]
-    # (p+1)-th eigenvalue of the posterior map, padding the spectrum
-    # with the flat tail value
-    if p < d:
-        rho_next = _kappa(s[p], eta, c) if p < m else kappa_tail
-    else:
-        rho_next = 0.0
     return _posterior(
         mean_plus, S_hat, S_hat @ ((Phi_t * (w / sing[:take])) @ Phi_t.T),
         resid, cfg, rho_next,
@@ -335,7 +343,7 @@ def _assimilate_structured(mean_hat, S_hat, eta, y, cfg):
 
 
 def _assimilate_dense(mean_hat, S_hat, H, y, cfg):
-    """Dense route: explicit posterior map, projection, and SVD transform.
+    """Dense route: explicit posterior map, its eigenpairs, and SVD transform.
 
     One gain ``G`` of ``C_hat = S_hat S_hat.T / (K-1) + tau rho I``,
     from one factorization of the q x q system ``I + H C_hat H.T``,
@@ -352,20 +360,10 @@ def _assimilate_dense(mean_hat, S_hat, H, y, cfg):
         G, Kmat = _gain_and_update(C_hat, _dense(H))
         resid = y - np.asarray(H @ mean_hat).ravel()
         mean_plus = mean_hat + G @ resid
-    pairs, rho_next = top_p_projection(Kmat, cfg.p)
-    D = pairs.eigenvalues - cfg.rho
-    Q = pairs.eigenvectors
-    Psi, sing, PhiT = np.linalg.svd(S_hat, full_matrices=False)
-    keep = sing > SVD_RTOL * max(float(sing[0]) if sing.size else 0.0, 1e-300)
-    m = int(np.count_nonzero(keep))
-    n_pos = int(np.count_nonzero(D > 0))
-    if n_pos > m:
-        warnings.warn(
-            f"projection wants {n_pos} directions but the spread spans {m}",
-            RankDeficit,
-        )
-    take = min(cfg.p, m)
-    w = np.sqrt(np.maximum(D[:take], 0.0) * (K - 1))
+    lam, Q = eigh_desc(Kmat)
+    _, sing, PhiT = np.linalg.svd(S_hat, full_matrices=False)
+    m = int(np.count_nonzero(_gram_keep(sing * sing, K)))
+    take, w, rho_next = _projection(lam, m, K, cfg)
     # i-th eigenvector of the projected target pairs with the i-th right
     # singular direction of S_hat (both in descending order)
     return _posterior(
@@ -412,19 +410,6 @@ def enkf_assimilate(mean_hat, S_hat, coeffs: StepCoefficients, y, cfg: EnkfConfi
     if not np.all(np.isfinite(S_hat)):
         raise FilterDiverged(None, "forecast spread")
     return _assimilate_dense(mean_hat, S_hat, H, y, cfg)
-
-
-def enkf_step(
-    ens: Ensemble,
-    coeffs: StepCoefficients,
-    y,
-    cfg: EnkfConfig,
-    rng: np.random.Generator,
-    factor=None,
-):
-    """One full filter step: forecast then assimilate."""
-    mean_hat, S_hat = enkf_forecast(ens, coeffs, cfg, rng, factor=factor)
-    return enkf_assimilate(mean_hat, S_hat, coeffs, y, cfg)
 
 
 class EnkfFilter:
@@ -482,9 +467,8 @@ class EnkfFilter:
         rng = substream(self.seed, DOMAIN_FORECAST, self.n)
         factor = self._factor_for(coeffs)
         try:
-            self.ensemble, rec = enkf_step(
-                self.ensemble, coeffs, y, self.cfg, rng, factor=factor
-            )
+            mean_hat, S_hat = enkf_forecast(self.ensemble, coeffs, self.cfg, rng, factor=factor)
+            self.ensemble, rec = enkf_assimilate(mean_hat, S_hat, coeffs, y, self.cfg)
         except FilterDiverged as exc:
             raise FilterDiverged(self.n + 1, exc.quantity, self.seed) from None
         self.coeffs = coeffs

@@ -14,8 +14,6 @@ operator definitions, the ordering/sign conventions, and the error model.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 import scipy.linalg
 import scipy.sparse
@@ -23,13 +21,11 @@ import scipy.sparse
 __all__ = [
     "NotPositiveDefinite",
     "DimensionMismatch",
-    "SpectralDecomp",
     "symmetrize",
     "is_positive_definite",
     "lowrank_loewner_ratio",
     "kalman_gain",
     "kalman_update_operator",
-    "top_p_projection",
     "positive_part_factor",
     "factor_matrix",
     "eigh_desc",
@@ -110,20 +106,6 @@ def _gram_keep(g, K: int) -> np.ndarray:
     would keep them.
     """
     return g > K * np.finfo(float).eps * max(float(np.max(g)), 0.0)
-
-
-@dataclass
-class SpectralDecomp:
-    """Top-``k`` eigenpairs of a symmetric matrix, descending.
-
-    Attributes
-    ----------
-    eigenvalues : (k,) ndarray
-    eigenvectors : (d, k) ndarray, orthonormal columns
-    """
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
 
 
 def is_positive_definite(M) -> bool:
@@ -221,33 +203,6 @@ def _scaled_identity_coeff(H, d: int):
     if eta <= 0 or np.any(diag != eta):
         return None
     return float(eta)
-
-
-def top_p_projection(C, p: int):
-    """Top-``p`` eigenpairs of ``C`` and the first eigenvalue they leave out.
-
-    Parameters
-    ----------
-    C : (d, d) symmetric
-    p : int, 0 <= p <= d
-
-    Returns
-    -------
-    pairs : SpectralDecomp
-        The top-``p`` eigenpairs, descending; the projector onto their span
-        is ``V V.T`` with ``V = pairs.eigenvectors``.
-    rho_next : float
-        The (p+1)-th eigenvalue, 0.0 when ``p == d``.
-
-    One dense symmetric eigensolve (:func:`eigh_desc`) at every ``d``.
-    """
-    C = _as_square(C, "C")
-    d = C.shape[0]
-    if not 0 <= p <= d:
-        raise DimensionMismatch(f"p={p} out of range for d={d}")
-    w, V = eigh_desc(C)
-    rho_next = float(w[p]) if p < d else 0.0
-    return SpectralDecomp(np.array(w[:p]), np.array(V[:, :p])), rho_next
 
 
 def positive_part_factor(M) -> tuple[np.ndarray, np.ndarray]:

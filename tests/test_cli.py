@@ -237,8 +237,14 @@ def test_negative_seed_exits_2_naming_the_field(tmp_path, capsys, seeds, flag, f
         ({"tail_trials": 0}, "rmt.tail_trials"),
         ({"rho": -1}, "rmt.rho"),
         ({"cond_targets": [0.5]}, "rmt.cond_targets"),
+        ({"delta": -1}, "rmt.delta"),
+        ({"delta": 0}, "rmt.delta"),
+        ({"tail_min_count": 0}, "rmt.tail_min_count"),
     ],
-    ids=["p_above_d", "p_zero", "K_list", "tail_K", "tail_trials", "rho", "cond_targets"],
+    ids=[
+        "p_above_d", "p_zero", "K_list", "tail_K", "tail_trials", "rho", "cond_targets",
+        "delta_negative", "delta_zero", "tail_min_count",
+    ],
 )
 def test_out_of_range_rmt_values_exit_2(tmp_path, capsys, rmt, field):
     cfg = {"experiment": "rmt", "rmt": rmt}

@@ -525,39 +525,48 @@ def test_structured_route_matches_dense_route():
 
 
 def test_structured_route_cuts_rank_like_dense_route():
-    # an exactly rank-3 spread at d=50, K=10: the null Gram eigenvalues
-    # (~eps s_0) must not count as directions, so both routes see m = 3 and
-    # both warn; tau > 1 puts the flat tail kappa(0) above rho
+    # both routes count the spread's rank by one rule at d=50, K=10, and
+    # both warn; tau > 1 puts the flat tail kappa(0) above rho. Input one
+    # is an exactly rank-3 spread, whose null Gram eigenvalues (~eps s_0)
+    # must not count as directions. Input two has three O(1) singular
+    # values and two at 1e-10 of the largest: their Gram eigenvalues,
+    # 1e-20 of the largest, sit below the roundoff floor, so neither route
+    # fills those two directions.
     d, K, eta = 50, 10, 0.5
     cfg = EnkfConfig(K=K, p=6, r=1.1, rho=0.04, tau=2.0)
     rng = np.random.default_rng(11)
-    S_hat = rng.standard_normal((d, 3)) @ rng.standard_normal((3, K))
-    S_hat -= S_hat.mean(axis=1, keepdims=True)
+    exact = rng.standard_normal((d, 3)) @ rng.standard_normal((3, K))
+    U = np.linalg.qr(rng.standard_normal((d, 5)))[0]
+    V = rng.standard_normal((K, 5))
+    V = np.linalg.qr(V - V.mean(axis=0))[0]  # columns orthogonal to ones
+    near = (U * np.array([3.0, 2.0, 1.5, 3e-10, 3e-10])) @ V.T
     H = scipy.sparse.identity(d, format="csr") * eta
     coeffs = StepCoefficients(A=np.eye(d), B=np.zeros(d), Sigma=np.eye(d), H=H)
     y, mean_hat = np.cos(np.arange(d)), np.sin(np.arange(d))
-    out = {}
-    for route, run in (
-        ("structured", lambda: enkf_assimilate(mean_hat, S_hat, coeffs, y, cfg)),
-        ("dense", lambda: _assimilate_dense(mean_hat, S_hat, H, y, cfg)),
-    ):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            ens, rec = run()
-        out[route] = (
-            [str(w.message) for w in caught if issubclass(w.category, RankDeficit)],
-            ens,
+    for S_hat in (exact, near):
+        S_hat = S_hat - S_hat.mean(axis=1, keepdims=True)
+        out = {}
+        for route, run in (
+            ("structured", lambda: enkf_assimilate(mean_hat, S_hat, coeffs, y, cfg)),
+            ("dense", lambda: _assimilate_dense(mean_hat, S_hat, H, y, cfg)),
+        ):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                ens, rec = run()
+            out[route] = (
+                [str(w.message) for w in caught if issubclass(w.category, RankDeficit)],
+                ens,
+            )
+        assert out["structured"][0] == out["dense"][0]
+        assert out["dense"][0] == ["projection wants 6 directions but the spread spans 3"]
+        for _, ens in out.values():
+            sv = np.linalg.svd(ens.spread, compute_uv=False)
+            assert np.count_nonzero(sv > 1e-12 * sv[0]) == 3
+        np.testing.assert_allclose(
+            out["structured"][1].spread @ out["structured"][1].spread.T,
+            out["dense"][1].spread @ out["dense"][1].spread.T,
+            atol=1e-12,
         )
-    assert out["structured"][0] == out["dense"][0]
-    assert out["dense"][0] == ["projection wants 6 directions but the spread spans 3"]
-    for _, ens in out.values():
-        sv = np.linalg.svd(ens.spread, compute_uv=False)
-        assert np.count_nonzero(sv > 1e-12 * sv[0]) == 3
-    np.testing.assert_allclose(
-        out["structured"][1].spread @ out["structured"][1].spread.T,
-        out["dense"][1].spread @ out["dense"][1].spread.T,
-        atol=1e-12,
-    )
 
 
 def test_structured_route_unobserved_matches_dense():
@@ -788,6 +797,9 @@ def test_posterior_sandwich(structured):
     Kmat = kalman_op(C_hat, coeffs.H)
     C_plus = ens.spread @ ens.spread.T / (K - 1)
     assert rec.projection_discard <= cfg.rho + 1e-12
+    # the (p+1)-th eigenvalue of K(C_hat), 0 when p = d
+    w = np.linalg.eigvalsh(Kmat)[::-1]
+    assert rec.projection_discard == pytest.approx(w[p] if p < d else 0.0, abs=1e-10)
     upper = np.linalg.eigvalsh(Kmat - C_plus)
     assert upper[0] >= -1e-9
     lower = np.linalg.eigvalsh(C_plus + cfg.rho * np.eye(d) - Kmat)

@@ -1,4 +1,4 @@
-"""Tests for the PSD kernel layer: gains, ratios, projections, factors."""
+"""Tests for the PSD kernel layer: gains, ratios, eigenpairs, factors."""
 
 import numpy as np
 import pytest
@@ -17,7 +17,6 @@ from enkf_lab.linalg import (
     positive_part_factor,
     factor_matrix,
     symmetrize,
-    top_p_projection,
 )
 
 from oracles import (
@@ -307,60 +306,44 @@ def test_make_gain_context_singular_inner_solve():
         make_gain_context(S, np.eye(2), 0.1)
 
 
-def projector(pairs):
-    """Orthogonal projector ``V V.T`` onto the span of the pairs' eigenvectors."""
-    V = pairs.eigenvectors
-    return symmetrize(V @ V.T)
-
-
-def test_top_p_projection_small():
-    C = np.diag([5.0, 3.0, 1.0])
-    pairs, rho_next = top_p_projection(C, 2)
-    P = projector(pairs)
-    np.testing.assert_allclose(P, np.diag([1.0, 1.0, 0.0]), atol=1e-12)
-    np.testing.assert_allclose(pairs.eigenvalues, [5.0, 3.0])
-    assert rho_next == pytest.approx(1.0)
-
-
-def test_top_p_projection_edges():
-    C = np.diag([2.0, 1.0])
-    pairs0, rn0 = top_p_projection(C, 0)
-    assert np.array_equal(projector(pairs0), np.zeros((2, 2)))
-    assert rn0 == pytest.approx(2.0)
-    pairsd, rnd = top_p_projection(C, 2)
-    np.testing.assert_allclose(projector(pairsd), np.eye(2), atol=1e-12)
-    assert rnd == 0.0
-
-
-def test_top_p_projection_projector_properties():
+def test_eigh_desc_projector_properties():
+    # the top-p eigenvectors span an orthogonal projector, and w[p] is the
+    # first eigenvalue they leave out
     rng = np.random.default_rng(7)
     for _ in range(10):
         d = int(rng.integers(2, 15))
         p = int(rng.integers(0, d + 1))
         C = rand_psd(rng, d)
-        pairs, rho_next = top_p_projection(C, p)
-        P = projector(pairs)
+        w, V = eigh_desc(C)
+        P = symmetrize(V[:, :p] @ V[:, :p].T)
         np.testing.assert_allclose(P @ P, P, atol=1e-10)
         np.testing.assert_allclose(P, P.T, atol=0)
-        assert pairs.eigenvectors.shape == (d, p)
+        assert V[:, :p].shape == (d, p)
         if p < d:
-            w = np.linalg.eigvalsh(C)[::-1]
-            np.testing.assert_allclose(rho_next, w[p], atol=1e-10)
+            np.testing.assert_allclose(w[p], np.linalg.eigvalsh(C)[::-1][p], atol=1e-10)
 
 
-def test_top_p_projection_large_d_matches_eigvalsh():
-    # d > 512 runs through the same single eigh path as small d
+def test_eigh_desc_large_d_matches_eigvalsh():
     rng = np.random.default_rng(8)
     d = 600
     F = rng.standard_normal((d, 12))
     C = F @ F.T + 1e-3 * np.eye(d)
-    pairs, rho_next = top_p_projection(C, 5)
+    w, V = eigh_desc(C)
     w_all = np.linalg.eigvalsh(C)[::-1]
-    np.testing.assert_allclose(pairs.eigenvalues, w_all[:5], rtol=1e-7)
-    np.testing.assert_allclose(rho_next, w_all[5], rtol=1e-6)
-    V = pairs.eigenvectors
+    np.testing.assert_allclose(w[:5], w_all[:5], rtol=1e-7)
+    np.testing.assert_allclose(w[5], w_all[5], rtol=1e-6)
+    V = V[:, :5]
     np.testing.assert_allclose(V.T @ V, np.eye(5), atol=1e-8)
-    np.testing.assert_allclose(C @ V, V * pairs.eigenvalues, atol=1e-5 * w_all[0])
+    np.testing.assert_allclose(C @ V, V * w[:5], atol=1e-5 * w_all[0])
+
+
+def test_every_exported_name_resolves():
+    import importlib
+
+    for name in ("diagnostics", "effective_dim", "enkf", "linalg", "models", "reference"):
+        module = importlib.import_module(f"enkf_lab.{name}")
+        missing = [n for n in module.__all__ if not hasattr(module, n)]
+        assert missing == [], f"enkf_lab.{name}.__all__ names {missing}"
 
 
 def test_positive_part_clamps():
