@@ -60,16 +60,11 @@ from .models import (
 )
 from .reference import (
     AugmentedRiccatiState,
-    DivergentMode,
     KalmanState,
-    NoConvergence,
     augmented_riccati_step,
     kalman_step,
-    observability_gramian,
     stationary_riccati_ambient,
     stationary_riccati_diag,
-    unfiltered_covariance,
-    unfiltered_mode_values,
 )
 from .diagnostics import (
     ConcentrationTrial,

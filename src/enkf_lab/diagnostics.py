@@ -175,12 +175,15 @@ def _step_diagnostics(step, rec, S_prev, A, sigma_plus, x_true, L, cfg) -> Filte
         rec.forecast_spread, A, S_prev, sigma_plus, cfg.r, cfg.tau, cfg.rho
     )
     X = rec.posterior.spread / np.sqrt(K - 1)  # C_post = X X.T
-    # C_post <= nu r_ref  iff  (L^{-1} X)(L^{-1} X).T <= nu I
+    # C_post <= nu r_ref  iff  (L^{-1} X)(L^{-1} X).T <= nu I: the ratio is the
+    # top eigenvalue of Z Z.T, which the K x K Gram Z.T Z shares (Z Z.T
+    # itself is the smaller one when K > d)
     if L.ndim == 1:
         Z = L[:, None] * X
     else:
         Z = scipy.linalg.solve_triangular(L, X, lower=True)
-    cov_fidelity = lowrank_loewner_ratio(0.0, Z, 1.0, np.empty((d, 0)))
+    gram = Z.T @ Z if K <= d else Z @ Z.T
+    cov_fidelity = max(float(np.linalg.eigvalsh(gram)[-1]), 0.0)
     e = rec.posterior.mean - x_true
     # e.T (C_post + rho I)^{-1} e is the ratio of e e.T to C_post + rho I;
     # taken on span[e, X], it does not cancel when e lies almost in span(X)
@@ -213,7 +216,8 @@ def run_filter_experiment(
     is the 200-step augmented Riccati iterate. It is checked and factored
     once, before any seed runs: a wrong shape raises
     :class:`DimensionMismatch`, a non-finite or non-positive definite one
-    :class:`NotPositiveDefinite`. Returns
+    :class:`NotPositiveDefinite`, which names the default reference and
+    its diagonal range when the run built it. Returns
     ``(per_seed, aggregate)`` where ``per_seed`` maps seed to a list of
     :class:`FilterDiagnostics` and ``aggregate`` holds per-step mean and
     (0.1, 0.5, 0.9) quantiles of the error quantities across seeds.
@@ -221,7 +225,17 @@ def run_filter_experiment(
     d = stream.d
     if r_ref is None:
         r_ref = _long_run_reference(stream, cfg)
-    L = _reference_factor(r_ref, d)
+        try:
+            L = _reference_factor(r_ref, d)
+        except NotPositiveDefinite as exc:
+            diag = np.diag(r_ref)
+            raise NotPositiveDefinite(
+                "the default reference (the 200-step augmented Riccati iterate) "
+                f"is not positive definite: its diagonal runs from {diag.min():.6g} "
+                f"to {diag.max():.6g}"
+            ) from exc
+    else:
+        L = _reference_factor(r_ref, d)
     per_seed = {}
     for seed in seeds:
         truth = simulate_truth(stream, np.zeros(d), T, seed)

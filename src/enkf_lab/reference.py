@@ -1,6 +1,6 @@
-"""Reference filters: exact Kalman recursion, augmented Riccati benchmark,
-unfiltered covariance bound, stationary per-mode Riccati solve, and the
-observability Gramian.
+"""Reference filters: the exact Kalman recursion, the augmented Riccati
+benchmark, and the stationary per-wavenumber Riccati values of the
+observed turbulence model in closed form.
 
 The augmented recursion inflates the exact one: covariances advance by
 ``R_hat' = r^2 A R' A.T + Sigma'`` and update through the Kalman map.
@@ -25,7 +25,6 @@ from .enkf import sigma_plus_factor
 from .linalg import (
     DimensionMismatch,
     _dense,
-    _diag_or_none,
     _gain_and_update,
     factor_matrix,
     kalman_update_operator,
@@ -34,26 +33,13 @@ from .linalg import (
 from .models import CoefficientStream, StepCoefficients, TurbulenceParams
 
 __all__ = [
-    "NoConvergence",
-    "DivergentMode",
     "KalmanState",
     "AugmentedRiccatiState",
     "kalman_step",
     "augmented_riccati_step",
-    "unfiltered_covariance",
-    "unfiltered_mode_values",
     "stationary_riccati_diag",
     "stationary_riccati_ambient",
-    "observability_gramian",
 ]
-
-
-class NoConvergence(RuntimeError):
-    """A fixed-point iteration failed to converge."""
-
-
-class DivergentMode(RuntimeError):
-    """A mode's closed-form equilibrium variance diverges."""
 
 
 @dataclass
@@ -153,107 +139,30 @@ def _benchmark_iterates(stream: CoefficientStream, r, tau, rho):
         yield coeffs, state
 
 
-def unfiltered_covariance(
-    stream: CoefficientStream, r, tau, rho, n_steps: int = 200
-) -> np.ndarray:
-    """Equilibrium covariance of the inflated unfiltered recursion.
-
-    Iterates ``V'_{n+1} = r^2 A V' A.T + r^2 (Sigma + tau rho I)``. For a
-    constant stream with diagonal A and Sigma the closed-form fixed point
-    ``v_i = r^2 (Sigma_ii + tau rho) / (1 - r^2 a_i^2)`` is returned, and
-    a mode with nonpositive denominator and positive numerator raises
-    :class:`DivergentMode` naming it. Otherwise ``n_steps`` iterations
-    from zero are returned.
-    """
-    c0 = stream.at(0)
-    homogeneous = c0 is stream.at(1)
-    if homogeneous:
-        a = _diag_or_none(c0.A)
-        s = _diag_or_none(c0.Sigma)
-        if a is not None and s is not None:
-            num = r * r * (s + tau * rho)
-            den = 1.0 - r * r * a * a
-            bad = (den <= 0) & (num > 0)
-            if np.any(bad):
-                k = int(np.nonzero(bad)[0][0])
-                raise DivergentMode(
-                    f"mode {k}: r^2 a^2 = {r * r * a[k] * a[k]:.6g} >= 1"
-                )
-            out = np.zeros_like(num)
-            ok = den > 0
-            out[ok] = num[ok] / den[ok]
-            return np.diag(out)
-    V = np.zeros((stream.d, stream.d))
-    for n in range(n_steps):
-        c = c0 if homogeneous else stream.at(n)
-        A = _dense(c.A)
-        S = _dense(c.Sigma)
-        V = symmetrize(r * r * (A @ V @ A.T) + r * r * (S + tau * rho * np.eye(stream.d)))
-    return V
-
-
-def unfiltered_mode_values(params: TurbulenceParams, r=None, tau=None, rho=None):
-    """Per-wavenumber closed-form equilibrium values for the turbulence model.
-
-    Returns ``(v, den)`` over k = 0..J where
-    ``v_k = r^2 (Sigma_kk + tau rho) / den_k``, ``den_k = 1 - r^2 e^{-2 gamma_k h}``.
-    Entries with ``den_k <= 0`` are reported as ``inf`` (divergent mode);
-    callers decide how divergence enters their criterion.
-    """
-    r = params.r if r is None else r
-    tau = params.tau if tau is None else tau
-    rho = params.rho if rho is None else rho
-    g = params.gamma()
-    num = r * r * (params.mode_sigma() + tau * rho)
-    den = 1.0 - r * r * np.exp(-2.0 * g * params.h)
-    v = np.full(params.J + 1, np.inf)
-    ok = den > 0
-    v[ok] = num[ok] / den[ok]
-    zero = (~ok) & (num == 0)
-    v[zero] = 0.0
-    return v, den
-
-
 def stationary_riccati_diag(params: TurbulenceParams, r=None, tau=None, rho=None):
     """Stationary per-wavenumber variances of the observed turbulence model.
 
-    Solves, for each k, the scalar fixed point
-    ``r_k = sigma_obs * rhat_k / (sigma_obs + (2J+1) rhat_k)`` with
-    ``rhat_k = r^2 r_k e^{-2 gamma_k h} + r^2 Sigma_kk + tau rho``
-    by damped Picard iteration from 0 (absolute tolerance 1e-12, damping
-    0.5 on oscillation).
-
-    Raises
-    ------
-    NoConvergence
-        After 1e5 iterations without meeting the tolerance.
+    For each k, the fixed point of
+    ``f(x) = so (a x + b) / (so + d (a x + b))`` with ``so = sigma_obs``,
+    ``d = 2J + 1``, ``a = r^2 e^{-2 gamma_k h}`` and
+    ``b = r^2 Sigma_kk + tau rho``. ``f`` is increasing and concave, so its
+    iterates from 0 rise to the one nonnegative root of
+    ``d a x^2 + B x - so b = 0``, ``B = so (1 - a) + d b``, taken here in
+    closed form without cancellation (0 where ``b = 0``).
     """
     if params.sigma_obs is None:
         raise ValueError("sigma_obs must be set for the observed stationary solve")
     r = params.r if r is None else r
     tau = params.tau if tau is None else tau
     rho = params.rho if rho is None else rho
-    sig = params.mode_sigma()
-    decay = np.exp(-2.0 * params.gamma() * params.h)
-    so = params.sigma_obs
-    d = params.d
-
-    def f(x):
-        rhat = r * r * x * decay + r * r * sig + tau * rho
-        return so * rhat / (so + d * rhat)
-
-    x = np.zeros(params.J + 1)
-    prev_delta = np.zeros_like(x)
-    for _ in range(100_000):
-        x_new = f(x)
-        delta = x_new - x
-        osc = (delta * prev_delta) < 0
-        x_next = np.where(osc, 0.5 * (x + x_new), x_new)
-        if np.all(np.abs(x_next - x) < 1e-12):
-            return x_next
-        prev_delta = x_next - x
-        x = x_next
-    raise NoConvergence("stationary Riccati iteration exceeded 1e5 steps")
+    so, d = params.sigma_obs, params.d
+    a = r * r * np.exp(-2.0 * params.gamma() * params.h)
+    b = r * r * params.mode_sigma() + tau * rho
+    B = so * (1.0 - a) + d * b
+    root = np.sqrt(B * B + 4.0 * d * a * so * b)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        x = np.where(B >= 0, 2.0 * so * b / (B + root), (root - B) / (2.0 * d * a))
+    return np.where(b > 0, x, 0.0)
 
 
 def stationary_riccati_ambient(params: TurbulenceParams, **kw) -> np.ndarray:
@@ -264,29 +173,3 @@ def stationary_riccati_ambient(params: TurbulenceParams, **kw) -> np.ndarray:
     out[1::2] = vals[1:]
     out[2::2] = vals[1:]
     return out
-
-
-def observability_gramian(stream: CoefficientStream, m: int, r) -> tuple[np.ndarray, float]:
-    """Inflated observability Gramian over an m-step window.
-
-    ``O_m = sum_{k=1}^m A_{k,1}.T H_k.T H_k A_{k,1}`` with
-    ``A_{k,j} = r^{k-j} A_{k-1} ... A_j`` and the empty product equal to
-    the identity. Returns ``(O_m, c_m)`` where ``c_m`` is the smallest
-    eigenvalue; the caller checks ``c_m > 0`` for observability.
-    """
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    d = stream.d
-    P = np.eye(d)
-    O = np.zeros((d, d))
-    for k in range(1, m + 1):
-        if k > 1:
-            A_prev = _dense(stream.at(k - 2).A)
-            P = r * (A_prev @ P)
-        H = stream.at(k - 1).H
-        if H is not None:
-            HP = np.asarray(H @ P, dtype=float)
-            O += HP.T @ HP
-    O = symmetrize(O)
-    c_m = float(np.linalg.eigvalsh(O)[0])
-    return O, c_m

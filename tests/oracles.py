@@ -99,6 +99,27 @@ def instability_covariance(coeffs, r, tau, rho) -> np.ndarray:
     return positive_part(M - (rho * tau / r) * np.eye(d))
 
 
+def unfiltered_mode_values(params, r=None, tau=None, rho=None):
+    """Per-wavenumber closed-form equilibrium values for the turbulence model.
+
+    Returns ``(v, den)`` over k = 0..J where
+    ``v_k = r^2 (Sigma_kk + tau rho) / den_k``, ``den_k = 1 - r^2 e^{-2 gamma_k h}``.
+    Entries with ``den_k <= 0`` are reported as ``inf`` (divergent mode).
+    The unfiltered limit that ``reference.stationary_riccati_diag`` must
+    approach as sigma_obs grows.
+    """
+    r = params.r if r is None else r
+    tau = params.tau if tau is None else tau
+    rho = params.rho if rho is None else rho
+    num = r * r * (params.mode_sigma() + tau * rho)
+    den = 1.0 - r * r * np.exp(-2.0 * params.gamma() * params.h)
+    v = np.full(params.J + 1, np.inf)
+    ok = den > 0
+    v[ok] = num[ok] / den[ok]
+    v[(~ok) & (num == 0)] = 0.0
+    return v, den
+
+
 def forecast_per_member(ens, coeffs, cfg, rng, factor):
     """The forecast with one :func:`sample_noise` call per member, written
     column by column: the loop that ``enkf_forecast``'s batched draw replaced."""

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -82,6 +83,19 @@ def test_rho_grid_adds_minimal_p(tmp_path):
     assert rows[0.04] == 15
     ps = [row["p_effective"] for row in report["minimal_p"]]
     assert ps == sorted(ps, reverse=True)
+
+
+def test_verify_dim_near_unit_inflation(tmp_path, capsys):
+    # r near 1 and a large sigma_obs: the stationary values converge too
+    # slowly to find by iteration, and the closed form gives them at once
+    model = {
+        "J": 22, "sigma_obs": 121510705.4025342, "tau": 2.0964397224238445, "E0": 0.0,
+        "r": 1.0043538742397193, "rho": 0.0001159128771666608,
+        "gamma0": 0.0010451874493350177, "h": 0.38689539022414365,
+    }
+    path = write_config(tmp_path, {"experiment": "verify-dim", "model": model})
+    assert cli_main(["verify-dim", "--config", path, "--out", str(tmp_path / "o")]) == 0
+    assert "p = 23" in capsys.readouterr().out
 
 
 # ---------------------------------------------------------------- exit codes
@@ -299,6 +313,19 @@ def test_simulate_divergence_exits_1_naming_seed_and_step(tmp_path, capsys, monk
     assert rc == 1
     err = capsys.readouterr().err
     assert "FilterDiverged" in err and "step 3" in err and "seed 7" in err
+
+
+def test_simulate_unfiltered_preset_names_the_default_reference(tmp_path, capsys):
+    # no r_ref is configured, so the failure names the one the run built
+    cfg = {"experiment": "simulate", "model": "kolmogorov-unfiltered",
+           "enkf": {"K": 8, "p": 4}, "T": 3, "seeds": [0]}
+    rc = cli_main(["simulate", "--config", write_config(tmp_path, cfg), "--out", str(tmp_path / "o")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "NotPositiveDefinite: the default reference (the 200-step augmented Riccati iterate)" in err
+    lo, hi = map(float, re.search(r"diagonal runs from (\S+) to (\S+)", err).groups())
+    # the divergent modes grow without bound; no entry is zero
+    assert lo == pytest.approx(0.0249, rel=1e-3) and hi > 1e14
 
 
 # ------------------------------------------------------------ config semantics
