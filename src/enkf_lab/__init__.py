@@ -59,7 +59,6 @@ from .models import (
     simulate_truth,
 )
 from .reference import (
-    AugmentedRiccatiState,
     KalmanState,
     augmented_riccati_step,
     kalman_step,

@@ -25,7 +25,7 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass, field, fields as dc_fields
+from dataclasses import dataclass, fields as dc_fields
 from typing import Optional, Sequence
 
 import numpy as np
@@ -67,7 +67,7 @@ _RMT_DEFAULTS = dict(
     d=200, p=5, K_list=(10, 20, 40, 80), rho=0.1, delta=0.1, trials=2000
 )
 
-_COMMON_KEYS = {"experiment", "model", "seeds", "seed", "output_dir"}
+_COMMON_KEYS = {"experiment", "model", "seeds", "output_dir"}
 _ALLOWED_KEYS = {
     "simulate": _COMMON_KEYS | {"enkf", "T"},
     "verify-dim": _COMMON_KEYS | {"rho_grid"},
@@ -99,7 +99,6 @@ class ExperimentConfig:
     rmt: Optional[dict] = None
     rho_grid: Optional[tuple] = None
     output_dir: Optional[str] = None
-    model_name: Optional[str] = field(default=None, compare=False)
 
 
 def _require(cond, message, field_name):
@@ -109,7 +108,8 @@ def _require(cond, message, field_name):
 
 def _convert(kind, raw, field_name):
     """The JSON number ``raw`` as ``kind`` (int or float). Anything else,
-    or a fractional value where ``kind`` is int, is a ParseError naming
+    a fractional value where ``kind`` is int, or an integer literal beyond
+    the float range where ``kind`` is float, is a ParseError naming
     ``field_name``."""
     number = isinstance(raw, (int, float)) and not isinstance(raw, bool)
     _require(
@@ -117,7 +117,10 @@ def _convert(kind, raw, field_name):
         f"expected {'an integer' if kind is int else 'a number'}, got {raw!r}",
         field_name,
     )
-    return kind(raw)
+    try:
+        return kind(raw)
+    except OverflowError:
+        raise ParseError(f"{raw} is not a finite JSON number", field=field_name) from None
 
 
 def _convert_list(kind, raw, field_name) -> tuple:
@@ -143,23 +146,29 @@ def _finite_float(token: str) -> float:
     return value
 
 
-def _parse_model(raw) -> tuple:
+def _parse_model(raw) -> TurbulenceParams:
     if isinstance(raw, str):
         _require(raw in MODEL_PRESETS, f"unknown model preset {raw!r} "
                  f"(known: {', '.join(sorted(MODEL_PRESETS))})", "model")
-        return TurbulenceParams(**MODEL_PRESETS[raw]), raw
+        return TurbulenceParams(**MODEL_PRESETS[raw])
     _require(isinstance(raw, dict), "model must be a preset name or an object", "model")
     _reject_unknown(raw, _MODEL_KEYS, "model")
     kwargs = dict(raw)
-    if "omega_spec" in kwargs and kwargs["omega_spec"] is not None:
-        kwargs["omega_spec"] = _convert_list(float, kwargs["omega_spec"], "model.omega_spec")
-    kwargs.setdefault("tau", 1.0)  # single-timescale default
+    for key, value in raw.items():
+        if value is None and key in ("sigma_obs", "omega_spec"):
+            continue
+        if key == "omega_spec":
+            kwargs[key] = _convert_list(float, value, "model.omega_spec")
+        elif key == "J":
+            kwargs[key] = _convert(int, value, "model.J")
+        else:
+            _convert(float, value, f"model.{key}")  # checked, kept as written
     try:
         params = TurbulenceParams(**kwargs)
         params.validate()
     except (InvalidParams, TypeError, ValueError) as exc:
         raise ParseError(str(exc), field="model") from exc
-    return params, None
+    return params
 
 
 def _parse_seeds(raw) -> tuple:
@@ -207,7 +216,7 @@ def load_config(path: str, experiment: Optional[str] = None) -> ExperimentConfig
     _reject_unknown(raw, _ALLOWED_KEYS[exp], note=f" for experiment {exp!r}")
 
     cfg = ExperimentConfig(experiment=exp)
-    cfg.seeds = _parse_seeds(raw.get("seeds", raw.get("seed")))
+    cfg.seeds = _parse_seeds(raw.get("seeds"))
     if "output_dir" in raw and raw["output_dir"] is not None:
         _require(isinstance(raw["output_dir"], str), "must be a string", "output_dir")
         cfg.output_dir = raw["output_dir"]
@@ -241,11 +250,12 @@ def load_config(path: str, experiment: Optional[str] = None) -> ExperimentConfig
 
     model_raw = raw.get("model")
     _require(model_raw is not None, "experiment needs a 'model' section", "model")
-    cfg.model, cfg.model_name = _parse_model(model_raw)
+    cfg.model = _parse_model(model_raw)
 
     if exp == "verify-dim":
         if raw.get("rho_grid") is not None:
             cfg.rho_grid = _convert_list(float, raw["rho_grid"], "rho_grid")
+            _require(all(x > 0 for x in cfg.rho_grid), "entries must be positive", "rho_grid")
         return cfg
 
     # simulate / stability / accuracy: ensemble + horizon
@@ -328,7 +338,7 @@ def _config_comment(cfg: ExperimentConfig) -> str:
 def _reference_for(model: TurbulenceParams):
     if model.sigma_obs is None:
         return None
-    return stationary_riccati_ambient(model, r=model.r, tau=model.tau, rho=model.rho)
+    return stationary_riccati_ambient(model)
 
 
 def _run_simulate(cfg: ExperimentConfig, out_dir: str) -> int:

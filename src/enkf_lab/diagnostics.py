@@ -156,12 +156,9 @@ def _reference_factor(r_ref, d: int) -> np.ndarray:
 
 
 def _long_run_reference(stream, cfg, burn_in: int = 200) -> np.ndarray:
-    """Long-run augmented Riccati iterate (stationary-benchmark noise)."""
-    cov = np.zeros((stream.d, stream.d))
+    """The ``burn_in``-th augmented Riccati iterate (stationary-benchmark noise)."""
     iterates = _benchmark_iterates(stream, cfg.r, cfg.tau, cfg.rho)
-    for _, state in itertools.islice(iterates, burn_in):
-        cov = state.cov
-    return cov
+    return next(itertools.islice(iterates, burn_in - 1, None))[1]
 
 
 def _step_diagnostics(step, rec, S_prev, A, sigma_plus, x_true, L, cfg) -> FilterDiagnostics:

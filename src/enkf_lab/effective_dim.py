@@ -79,14 +79,13 @@ def _pm_count(modes) -> int:
     return sum(1 if k == 0 else 2 for k in modes)
 
 
-def instability_modes(params: TurbulenceParams, rho=None, r=None, tau=None) -> list:
+def instability_modes(params: TurbulenceParams, rho=None) -> list:
     """Wavenumbers in the additive inflation target's support.
 
     Membership: ``rho e^{-2 gamma_k h} + Sigma_kk >= tau rho / r``.
     """
     rho = params.rho if rho is None else rho
-    r = params.r if r is None else r
-    tau = params.tau if tau is None else tau
+    r, tau = params.r, params.tau
     lhs = rho * np.exp(-2.0 * params.gamma() * params.h) + params.mode_sigma()
     return [int(k) for k in np.nonzero(lhs >= tau * rho / r)[0]]
 
@@ -205,14 +204,14 @@ def verify_dim_general(
     max_rank = 0
     worst_idx: list = []
     iterates = _benchmark_iterates(stream, r, tau, rho)
-    for coeffs, state in itertools.islice(iterates, burn_in, burn_in + window):
-        w = np.linalg.eigvalsh(state.cov)
+    for coeffs, cov in itertools.islice(iterates, burn_in, burn_in + window):
+        w = np.linalg.eigvalsh(cov)
         above = [int(i) for i in np.nonzero(w > rho)[0]]
         if len(above) > max_cov:
             max_cov = len(above)
             worst_idx = above
         # Sigma+'s rank from its factor's eigenvalues, all of them positive
-        _, s = sigma_plus_factor(coeffs, state)
+        _, s = sigma_plus_factor(coeffs, r, tau, rho)
         rank = int(np.sum(s > PD_RTOL * max(1.0, float(s.max(initial=0.0)))))
         max_rank = max(max_rank, rank)
     return DimReport(

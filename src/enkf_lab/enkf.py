@@ -178,21 +178,16 @@ class StepRecord:
     projection_discard: float
 
 
-def sigma_plus_factor(coeffs: StepCoefficients, cfg):
+def sigma_plus_factor(coeffs: StepCoefficients, r, tau, rho):
     """Low-rank factor (U, s) of the additive inflation target
     Sigma+ = PSD part of ``rho A A.T + Sigma - (rho tau / r) I``.
 
-    Reads only ``cfg.r``, ``cfg.tau`` and ``cfg.rho``, so an
-    :class:`EnkfConfig` and an
-    :class:`~enkf_lab.reference.AugmentedRiccatiState` both serve; the
-    filter, the augmented reference recursion and the dimension verifier
-    all take Sigma+ from here. It guarantees
-    ``r Sigma+ + rho tau I >= r (rho A A.T + Sigma)`` in the Loewner order,
-    which is what lets multiplicative inflation by ``r`` dominate the
-    forecast covariance growth. Sparse diagonal-structured coefficients
+    The filter and the dimension verifier both take Sigma+ from here. It
+    guarantees ``r Sigma+ + rho tau I >= r (rho A A.T + Sigma)`` in the
+    Loewner order, which is what lets multiplicative inflation by ``r``
+    dominate the forecast covariance growth. Sparse diagonal-structured coefficients
     stay O(d); anything else falls back to a dense eigendecomposition.
     """
-    r, tau, rho = cfg.r, cfg.tau, cfg.rho
     A, Sigma = coeffs.A, coeffs.Sigma
     d = A.shape[0]
     if scipy.sparse.issparse(A) and scipy.sparse.issparse(Sigma):
@@ -233,7 +228,7 @@ def enkf_forecast(
     the block to all K draws.
     """
     if factor is None:
-        factor = sigma_plus_factor(coeffs, cfg)
+        factor = sigma_plus_factor(coeffs, cfg.r, cfg.tau, cfg.rho)
     U, s = factor
     K, m = ens.K, s.shape[0]
     Z = np.empty((K, m))
@@ -440,7 +435,9 @@ class EnkfFilter:
         self.seed = int(seed)
         self.n = 0
         self.coeffs: Optional[StepCoefficients] = None
-        self._factor_memo = _LastValueMemo(lambda coeffs: sigma_plus_factor(coeffs, cfg))
+        self._factor_memo = _LastValueMemo(
+            lambda coeffs: sigma_plus_factor(coeffs, cfg.r, cfg.tau, cfg.rho)
+        )
         mean0 = (
             np.zeros(stream.d)
             if init_mean is None

@@ -27,7 +27,6 @@ __all__ = [
     "kalman_gain",
     "kalman_update_operator",
     "positive_part_factor",
-    "factor_matrix",
     "eigh_desc",
 ]
 
@@ -231,10 +230,3 @@ def positive_part_factor(M) -> tuple[np.ndarray, np.ndarray]:
     w, V = np.linalg.eigh(symmetrize(_dense(M)))
     pos = w > 0.0
     return V[:, pos], w[pos]
-
-
-def factor_matrix(factor) -> np.ndarray:
-    """Densify a ``(U, s)`` factor into ``U diag(s) U.T``."""
-    U, s = factor
-    U = _dense(U)
-    return (U * s) @ U.T

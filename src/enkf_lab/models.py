@@ -534,7 +534,6 @@ def simulate_truth(
     x0,
     T: int,
     seed: int,
-    obs_noise: bool = True,
 ) -> TruthTrajectory:
     """Simulate the truth path and its observations.
 
@@ -544,8 +543,6 @@ def simulate_truth(
     x0 : (d,) initial state
     T : number of steps, >= 1
     seed : int, keys the noise substreams
-    obs_noise : bool
-        Test hook; False suppresses the observation noise zeta.
     """
     if T < 1:
         raise InvalidParams("T must be >= 1")
@@ -563,7 +560,5 @@ def simulate_truth(
         states[n + 1] = x
         if obs is not None:
             y = np.asarray(coeffs.H @ x).ravel()
-            if obs_noise:
-                y = y + substream(seed, DOMAIN_OBS, n).standard_normal(stream.q)
-            obs[n] = y
+            obs[n] = y + substream(seed, DOMAIN_OBS, n).standard_normal(stream.q)
     return TruthTrajectory(states=states, observations=obs, seed=seed)

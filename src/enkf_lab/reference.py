@@ -3,15 +3,11 @@ benchmark, and the stationary per-wavenumber Riccati values of the
 observed turbulence model in closed form.
 
 The augmented recursion inflates the exact one: covariances advance by
-``R_hat' = r^2 A R' A.T + Sigma'`` and update through the Kalman map.
-Two noise conventions appear:
-
-* ``Sigma' = r^2 Sigma+ + r^2 tau rho I`` (the filter-matched form,
-  default of :func:`augmented_riccati_step`, with Sigma+ from the
-  filter's own :func:`~enkf_lab.enkf.sigma_plus_factor`),
-* ``Sigma' = r^2 Sigma + tau rho I`` (the stationary benchmark form used
-  by :func:`stationary_riccati_diag` and the dimension verifiers;
-  :func:`_benchmark_iterates` is the one place that builds it).
+``R_hat' = r^2 A R' A.T + r^2 Sigma + tau rho I`` (the stationary
+benchmark noise) and update through the Kalman map. It is the recursion
+that :func:`stationary_riccati_diag` solves in closed form and that the
+default reference of the filter experiment and the general dimension
+verifier iterate, both through :func:`_benchmark_iterates`.
 """
 
 from __future__ import annotations
@@ -21,12 +17,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .enkf import sigma_plus_factor
 from .linalg import (
     DimensionMismatch,
     _dense,
     _gain_and_update,
-    factor_matrix,
     kalman_update_operator,
     symmetrize,
 )
@@ -34,7 +28,6 @@ from .models import CoefficientStream, StepCoefficients, TurbulenceParams
 
 __all__ = [
     "KalmanState",
-    "AugmentedRiccatiState",
     "kalman_step",
     "augmented_riccati_step",
     "stationary_riccati_diag",
@@ -58,21 +51,6 @@ class KalmanState:
             )
 
 
-@dataclass
-class AugmentedRiccatiState:
-    """Covariance iterate of the inflated reference recursion."""
-
-    cov: np.ndarray
-    r: float
-    tau: float
-    rho: float
-
-    def __post_init__(self):
-        self.cov = symmetrize(_dense(self.cov))
-        if not (self.r > 1 and self.tau > 0 and self.rho > 0):
-            raise ValueError("require r > 1, tau > 0, rho > 0")
-
-
 def kalman_step(state: KalmanState, coeffs: StepCoefficients, y) -> KalmanState:
     """One exact Kalman step: forecast by (A, B, Sigma), update against y.
 
@@ -93,53 +71,37 @@ def kalman_step(state: KalmanState, coeffs: StepCoefficients, y) -> KalmanState:
     return KalmanState(mean=mean, cov=cov)
 
 
-def augmented_riccati_step(
-    state: AugmentedRiccatiState,
-    coeffs: StepCoefficients,
-    sigma_prime=None,
-) -> AugmentedRiccatiState:
-    """One step of the inflated reference recursion.
+def augmented_riccati_step(cov, coeffs: StepCoefficients, r, tau, rho) -> np.ndarray:
+    """One step of the inflated reference recursion from covariance ``cov``.
 
-    ``R_hat' = r^2 A R' A.T + Sigma'`` followed by the Kalman covariance
-    update (identity when ``H`` is absent). By default
-    ``Sigma' = r^2 Sigma+ + r^2 tau rho I``; pass ``sigma_prime`` to use a
-    different noise convention (the stationary benchmark uses
-    ``r^2 Sigma + tau rho I``).
+    ``R_hat' = r^2 A R' A.T + r^2 Sigma + tau rho I`` followed by the
+    Kalman covariance update (identity when ``H`` is absent).
     """
-    r, tau, rho = state.r, state.tau, state.rho
+    if not (r > 1 and tau > 0 and rho > 0):
+        raise ValueError("require r > 1, tau > 0, rho > 0")
     A = _dense(coeffs.A)
-    if sigma_prime is None:
-        sp = factor_matrix(sigma_plus_factor(coeffs, state))
-        sigma_prime = r * r * sp + (r * r * tau * rho) * np.eye(A.shape[0])
-    else:
-        sigma_prime = _dense(sigma_prime)
-    R_hat = symmetrize(r * r * (A @ state.cov @ A.T) + sigma_prime)
+    noise = r**2 * _dense(coeffs.Sigma) + tau * rho * np.eye(A.shape[0])
+    R_hat = symmetrize(r * r * (A @ cov @ A.T) + noise)
     if coeffs.H is None:
-        cov = R_hat
-    else:
-        cov = kalman_update_operator(R_hat, _dense(coeffs.H))
-    return AugmentedRiccatiState(cov=cov, r=r, tau=tau, rho=rho)
+        return R_hat
+    return kalman_update_operator(R_hat, _dense(coeffs.H))
 
 
 def _benchmark_iterates(stream: CoefficientStream, r, tau, rho):
-    """Yield ``(coeffs, state)`` for steps n = 0, 1, ...: the augmented
-    recursion from zero covariance under the stationary-benchmark noise
-    ``Sigma' = r^2 Sigma + tau rho I``.
+    """Yield ``(coeffs, cov)`` for steps n = 0, 1, ...: the augmented
+    recursion from zero covariance.
 
     Step n's coefficients are fetched once, when its iterate is asked for,
     and handed out with it.
     """
-    d = stream.d
-    state = AugmentedRiccatiState(cov=np.zeros((d, d)), r=r, tau=tau, rho=rho)
-    eye = np.eye(d)
+    cov = np.zeros((stream.d, stream.d))
     for n in itertools.count():
         coeffs = stream.at(n)
-        sigma_prime = r**2 * _dense(coeffs.Sigma) + tau * rho * eye
-        state = augmented_riccati_step(state, coeffs, sigma_prime=sigma_prime)
-        yield coeffs, state
+        cov = augmented_riccati_step(cov, coeffs, r, tau, rho)
+        yield coeffs, cov
 
 
-def stationary_riccati_diag(params: TurbulenceParams, r=None, tau=None, rho=None):
+def stationary_riccati_diag(params: TurbulenceParams, rho=None):
     """Stationary per-wavenumber variances of the observed turbulence model.
 
     For each k, the fixed point of
@@ -152,8 +114,7 @@ def stationary_riccati_diag(params: TurbulenceParams, r=None, tau=None, rho=None
     """
     if params.sigma_obs is None:
         raise ValueError("sigma_obs must be set for the observed stationary solve")
-    r = params.r if r is None else r
-    tau = params.tau if tau is None else tau
+    r, tau = params.r, params.tau
     rho = params.rho if rho is None else rho
     so, d = params.sigma_obs, params.d
     a = r * r * np.exp(-2.0 * params.gamma() * params.h)
@@ -165,9 +126,9 @@ def stationary_riccati_diag(params: TurbulenceParams, r=None, tau=None, rho=None
     return np.where(b > 0, x, 0.0)
 
 
-def stationary_riccati_ambient(params: TurbulenceParams, **kw) -> np.ndarray:
+def stationary_riccati_ambient(params: TurbulenceParams) -> np.ndarray:
     """Stationary variances expanded to the d ambient components."""
-    vals = stationary_riccati_diag(params, **kw)
+    vals = stationary_riccati_diag(params)
     out = np.empty(params.d)
     out[0] = vals[0]
     out[1::2] = vals[1:]

@@ -6,7 +6,9 @@ factored (Woodbury) gain context is the other way round: the package
 takes its gain from :func:`enkf_lab.linalg.kalman_gain`, and the
 factored form stays here as an independent algorithm to check it with;
 ``kalman_gain`` is re-exported next to it, so a test imports both sides
-of that comparison from one place.
+of that comparison from one place. :func:`filter_matched_riccati_step`
+keeps the augmented recursion under the filter's own noise, a
+convention no package code runs.
 """
 
 from dataclasses import dataclass
@@ -25,9 +27,10 @@ from enkf_lab.linalg import (
     _scaled_identity_coeff,
     is_positive_definite,
     kalman_gain,
+    kalman_update_operator,
     symmetrize,
 )
-from enkf_lab.enkf import Ensemble
+from enkf_lab.enkf import Ensemble, sigma_plus_factor
 from enkf_lab.models import DOMAIN_INIT, sample_noise, substream
 
 
@@ -97,6 +100,27 @@ def instability_covariance(coeffs, r, tau, rho) -> np.ndarray:
         M = rho * (A @ A.T) + _dense(coeffs.Sigma)
     d = M.shape[0]
     return positive_part(M - (rho * tau / r) * np.eye(d))
+
+
+def factor_matrix(factor) -> np.ndarray:
+    """Densify a ``(U, s)`` factor into ``U diag(s) U.T``."""
+    U, s = factor
+    U = _dense(U)
+    return (U * s) @ U.T
+
+
+def filter_matched_riccati_step(cov, coeffs, r, tau, rho) -> np.ndarray:
+    """The augmented recursion under the filter-matched noise
+    ``r^2 Sigma+ + r^2 tau rho I``, Sigma+ from ``enkf.sigma_plus_factor``:
+    ``K(r^2 A C A.T + r^2 Sigma+ + r^2 tau rho I)``, with ``K`` the Kalman
+    covariance update (identity when ``H`` is absent)."""
+    A = _dense(coeffs.A)
+    sp = factor_matrix(sigma_plus_factor(coeffs, r, tau, rho))
+    noise = r * r * sp + (r * r * tau * rho) * np.eye(A.shape[0])
+    R_hat = symmetrize(r * r * (A @ cov @ A.T) + noise)
+    if coeffs.H is None:
+        return R_hat
+    return kalman_update_operator(R_hat, _dense(coeffs.H))
 
 
 def unfiltered_mode_values(params, r=None, tau=None, rho=None):

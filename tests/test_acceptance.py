@@ -350,9 +350,7 @@ def test_10_covariance_fidelity_plateau(capsys):
     t0 = time.perf_counter()
     stream = build_turbulence(REDUCED)
     cfg = _reduced_filter_config()
-    r_ref = np.diag(
-        stationary_riccati_ambient(REDUCED, r=REDUCED.r, tau=REDUCED.tau, rho=REDUCED.rho)
-    )
+    r_ref = np.diag(stationary_riccati_ambient(REDUCED))
     _, aggregate = run_filter_experiment(stream, cfg, 300, tuple(range(20)), r_ref=r_ref)
     nu = np.array([row["nu_mean"] for row in aggregate])
     maha = np.array([row["maha_sq_per_d_mean"] for row in aggregate])

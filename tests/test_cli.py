@@ -217,6 +217,15 @@ def test_seeds_object_validation(tmp_path, capsys):
         ("rmt-experiment", {"rmt": {"K_list": 5}}, "rmt.K_list"),
         ("stability", tiny_simulate_config(experiment="stability", shifts=["x"]), "shifts"),
         ("accuracy", tiny_simulate_config(experiment="accuracy", eps_list=[None]), "eps_list"),
+        ("verify-dim", {"model": {"J": True}}, "model.J"),
+        ("verify-dim", {"model": {"J": 2.5}}, "model.J"),
+        ("verify-dim", {"model": {"J": 2, "sigma_obs": True}}, "model.sigma_obs"),
+        ("verify-dim", {"model": {"J": 2, "sigma_obs": "10"}}, "model.sigma_obs"),
+        ("verify-dim", {"model": {"J": 2, "r": 10**400}}, "model.r"),
+        ("verify-dim", {"model": {"J": 2}, "rho_grid": [-0.1]}, "rho_grid"),
+        ("verify-dim", {"model": {"J": 2}, "rho_grid": [0.04, 0]}, "rho_grid"),
+        ("verify-dim", {"model": {"J": 2}, "seed": 5}, "seed"),
+        ("simulate", tiny_simulate_config(seed=[5], seeds=[1]), "seed"),
     ],
 )
 def test_wrong_value_types_exit_2_naming_the_field(tmp_path, capsys, command, cfg, field):
@@ -277,6 +286,18 @@ def test_out_of_range_model_values_exit_2(tmp_path, capsys, model):
     assert "must satisfy" in err
 
 
+def test_model_integral_J_and_null_keys_are_accepted(tmp_path):
+    cfg = {"experiment": "verify-dim",
+           "model": {"J": 2.0, "r": 2, "sigma_obs": None, "omega_spec": None}}
+    out = tmp_path / "o"
+    rc = cli_main(["verify-dim", "--config", write_config(tmp_path, cfg), "--out", str(out)])
+    assert rc == 0
+    model = json.loads((out / "manifest.json").read_text())["config"]["model"]
+    assert model["J"] == 2 and isinstance(model["J"], int)
+    assert model["r"] == 2 and isinstance(model["r"], int)  # kept as written
+    assert model["sigma_obs"] is None and model["omega_spec"] is None
+
+
 @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity", "1e400"])
 def test_non_finite_json_numbers_exit_2(tmp_path, capsys, token):
     path = tmp_path / "config.json"
@@ -287,10 +308,10 @@ def test_non_finite_json_numbers_exit_2(tmp_path, capsys, token):
 
 
 def test_runtime_failure_exits_1(tmp_path, capsys):
-    payload = json.loads(open(UNFILTERED_CONFIG).read())
-    payload["rho_grid"] = [-0.04]  # passes parsing, rejected by the search
-    path = write_config(tmp_path, payload)
-    rc = cli_main(["verify-dim", "--config", path, "--out", str(tmp_path / "o")])
+    # the config is valid; the output directory cannot be made under a file
+    path = write_config(tmp_path, json.loads(open(UNFILTERED_CONFIG).read()))
+    (tmp_path / "blocker").write_text("")
+    rc = cli_main(["verify-dim", "--config", path, "--out", str(tmp_path / "blocker" / "o")])
     assert rc == 1
     assert "enkf-lab: error:" in capsys.readouterr().err
 
@@ -369,7 +390,6 @@ def test_preset_matches_explicit_parameters(tmp_path):
     )
     cfg_explicit = load_config(OBSERVED_CONFIG)
     assert cfg_preset.model == cfg_explicit.model
-    assert cfg_preset.model_name == "kolmogorov-observed"
     assert set(MODEL_PRESETS) == {
         "kolmogorov-unfiltered", "kolmogorov-observed", "kolmogorov-reduced",
     }

@@ -29,14 +29,13 @@ from enkf_lab.enkf import EnkfConfig, EnkfFilter
 from enkf_lab.linalg import (
     DimensionMismatch,
     NotPositiveDefinite,
-    factor_matrix,
     positive_part_factor,
     symmetrize,
 )
 from enkf_lab.models import JumpSpec, TurbulenceParams, build_turbulence, simulate_truth
 from enkf_lab.reference import stationary_riccati_ambient
 
-from oracles import compute_nu, loewner_ratio, mahalanobis_sq
+from oracles import compute_nu, factor_matrix, loewner_ratio, mahalanobis_sq
 
 
 def dense_lambda_mu(C_hat_taurho, A, C_prev, Sigma_plus, r, tau, rho):
@@ -358,7 +357,7 @@ def test_run_filter_experiment_fetches_and_factors_once_per_step(monkeypatch):
     factored = []
     real = enkf.sigma_plus_factor
     monkeypatch.setattr(
-        enkf, "sigma_plus_factor", lambda c, cf: factored.append(c) or real(c, cf)
+        enkf, "sigma_plus_factor", lambda c, *args: factored.append(c) or real(c, *args)
     )
     per_seed, _ = run_filter_experiment(stream, cfg, T=T, seeds=(0,), r_ref=r_ref)
     assert len(generated) == 2 * T

@@ -24,7 +24,7 @@ from enkf_lab.enkf import (
     sigma_plus_factor,
     _assimilate_dense,
 )
-from enkf_lab.linalg import DimensionMismatch, factor_matrix, kalman_gain, kalman_update_operator
+from enkf_lab.linalg import DimensionMismatch, kalman_gain, kalman_update_operator
 from enkf_lab.models import (
     DOMAIN_FORECAST,
     JumpSpec,
@@ -39,6 +39,7 @@ from enkf_lab.models import (
 from enkf_lab.reference import KalmanState, kalman_step
 
 from oracles import (
+    factor_matrix,
     forecast_per_member,
     forecast_spawned_block,
     initial_ensemble_per_member,
@@ -139,14 +140,14 @@ def test_sigma_plus_factor_sparse_matches_dense():
     p = TurbulenceParams(J=6, sigma_obs=10.0, tau=0.6)
     coeffs = build_turbulence(p).at(0)
     cfg = EnkfConfig(K=8, p=4, r=p.r, rho=p.rho, tau=p.tau)
-    U, s = sigma_plus_factor(coeffs, cfg)
+    U, s = sigma_plus_factor(coeffs, cfg.r, cfg.tau, cfg.rho)
     dense = StepCoefficients(
         A=np.asarray(coeffs.A.todense()),
         B=coeffs.B,
         Sigma=np.asarray(coeffs.Sigma.todense()),
         H=None,
     )
-    Ud, sd = sigma_plus_factor(dense, cfg)
+    Ud, sd = sigma_plus_factor(dense, cfg.r, cfg.tau, cfg.rho)
     np.testing.assert_allclose(
         factor_matrix((U, s)), factor_matrix((Ud, sd)), atol=1e-12
     )
@@ -172,7 +173,7 @@ def test_forecast_covariance_law_of_large_numbers():
     cfg = EnkfConfig(K=K, p=d, r=1.2, rho=0.2, tau=1.0)
     coeffs = dense_coeffs(d, seed=5, sigma_scale=0.5)
     ens = make_ensemble(d, K, seed=1)
-    U, s = sigma_plus_factor(coeffs, cfg)
+    U, s = sigma_plus_factor(coeffs, cfg.r, cfg.tau, cfg.rho)
     target = factor_matrix((U, s))
     A = np.asarray(coeffs.A)
     expected = cfg.r * (A @ ens.covariance() @ A.T + target)
@@ -189,7 +190,7 @@ def test_forecast_mean_unbiased():
     cfg = EnkfConfig(K=K, p=d, r=1.2, rho=0.2, tau=1.0)
     coeffs = dense_coeffs(d, seed=5, sigma_scale=0.5)
     ens = make_ensemble(d, K, seed=1)
-    U, s = sigma_plus_factor(coeffs, cfg)
+    U, s = sigma_plus_factor(coeffs, cfg.r, cfg.tau, cfg.rho)
     target = factor_matrix((U, s))
     A = np.asarray(coeffs.A)
     mean, _ = enkf_forecast(ens, coeffs, cfg, substream(0, 99, 2))
@@ -208,7 +209,7 @@ def test_batched_forecast_bit_identical_to_per_member_loop(J, jump):
     cfg = EnkfConfig(K=7, p=3, r=p.r, rho=p.rho, tau=p.tau)
     for n in range(4):
         coeffs = stream.at(n)
-        factor = sigma_plus_factor(coeffs, cfg)
+        factor = sigma_plus_factor(coeffs, cfg.r, cfg.tau, cfg.rho)
         assert scipy.sparse.issparse(factor[0]) and factor[1].size > 0
         ens = make_ensemble(stream.d, cfg.K, seed=n)
         got = enkf_forecast(ens, coeffs, cfg, substream(5, 4, n), factor=factor)
@@ -226,7 +227,7 @@ def test_forecast_matches_spawned_draws_at_kalman_limit_setup():
     A = rng.standard_normal((d, d))
     A *= 0.7 / max(np.abs(np.linalg.eigvals(A)))
     coeffs = StepCoefficients(A=A, B=np.zeros(d), Sigma=0.3 * np.eye(d), H=np.eye(d))
-    factor = sigma_plus_factor(coeffs, cfg)
+    factor = sigma_plus_factor(coeffs, cfg.r, cfg.tau, cfg.rho)
     assert isinstance(factor[0], np.ndarray) and factor[1].size > 0
     stream = CoefficientStream(d=d, q=d, generator=lambda n, r_: coeffs)
     for seed in (0, 3):
@@ -282,7 +283,7 @@ def test_batched_forecast_matches_per_member_loop_dense_factor(d, K):
     # to 1e-15 relative to the largest entry
     cfg = EnkfConfig(K=K, p=2, r=1.1, rho=0.05, tau=1.0)
     coeffs = dense_coeffs(d, seed=d, sigma_scale=0.5)
-    factor = sigma_plus_factor(coeffs, cfg)
+    factor = sigma_plus_factor(coeffs, cfg.r, cfg.tau, cfg.rho)
     assert isinstance(factor[0], np.ndarray) and factor[1].size > 0
     ens = make_ensemble(d, K, seed=K)
     got = enkf_forecast(ens, coeffs, cfg, substream(6, 4, 0), factor=factor)
@@ -671,7 +672,7 @@ def test_filter_factor_cache_constant_stream(monkeypatch):
     calls = []
     real = enkf.sigma_plus_factor
     monkeypatch.setattr(
-        enkf, "sigma_plus_factor", lambda c, cf: calls.append(c) or real(c, cf)
+        enkf, "sigma_plus_factor", lambda c, *args: calls.append(c) or real(c, *args)
     )
     f = EnkfFilter(stream, cfg, seed=0)
     truth = simulate_truth(stream, np.zeros(stream.d), 5, seed=0)

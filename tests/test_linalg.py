@@ -15,13 +15,13 @@ from enkf_lab.linalg import (
     kalman_update_operator,
     lowrank_loewner_ratio,
     positive_part_factor,
-    factor_matrix,
     symmetrize,
 )
 
 from oracles import (
     SingularInnerSolve,
     condition_number,
+    factor_matrix,
     gain_apply_woodbury,
     loewner_ratio,
     mahalanobis_sq,

@@ -12,6 +12,7 @@ from enkf_lab import models
 from enkf_lab.models import (
     DOMAIN_INIT,
     DOMAIN_JUMP,
+    DOMAIN_OBS,
     CoefficientStream,
     InvalidChain,
     InvalidParams,
@@ -260,13 +261,16 @@ def test_simulate_truth_T_validation():
 
 
 def test_observation_pairing_without_noise():
-    # observation row n must be H @ states[n+1]
+    # observation row n is H @ states[n+1] plus the DOMAIN_OBS substream's
+    # first q normals, bit for bit
     p = TurbulenceParams(J=2, sigma_obs=2.0)
     stream = build_turbulence(p)
-    t = simulate_truth(stream, np.ones(5), 6, seed=1, obs_noise=False)
-    H = np.asarray(stream.at(0).H.todense())
+    t = simulate_truth(stream, np.ones(5), 6, seed=1)
+    H = stream.at(0).H
     for n in range(6):
-        np.testing.assert_allclose(t.observations[n], H @ t.states[n + 1], atol=1e-14)
+        noise = substream(1, DOMAIN_OBS, n).standard_normal(stream.q)
+        clean = np.asarray(H @ t.states[n + 1]).ravel()
+        assert np.array_equal(t.observations[n], clean + noise)
 
 
 def test_drift_only_dynamics():

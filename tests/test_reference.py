@@ -1,13 +1,13 @@
 """Tests for the exact Kalman recursion and the reference benchmarks."""
 
-from types import SimpleNamespace
+import dataclasses
 
 import numpy as np
 import pytest
 import scipy.sparse
 
 from enkf_lab.enkf import sigma_plus_factor
-from enkf_lab.linalg import DimensionMismatch, factor_matrix
+from enkf_lab.linalg import DimensionMismatch
 from enkf_lab.models import (
     JumpSpec,
     StepCoefficients,
@@ -15,7 +15,6 @@ from enkf_lab.models import (
     build_turbulence,
 )
 from enkf_lab.reference import (
-    AugmentedRiccatiState,
     KalmanState,
     augmented_riccati_step,
     kalman_step,
@@ -23,12 +22,17 @@ from enkf_lab.reference import (
     stationary_riccati_diag,
 )
 
-from oracles import instability_covariance, unfiltered_mode_values
+from oracles import (
+    factor_matrix,
+    filter_matched_riccati_step,
+    instability_covariance,
+    unfiltered_mode_values,
+)
 
 
 def sigma_plus(coeffs, r, tau, rho):
-    """Dense Sigma+ from the filter's factor, which reads only r, tau, rho."""
-    return factor_matrix(sigma_plus_factor(coeffs, SimpleNamespace(r=r, tau=tau, rho=rho)))
+    """Dense Sigma+ from the filter's factor."""
+    return factor_matrix(sigma_plus_factor(coeffs, r, tau, rho))
 
 
 def test_scalar_kalman_update():
@@ -193,21 +197,21 @@ def test_augmented_scalar_frozen_value():
     coeffs = StepCoefficients(A=[[0.9]], B=[0.0], Sigma=[[sigma]], H=[[1.0]])
     sp = sigma_plus(coeffs, 1.1, tau, rho)
     assert sp[0, 0] == pytest.approx(0.1, rel=1e-12)
-    state = AugmentedRiccatiState(cov=np.eye(1), r=1.1, tau=tau, rho=rho)
-    out = augmented_riccati_step(state, coeffs)
-    assert out.cov[0, 0] == pytest.approx(0.526784024228658, rel=1e-12)
+    out = filter_matched_riccati_step(np.eye(1), coeffs, 1.1, tau, rho)
+    assert out[0, 0] == pytest.approx(0.526784024228658, rel=1e-12)
 
 
 def test_augmented_without_observation_is_forecast():
+    # R_hat' = r^2 A^2 R' + r^2 Sigma + tau rho, with no update
     coeffs = StepCoefficients(A=[[0.5]], B=[0.0], Sigma=[[0.2]])
-    state = AugmentedRiccatiState(cov=[[1.0]], r=1.1, tau=1.0, rho=0.04)
-    out = augmented_riccati_step(state, coeffs, sigma_prime=[[0.3]])
-    assert out.cov[0, 0] == pytest.approx(1.21 * 0.25 + 0.3, rel=1e-12)
+    out = augmented_riccati_step(np.eye(1), coeffs, 1.1, 1.0, 0.04)
+    assert out[0, 0] == pytest.approx(1.21 * 0.25 + 1.21 * 0.2 + 0.04, rel=1e-12)
 
 
 def test_augmented_state_validation():
+    coeffs = StepCoefficients(A=[[0.5]], B=[0.0], Sigma=[[0.2]])
     with pytest.raises(ValueError):
-        AugmentedRiccatiState(cov=np.eye(1), r=1.0, tau=1.0, rho=0.04)
+        augmented_riccati_step(np.eye(1), coeffs, 1.0, 1.0, 0.04)
 
 
 def test_augmented_reduces_to_kalman():
@@ -218,12 +222,12 @@ def test_augmented_reduces_to_kalman():
     Sigma = np.eye(d) * 0.2
     H = rng.standard_normal((q, d))
     coeffs = StepCoefficients(A=A, B=np.zeros(d), Sigma=Sigma, H=H)
-    aug = AugmentedRiccatiState(cov=np.eye(d), r=1 + 1e-12, tau=1e-3, rho=1e-11)
+    aug = np.eye(d)
     kal = KalmanState(mean=np.zeros(d), cov=np.eye(d))
     for _ in range(20):
-        aug = augmented_riccati_step(aug, coeffs)
+        aug = augmented_riccati_step(aug, coeffs, 1 + 1e-12, 1e-3, 1e-11)
         kal = kalman_step(kal, coeffs, np.zeros(q))
-    np.testing.assert_allclose(aug.cov, kal.cov, atol=1e-8)
+    np.testing.assert_allclose(aug, kal.cov, atol=1e-8)
 
 
 def test_unfiltered_mode_values_reference_configuration():
@@ -251,7 +255,7 @@ RICCATI_CASES = [(TurbulenceParams(J=50, sigma_obs=10.0, tau=0.6), 0.6)] + [
 def test_stationary_riccati_fixed_point(p, tau):
     # the map's fixed point to roundoff, also where r is near 1 and the
     # iteration from 0 contracts slowly
-    vals = stationary_riccati_diag(p, tau=tau)
+    vals = stationary_riccati_diag(dataclasses.replace(p, tau=tau))
     g = p.gamma()
     sig = np.zeros(p.J + 1)
     k = np.arange(1, p.J + 1, dtype=float)
@@ -293,7 +297,7 @@ def test_stationary_riccati_huge_sigma_obs_limit():
     # with tau = 0 both conventions share the additive term (none), so the
     # no-information limit must approach the unfiltered equilibrium
     p = TurbulenceParams(J=10, sigma_obs=1e12)
-    r_k = stationary_riccati_diag(p, tau=0.0)
+    r_k = stationary_riccati_diag(dataclasses.replace(p, tau=0.0))
     v, den = unfiltered_mode_values(p, tau=0.0)
     stable = den > 0
     assert stable.sum() >= 5
@@ -302,7 +306,7 @@ def test_stationary_riccati_huge_sigma_obs_limit():
 
 def test_stationary_riccati_zero_noise():
     p = TurbulenceParams(J=5, sigma_obs=10.0, E0=0.0)
-    vals = stationary_riccati_diag(p, tau=0.0)
+    vals = stationary_riccati_diag(dataclasses.replace(p, tau=0.0))
     np.testing.assert_allclose(vals, 0.0, atol=1e-15)
 
 
@@ -322,14 +326,12 @@ def test_augmented_converges_to_stationary_under_benchmark_noise():
     p = TurbulenceParams(J=10, sigma_obs=10.0, tau=0.6)
     stream = build_turbulence(p)
     coeffs = stream.at(0)
-    d = p.d
-    sp = p.r**2 * np.asarray(coeffs.Sigma.todense()) + p.tau * p.rho * np.eye(d)
-    state = AugmentedRiccatiState(cov=np.zeros((d, d)), r=p.r, tau=p.tau, rho=p.rho)
+    cov = np.zeros((p.d, p.d))
     for _ in range(300):
-        state = augmented_riccati_step(state, coeffs, sigma_prime=sp)
+        cov = augmented_riccati_step(cov, coeffs, p.r, p.tau, p.rho)
     want = stationary_riccati_ambient(p)
-    np.testing.assert_allclose(np.diag(state.cov), want, atol=1e-8)
-    off = state.cov - np.diag(np.diag(state.cov))
+    np.testing.assert_allclose(np.diag(cov), want, atol=1e-8)
+    off = cov - np.diag(np.diag(cov))
     assert np.abs(off).max() < 1e-10
 
 
@@ -367,9 +369,9 @@ def test_augmented_riccati_forgets_initialization():
     Rt_inv = np.linalg.inv(np.diag(stationary_riccati_ambient(p)))
     finals = []
     for c0 in (1.0, 10.0, 100.0):
-        state = AugmentedRiccatiState(cov=c0 * np.eye(d), r=p.r, tau=p.tau, rho=p.rho)
+        cov = c0 * np.eye(d)
         for _ in range(20):
-            state = augmented_riccati_step(state, coeffs)
-        finals.append(np.linalg.norm(state.cov @ Rt_inv, 2))
+            cov = filter_matched_riccati_step(cov, coeffs, p.r, p.tau, p.rho)
+        finals.append(np.linalg.norm(cov @ Rt_inv, 2))
     assert (max(finals) - min(finals)) / min(finals) < 0.05
     assert max(finals) < 10.0
