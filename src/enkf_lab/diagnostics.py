@@ -13,6 +13,11 @@ R_ref:
 * ``chi``: excess of the first discarded eigenvalue over rho,
 * ``cov_fidelity``: the raw (unfloored) ratio ``||C R_ref^{-1}||``.
 
+Each step reduces each span once: the posterior spread is factored into
+a thin ``W`` (one K x K eigensolve), which gives this step's nu and
+Mahalanobis error and the next step's lam / mu, and both lam and mu
+come from one Gram reduction of ``span[V, Y]``.
+
 Experiments: filter diagnostics over seeds, sample-covariance
 concentration (rare-event sweep over K and a tail-shape check),
 paired-run exponential stability, and small-noise accuracy scaling.
@@ -35,6 +40,7 @@ from .linalg import (
     NotPositiveDefinite,
     _dense,
     _gram_keep,
+    _two_sided_ratios,
     is_positive_definite,
     lowrank_loewner_ratio,
     symmetrize,
@@ -119,18 +125,20 @@ def compute_lambda_mu(S_hat, A, S_prev, sigma_plus, r, tau, rho):
     for positive definite X, Y.
 
     From factors, in O(d K^2): ``C_hat^{tau rho} = tau rho I + V V.T`` with
-    ``V = S_hat / sqrt(K-1)``, ``C = W W.T`` from the previous posterior
-    spread ``S_prev``, and each base is ``c I + Y Y.T`` with
-    ``Y = sqrt(r) [A W, U sqrt(s)]``, ``sigma_plus = (U, s)`` the Sigma+ factor.
+    ``V = S_hat / sqrt(K-1)``, the previous posterior covariance
+    ``C = W W.T`` with ``W = S_prev / sqrt(K-1)`` (``S_prev`` may have any
+    number of columns: the spread itself, or ``sqrt(K-1)`` times a thin
+    factor of it), and each base is ``c I + Y Y.T`` with
+    ``Y = sqrt(r) [A W, U sqrt(s)]``, ``sigma_plus = (U, s)`` the Sigma+
+    factor. Both pencils are solved on one reduction of ``span[V, Y]``.
     """
     S_hat = np.asarray(S_hat, dtype=float)
-    V = S_hat / np.sqrt(S_hat.shape[1] - 1)
+    scale = np.sqrt(S_hat.shape[1] - 1)
     U, s = sigma_plus
-    AW = np.asarray(A @ _thin_factor(np.asarray(S_prev, dtype=float)))
+    AW = np.asarray(A @ (np.asarray(S_prev, dtype=float) / scale))
     Y = np.sqrt(r) * np.hstack((AW, _dense(U) * np.sqrt(s)))
-    lam = max(1.0, lowrank_loewner_ratio(tau * rho, V, r * tau * rho, Y))
-    mu = max(1.0, lowrank_loewner_ratio(tau * rho, Y, tau * rho, V))
-    return lam, mu
+    lam, mu = _two_sided_ratios(S_hat / scale, Y, tau * rho, r * tau * rho, tau * rho)
+    return max(1.0, lam), max(1.0, mu)
 
 
 def _reference_factor(r_ref, d: int) -> np.ndarray:
@@ -161,30 +169,30 @@ def _long_run_reference(stream, cfg, burn_in: int = 200) -> np.ndarray:
     return next(itertools.islice(iterates, burn_in - 1, None))[1]
 
 
-def _step_diagnostics(step, rec, S_prev, A, sigma_plus, x_true, L, cfg) -> FilterDiagnostics:
+def _step_diagnostics(step, rec, W_prev, W, A, sigma_plus, x_true, L, cfg) -> FilterDiagnostics:
     """One row of diagnostics from the step's factors, in O(d K^2) work.
 
+    ``W`` and ``W_prev`` are the thin factors (:func:`_thin_factor`) of
+    this step's and the previous step's posterior spread, m and m' columns.
     ``L`` is r_ref's factor from :func:`_reference_factor`: ``1/sqrt`` of a
-    diagonal r_ref (whitening is an O(d K) multiply) or a lower Cholesky
-    factor (an O(d^2 K) triangular solve)."""
+    diagonal r_ref (whitening is an O(d m) multiply) or a lower Cholesky
+    factor (an O(d^2 m) triangular solve)."""
     d, K = rec.posterior.spread.shape
     lam, mu = compute_lambda_mu(
-        rec.forecast_spread, A, S_prev, sigma_plus, cfg.r, cfg.tau, cfg.rho
+        rec.forecast_spread, A, np.sqrt(K - 1) * W_prev, sigma_plus, cfg.r, cfg.tau, cfg.rho
     )
-    X = rec.posterior.spread / np.sqrt(K - 1)  # C_post = X X.T
-    # C_post <= nu r_ref  iff  (L^{-1} X)(L^{-1} X).T <= nu I: the ratio is the
-    # top eigenvalue of Z Z.T, which the K x K Gram Z.T Z shares (Z Z.T
-    # itself is the smaller one when K > d)
+    # C_post = W W.T <= nu r_ref  iff  (L^{-1} W)(L^{-1} W).T <= nu I: the
+    # ratio is the top eigenvalue of Z Z.T, which the m x m Gram Z.T Z shares
     if L.ndim == 1:
-        Z = L[:, None] * X
+        Z = L[:, None] * W
     else:
-        Z = scipy.linalg.solve_triangular(L, X, lower=True)
-    gram = Z.T @ Z if K <= d else Z @ Z.T
-    cov_fidelity = max(float(np.linalg.eigvalsh(gram)[-1]), 0.0)
+        Z = scipy.linalg.solve_triangular(L, W, lower=True)
+    cov_fidelity = float(np.max(np.linalg.eigvalsh(Z.T @ Z), initial=0.0))
     e = rec.posterior.mean - x_true
     # e.T (C_post + rho I)^{-1} e is the ratio of e e.T to C_post + rho I;
-    # taken on span[e, X], it does not cancel when e lies almost in span(X)
-    maha = lowrank_loewner_ratio(0.0, e[:, None], cfg.rho, X)
+    # taken on span[e, W] by QR, it does not cancel when e lies almost in
+    # span(W) (a Gram would square that span and lose e's part off it)
+    maha = lowrank_loewner_ratio(0.0, e[:, None], cfg.rho, W)
     return FilterDiagnostics(
         step=step,
         maha_sq_per_d=maha / d,
@@ -237,15 +245,18 @@ def run_filter_experiment(
     for seed in seeds:
         truth = simulate_truth(stream, np.zeros(d), T, seed)
         filt = EnkfFilter(stream, cfg, seed)
+        # each posterior spread is factored once, and its factor serves this
+        # step's nu and Mahalanobis error and the next step's lambda / mu
+        W = _thin_factor(filt.ensemble.spread)
         series = []
         for n in range(T):
-            S_prev = filt.ensemble.spread
             y = truth.observations[n] if truth.observations is not None else None
             rec = filt.step(y)
+            W_prev, W = W, _thin_factor(rec.posterior.spread)
             coeffs = filt.coeffs  # the step's coefficients; its factor is memoised
             series.append(
                 _step_diagnostics(
-                    n + 1, rec, S_prev, coeffs.A, filt._factor_for(coeffs),
+                    n + 1, rec, W_prev, W, coeffs.A, filt._factor_for(coeffs),
                     truth.states[n + 1], L, cfg,
                 )
             )
@@ -292,9 +303,9 @@ def _concentration_trial(
     # sample covariance F F.T against its mean a a.T / (K-1) + diag(sig) = G G.T
     F = (a + xi) / np.sqrt(K - 1)
     G = np.hstack((a / np.sqrt(K - 1), np.diag(np.sqrt(sig_vals))))
-    lam = lowrank_loewner_ratio(0.0, F, rho, G)
-    # orthocomplement block of the pencil sits at 1
-    mu = max(1.0, lowrank_loewner_ratio(rho, G, rho, F))
+    # [F, G] is at least p wide, so no cut; mu's orthocomplement block sits at 1
+    lam, mu = _two_sided_ratios(F, G, 0.0, rho, rho)
+    mu = max(1.0, mu)
     thr = 1.0 + 5.0 * delta
     return ConcentrationTrial(
         d=d, p=p, K=K, rho=rho, delta=delta, lam=lam, mu=mu,

@@ -104,7 +104,7 @@ def _gram_keep(g, K: int) -> np.ndarray:
     singular values, sit near 1e-8 of the largest, so a cut on those
     would keep them.
     """
-    return g > K * np.finfo(float).eps * max(float(np.max(g)), 0.0)
+    return g > K * np.finfo(float).eps * float(np.max(g, initial=0.0))
 
 
 def is_positive_definite(M) -> bool:
@@ -143,15 +143,46 @@ def lowrank_loewner_ratio(a: float, F, b: float, G) -> float:
     if f + G.shape[1] < d:
         R = np.linalg.qr(np.hstack((F, G)), mode="r")
         F, G = R[:, :f], R[:, f:]
-    k = F.shape[0]
-    w = scipy.linalg.eigh(
-        symmetrize(a * np.eye(k) + F @ F.T),
-        symmetrize(b * np.eye(k) + G @ G.T),
-        eigvals_only=True,
-    )
+    return _pencil_top(a, F @ F.T, b, G @ G.T, F.shape[0] < d)
+
+
+def _pencil_top(a: float, P, b: float, Q, rest: bool) -> float:
+    """Top eigenvalue of the k x k pencil ``(a I + P, b I + Q)`` for exactly
+    symmetric ``P`` and ``Q`` (products ``F @ F.T``), clamped at zero;
+    ``rest`` adds ``a / b``, the ratio off the span it lives on. A
+    non-finite pencil raises ValueError."""
+    k = P.shape[0]
+    w = np.empty(0)
+    if k:  # LAPACK's sygvd, as scipy.linalg.eigh calls it, at a fifth of its per-call cost
+        eye = np.eye(k)
+        w, _, info = scipy.linalg.lapack.dsygvd(a * eye + P, b * eye + Q, jobz="N")
+        if info or not np.isfinite(w).all():
+            raise ValueError("the Loewner pencil is not finite")
+    return float(max(w.max(initial=a / b if rest else 0.0), 0.0))
+
+
+def _two_sided_ratios(F, G, a: float, b: float, c: float) -> tuple[float, float]:
+    """Loewner ratios of ``a I + F F.T`` to ``b I + G G.T`` and of
+    ``c I + G G.T`` to ``c I + F F.T`` (``b, c > 0``) from one reduction of
+    ``span[F, G]``: the k x k Gram's eigenpairs, cut by :func:`_gram_keep`,
+    give coordinates ``sqrt(g) Phi.T`` on an orthonormal basis of the span
+    (a stack at least d wide is its own). A cut moves the pencils by up to
+    ``k eps max(g)``, which ``a I`` bounds when ``a > 0``; ratios without
+    that term take :func:`lowrank_loewner_ratio`'s QR.
+    """
+    d, f = F.shape
+    k = f + G.shape[1]
     if k < d:
-        w = np.append(w, a / b)
-    return float(max(w.max(), 0.0))
+        M = np.hstack((F, G))
+        g, Phi = np.linalg.eigh(M.T @ M)
+        if not np.isfinite(g).all():  # the cut would drop them unseen
+            raise ValueError("the stack [F, G] is not finite")
+        keep = _gram_keep(g, k)
+        M = np.sqrt(g[keep])[:, None] * Phi[:, keep].T
+        F, G = M[:, :f], M[:, f:]
+    P, Q = F @ F.T, G @ G.T
+    rest = F.shape[0] < d
+    return _pencil_top(a, P, b, Q, rest), _pencil_top(c, Q, c, P, rest)
 
 
 def kalman_gain(C, H) -> np.ndarray:

@@ -220,6 +220,7 @@ def test_mahalanobis_without_cancellation():
     spread = centred(1e4 * np.sqrt(K - 1) * rng.standard_normal((d, K)))
     X = spread / np.sqrt(K - 1)
     factor = positive_part_factor(np.eye(d))
+    W = diagnostics._thin_factor(spread)
     for tilt in (0.0, 1e-9, 1e-6):
         e = X @ rng.standard_normal(K) + tilt * rng.standard_normal(d)
         rec = enkf.StepRecord(
@@ -227,15 +228,16 @@ def test_mahalanobis_without_cancellation():
             gain_residual=np.zeros(d), chi=1.0, projection_discard=0.0,
         )
         row = diagnostics._step_diagnostics(
-            1, rec, spread, np.eye(d), factor, np.zeros(d), np.eye(d), cfg
+            1, rec, W, W, np.eye(d), factor, np.zeros(d), np.eye(d), cfg
         )
         want = mahalanobis_sq(e, X @ X.T + cfg.rho * np.eye(d))
         np.testing.assert_allclose(row.maha_sq_per_d * d, want, rtol=1e-8)
 
 
 def test_step_diagnostics_form_no_d_by_d_array():
-    # d = 4001, K = 8: one step's diagnostics peak below d^2 * 8 / 4 bytes,
-    # with r_ref's Cholesky factor and with the factor of its diagonal
+    # d = 4001, K = 8: one step's diagnostics, the posterior's thin factors
+    # included, peak below d^2 * 8 / 4 bytes, with r_ref's Cholesky factor
+    # and with the factor of its diagonal
     p = TurbulenceParams(J=2000, sigma_obs=10.0, tau=0.6)
     stream = build_turbulence(p)
     d = stream.d
@@ -254,8 +256,10 @@ def test_step_diagnostics_form_no_d_by_d_array():
         try:
             if ref.ndim == 1:
                 ref = diagnostics._reference_factor(ref, d)
+            W_prev = diagnostics._thin_factor(S_prev)
+            W = diagnostics._thin_factor(rec.posterior.spread)
             row = diagnostics._step_diagnostics(
-                2, rec, S_prev, filt.coeffs.A, factor, truth.states[2], ref, cfg
+                2, rec, W_prev, W, filt.coeffs.A, factor, truth.states[2], ref, cfg
             )
             peak = tracemalloc.get_traced_memory()[1]
         finally:
@@ -362,18 +366,51 @@ def test_run_filter_experiment_fetches_and_factors_once_per_step(monkeypatch):
     per_seed, _ = run_filter_experiment(stream, cfg, T=T, seeds=(0,), r_ref=r_ref)
     assert len(generated) == 2 * T
     assert len(factored) == T
-    # each row's lambda, mu are those of its own step's coefficients
+    # each row's lambda, mu are those of its own step's coefficients and of
+    # the thin factor of its own step's previous posterior, which the driver
+    # carries from the step before; nu and the Mahalanobis error take the
+    # factor of the step's own posterior
     truth = simulate_truth(stream, np.zeros(stream.d), T, seed=0)
     filt = EnkfFilter(stream, cfg, seed=0)
+    L = diagnostics._reference_factor(r_ref, stream.d)
     for n, row in enumerate(per_seed[0]):
         coeffs = stream.at(n)
-        S_prev = filt.ensemble.spread
+        W_prev = diagnostics._thin_factor(filt.ensemble.spread)
         factor = filt._factor_for(coeffs)
-        S_hat = filt.step(truth.observations[n]).forecast_spread
+        rec = filt.step(truth.observations[n])
         lam, mu = compute_lambda_mu(
-            S_hat, coeffs.A, S_prev, factor, cfg.r, cfg.tau, cfg.rho
+            rec.forecast_spread, coeffs.A, np.sqrt(cfg.K - 1) * W_prev, factor,
+            cfg.r, cfg.tau, cfg.rho,
         )
         assert (row.lam, row.mu) == (lam, mu)
+        W = diagnostics._thin_factor(rec.posterior.spread)
+        assert row == diagnostics._step_diagnostics(
+            n + 1, rec, W_prev, W, coeffs.A, factor, truth.states[n + 1], L, cfg
+        )
+
+
+def test_collapsed_posterior_rows():
+    # d = 1001 at sigma_obs = 10: eta^2 = d / 10 >= 1 / rho, so the posterior
+    # map clamps every direction and the posterior spread is exactly 0; its
+    # thin factor has no column, and from step 2 on neither has A W_prev
+    p = TurbulenceParams(J=500, sigma_obs=10.0, tau=0.6)
+    stream = build_turbulence(p)
+    d = stream.d
+    cfg = EnkfConfig(K=40, p=19, r=p.r, rho=p.rho, tau=p.tau)
+    T = 3
+    r_ref = stationary_riccati_ambient(p)
+    per_seed, _ = run_filter_experiment(stream, cfg, T=T, seeds=(0,), r_ref=r_ref)
+    truth = simulate_truth(stream, np.zeros(d), T, seed=0)
+    filt = EnkfFilter(stream, cfg, seed=0)
+    for n, row in enumerate(per_seed[0]):
+        rec = filt.step(truth.observations[n])
+        assert not rec.posterior.spread.any()
+        assert diagnostics._thin_factor(rec.posterior.spread).shape == (d, 0)
+        assert row.cov_fidelity == 0.0 and row.nu == 1.0
+        e = rec.posterior.mean - truth.states[n + 1]
+        assert row.maha_sq_per_d == pytest.approx(e @ e / (cfg.rho * d), rel=1e-12)
+        assert math.isfinite(row.lam) and math.isfinite(row.mu)
+        assert row.lam >= 1.0 and row.mu >= 1.0
 
 
 def test_lambda_mu_concentrate_for_large_ensembles():

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from enkf_lab.linalg import (
     DimensionMismatch,
     NotPositiveDefinite,
+    _two_sided_ratios,
     eigh_desc,
     is_positive_definite,
     kalman_gain,
@@ -179,7 +180,8 @@ def low_rank(rng, d, k):
 @settings(deadline=None, max_examples=150)
 @given(st.integers(0, 10**6))
 def test_lowrank_loewner_ratio_matches_dense(seed):
-    # stacked width f + g below d (QR basis) and at or above d (Q = I)
+    # stacked width f + g below d (QR basis, or the Gram's cut coordinates)
+    # and at or above d (Q = I)
     rng = np.random.default_rng(seed)
     d = int(rng.integers(1, 13))
     f, g = (int(x) for x in rng.integers(0, d + 4, size=2))
@@ -189,6 +191,11 @@ def test_lowrank_loewner_ratio_matches_dense(seed):
     want = loewner_ratio(a * np.eye(d) + F @ F.T, b * np.eye(d) + G @ G.T)
     got = lowrank_loewner_ratio(a, F, b, G)
     np.testing.assert_allclose(got, want, rtol=1e-8, atol=1e-13)
+    if a > 0:  # the Gram kernel's cut is bounded by the a I term
+        c = float(rng.uniform(0.05, 2.0))
+        mu = loewner_ratio(c * np.eye(d) + G @ G.T, c * np.eye(d) + F @ F.T)
+        got = _two_sided_ratios(F, G, a, b, c)
+        np.testing.assert_allclose(got, (want, mu), rtol=1e-8, atol=1e-13)
 
 
 def test_lowrank_loewner_ratio_complement_and_errors():
@@ -206,6 +213,14 @@ def test_lowrank_loewner_ratio_complement_and_errors():
         lowrank_loewner_ratio(1.0, F, 0.0, G)
     with pytest.raises(DimensionMismatch):
         lowrank_loewner_ratio(1.0, F, 1.0, np.zeros((d + 1, 1)))
+    # a non-finite factor raises, below d wide and at d wide, where both
+    # pencils take the stack's rows
+    nan = np.full((d, 1), np.nan)
+    with pytest.raises(ValueError):
+        lowrank_loewner_ratio(1.0, nan, 1.0, G)
+    for wide in (G, np.hstack((G, np.eye(d)))):
+        with pytest.raises(ValueError):
+            _two_sided_ratios(nan, wide, 1.0, 1.0, 1.0)
 
 
 def test_kalman_gain_identity():
