@@ -274,11 +274,9 @@ def load_config(path: str, experiment: Optional[str] = None) -> ExperimentConfig
         raise ParseError(str(exc), field="enkf") from exc
     _require(cfg.enkf.p <= cfg.model.d, f"p={cfg.enkf.p} exceeds model dimension d={cfg.model.d}", "enkf.p")
 
-    T = raw.get("T")
-    _require(T is not None, "experiment needs T", "T")
-    _require(isinstance(T, int) and not isinstance(T, bool), "must be an integer", "T")
-    _require(T >= 1, "T must be >= 1", "T")
-    cfg.T = T
+    _require(raw.get("T") is not None, "experiment needs T", "T")
+    cfg.T = _convert(int, raw["T"], "T")
+    _require(cfg.T >= 1, "T must be >= 1", "T")
 
     if exp == "stability" and raw.get("shifts") is not None:
         cfg.shifts = _convert_list(float, raw["shifts"], "shifts")

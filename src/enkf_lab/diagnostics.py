@@ -13,10 +13,10 @@ R_ref:
 * ``chi``: excess of the first discarded eigenvalue over rho,
 * ``cov_fidelity``: the raw (unfloored) ratio ``||C R_ref^{-1}||``.
 
-Each step reduces each span once: the posterior spread is factored into
-a thin ``W`` (one K x K eigensolve), which gives this step's nu and
-Mahalanobis error and the next step's lam / mu, and both lam and mu
-come from one Gram reduction of ``span[V, Y]``.
+Each step reduces each span once: the step record's posterior factor
+``W`` gives this step's nu and Mahalanobis error and the next step's
+lam / mu, and both lam and mu come from one Gram reduction of
+``span[V, Y]``.
 
 Experiments: filter diagnostics over seeds, sample-covariance
 concentration (rare-event sweep over K and a tail-shape check),
@@ -39,7 +39,6 @@ from .linalg import (
     DimensionMismatch,
     NotPositiveDefinite,
     _dense,
-    _gram_keep,
     _two_sided_ratios,
     is_positive_definite,
     lowrank_loewner_ratio,
@@ -107,15 +106,7 @@ class ConcentrationTrial:
     in_rare_event: bool
 
 
-def _thin_factor(S):
-    """``W`` with ``W W.T = S S.T / (K-1)``, one column per direction of
-    ``S`` above roundoff, from the eigenpairs of its K x K Gram."""
-    K = S.shape[1]
-    g, Phi = np.linalg.eigh(S.T @ S)
-    return S @ Phi[:, _gram_keep(g, K)] / np.sqrt(K - 1)
-
-
-def compute_lambda_mu(S_hat, A, S_prev, sigma_plus, r, tau, rho):
+def compute_lambda_mu(S_hat, A, W_prev, sigma_plus, r, tau, rho):
     """Concentration ratios of the forecast covariance around its mean.
 
     ``lam = max(1, ratio(C_hat^{tau rho}, r A C A.T + r Sigma+ + r tau rho I))``
@@ -126,18 +117,18 @@ def compute_lambda_mu(S_hat, A, S_prev, sigma_plus, r, tau, rho):
 
     From factors, in O(d K^2): ``C_hat^{tau rho} = tau rho I + V V.T`` with
     ``V = S_hat / sqrt(K-1)``, the previous posterior covariance
-    ``C = W W.T`` with ``W = S_prev / sqrt(K-1)`` (``S_prev`` may have any
-    number of columns: the spread itself, or ``sqrt(K-1)`` times a thin
-    factor of it), and each base is ``c I + Y Y.T`` with
-    ``Y = sqrt(r) [A W, U sqrt(s)]``, ``sigma_plus = (U, s)`` the Sigma+
-    factor. Both pencils are solved on one reduction of ``span[V, Y]``.
+    ``C = W_prev W_prev.T`` (``W_prev`` may have any number of columns: a
+    step record's ``posterior_factor``, or a spread over ``sqrt(K-1)``),
+    and each base is ``c I + Y Y.T`` with ``Y = sqrt(r) [A W_prev, U sqrt(s)]``,
+    ``sigma_plus = (U, s)`` the Sigma+ factor. Both pencils are solved on
+    one reduction of ``span[V, Y]``.
     """
     S_hat = np.asarray(S_hat, dtype=float)
-    scale = np.sqrt(S_hat.shape[1] - 1)
     U, s = sigma_plus
-    AW = np.asarray(A @ (np.asarray(S_prev, dtype=float) / scale))
+    AW = np.asarray(A @ np.asarray(W_prev, dtype=float))
     Y = np.sqrt(r) * np.hstack((AW, _dense(U) * np.sqrt(s)))
-    lam, mu = _two_sided_ratios(S_hat / scale, Y, tau * rho, r * tau * rho, tau * rho)
+    V = S_hat / np.sqrt(S_hat.shape[1] - 1)
+    lam, mu = _two_sided_ratios(V, Y, tau * rho, r * tau * rho, tau * rho)
     return max(1.0, lam), max(1.0, mu)
 
 
@@ -169,17 +160,18 @@ def _long_run_reference(stream, cfg, burn_in: int = 200) -> np.ndarray:
     return next(itertools.islice(iterates, burn_in - 1, None))[1]
 
 
-def _step_diagnostics(step, rec, W_prev, W, A, sigma_plus, x_true, L, cfg) -> FilterDiagnostics:
+def _step_diagnostics(step, rec, W_prev, A, sigma_plus, x_true, L, cfg) -> FilterDiagnostics:
     """One row of diagnostics from the step's factors, in O(d K^2) work.
 
-    ``W`` and ``W_prev`` are the thin factors (:func:`_thin_factor`) of
-    this step's and the previous step's posterior spread, m and m' columns.
-    ``L`` is r_ref's factor from :func:`_reference_factor`: ``1/sqrt`` of a
+    ``W = rec.posterior_factor`` and ``W_prev`` factor this step's and the
+    previous step's posterior covariance, m and m' columns. ``L`` is
+    r_ref's factor from :func:`_reference_factor`: ``1/sqrt`` of a
     diagonal r_ref (whitening is an O(d m) multiply) or a lower Cholesky
     factor (an O(d^2 m) triangular solve)."""
-    d, K = rec.posterior.spread.shape
+    W = rec.posterior_factor
+    d = W.shape[0]
     lam, mu = compute_lambda_mu(
-        rec.forecast_spread, A, np.sqrt(K - 1) * W_prev, sigma_plus, cfg.r, cfg.tau, cfg.rho
+        rec.forecast_spread, A, W_prev, sigma_plus, cfg.r, cfg.tau, cfg.rho
     )
     # C_post = W W.T <= nu r_ref  iff  (L^{-1} W)(L^{-1} W).T <= nu I: the
     # ratio is the top eigenvalue of Z Z.T, which the m x m Gram Z.T Z shares
@@ -245,21 +237,22 @@ def run_filter_experiment(
     for seed in seeds:
         truth = simulate_truth(stream, np.zeros(d), T, seed)
         filt = EnkfFilter(stream, cfg, seed)
-        # each posterior spread is factored once, and its factor serves this
-        # step's nu and Mahalanobis error and the next step's lambda / mu
-        W = _thin_factor(filt.ensemble.spread)
+        # each posterior's factor comes from the filter's step record and
+        # serves this step's nu and Mahalanobis error and the next step's
+        # lambda / mu; the first step's comes from the initial spread
+        W = filt.ensemble.spread / np.sqrt(cfg.K - 1)
         series = []
         for n in range(T):
             y = truth.observations[n] if truth.observations is not None else None
             rec = filt.step(y)
-            W_prev, W = W, _thin_factor(rec.posterior.spread)
             coeffs = filt.coeffs  # the step's coefficients; its factor is memoised
             series.append(
                 _step_diagnostics(
-                    n + 1, rec, W_prev, W, coeffs.A, filt._factor_for(coeffs),
+                    n + 1, rec, W, coeffs.A, filt._factor_for(coeffs),
                     truth.states[n + 1], L, cfg,
                 )
             )
+            W = rec.posterior_factor
         per_seed[seed] = series
     aggregate = []
     for n in range(T):
@@ -491,12 +484,13 @@ def run_accuracy_experiment(
     For each eps the system noise, observation noise, and threshold are
     scaled (Sigma -> eps^2 Sigma, obs noise -> eps^2 I, rho -> eps^2 rho)
     and the filter reruns; the row reports the time-averaged l2 error
-    over the last half of the run, averaged across seeds.
+    over the last half of the run, averaged across seeds. Every eps must
+    be finite and positive, else ``ValueError`` before any run.
     """
+    if not all(np.isfinite(eps) and eps > 0 for eps in eps_list):
+        raise ValueError(f"eps values must be finite and positive, got {list(eps_list)}")
     rows = []
     for eps in eps_list:
-        if eps <= 0:
-            raise ValueError("eps values must be positive")
         s_stream = _scaled_stream(stream, eps)
         s_cfg = EnkfConfig(
             K=cfg.K, p=cfg.p, r=cfg.r, rho=eps * eps * cfg.rho, tau=cfg.tau

@@ -10,7 +10,7 @@ One step, given ensemble mean/spread (X_bar, S), coefficients
 2. assimilate: the gain of ``C_hat + tau rho I`` moves the mean; the
    spread is rebuilt by a deterministic square-root transform so that
    ``S+ S+.T / (K-1)`` equals the rank-p projection
-   ``P (K(C_hat + tau rho I) - rho I) P`` with negative directions clamped,
+   ``P (K(C_hat + tau rho I) - rho I) P`` over the directions above rho,
 3. the state estimate is N(mean, S+ S+.T / (K-1) + rho I).
 
 Two equivalent assimilation routes exist. When ``H = eta I`` (or None)
@@ -23,8 +23,10 @@ O(K^2 d + K^3) per step with no d x d matrix. Otherwise a dense route
 update and the posterior map from that gain. Both routes count the
 spread's rank ``m`` by one rule (:func:`~enkf_lab.linalg._gram_keep` on
 the squared singular values) and hand the posterior map's spectrum to
-one rank-p cut, :func:`_projection`, which keeps ``min(p, m)``
-directions and reports the first one left out.
+one rank-p cut, :func:`_projection`, which keeps the top-p directions
+above rho that the spread spans. Each route returns the cut as a factor
+``F`` and a right basis ``Phi``, from which :func:`_posterior` alone
+builds ``S+ = F Phi.T`` and the record's factor ``F / sqrt(K-1)``.
 """
 
 from __future__ import annotations
@@ -150,22 +152,23 @@ class EnkfConfig:
     tau: float = 1.0
 
     def __post_init__(self):
-        if self.K < 2:
-            raise ValueError("K must be >= 2")
-        if self.p < 1:
-            raise ValueError("p must be >= 1")
-        if not self.r > 1:
-            raise ValueError("r must be > 1")
-        if not self.rho > 0:
-            raise ValueError("rho must be > 0")
-        if not self.tau > 0:
-            raise ValueError("tau must be > 0")
+        for name, low in (("K", 2), ("p", 1)):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < low:
+                raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+        for name, low in (("r", 1), ("rho", 0), ("tau", 0)):
+            value = getattr(self, name)
+            if not (np.isfinite(value) and value > low):
+                raise ValueError(f"{name} must be finite and > {low}")
 
 
 @dataclass
 class StepRecord:
     """Per-step byproducts needed by the diagnostics.
 
+    ``posterior_factor`` is the d x take factor ``W`` of the posterior
+    covariance, ``W W.T = S+ S+.T / (K-1)``, one nonzero column per kept
+    direction (none when the posterior spread is zero).
     ``projection_discard`` is the (p+1)-th eigenvalue of the posterior
     covariance map before projection, and ``chi`` its excess over rho:
     ``chi = max(1, projection_discard / rho)``.
@@ -173,7 +176,7 @@ class StepRecord:
 
     forecast_spread: np.ndarray
     posterior: Ensemble
-    gain_residual: np.ndarray
+    posterior_factor: np.ndarray
     chi: float
     projection_discard: float
 
@@ -242,19 +245,21 @@ def enkf_forecast(
     return mean, S_hat
 
 
-def _posterior(mean_plus, S_hat, S_plus, resid, cfg, rho_next):
+def _posterior(mean_plus, S_hat, F, Phi, cfg, rho_next):
     """Shared tail of both routes: the posterior and the step record.
 
-    ``S_plus`` is recentred into a new array; callers pass it without
-    keeping a reference, so the un-centred d x K array is freed at once.
+    ``F`` (d x take) and ``Phi`` (K x take, orthonormal columns) are the
+    route's cut: the posterior spread is ``S+ = F Phi.T``, recentred in
+    place, and ``F / sqrt(K-1)`` is recorded as its covariance factor.
     """
+    S_plus = F @ Phi.T
     # zero column sums are exact in theory; enforced against roundoff drift
-    S_plus = S_plus - S_plus.mean(axis=1, keepdims=True)
+    S_plus -= S_plus.mean(axis=1, keepdims=True)
     ens = Ensemble(mean=mean_plus, spread=S_plus)
     rec = StepRecord(
         forecast_spread=S_hat,
         posterior=ens,
-        gain_residual=resid,
+        posterior_factor=F / np.sqrt(S_hat.shape[1] - 1),
         chi=max(1.0, rho_next / cfg.rho),
         projection_discard=float(rho_next),
     )
@@ -266,11 +271,11 @@ def _projection(lam, m: int, K: int, cfg):
 
     ``lam`` is the posterior map's spectrum, descending, with at least
     ``min(p+1, d)`` values, and ``m`` the number of directions the forecast
-    spread spans. The cut keeps the top ``take = min(p, m)`` directions,
-    with square-root transform weights ``w_i = sqrt((lam_i - rho)+ (K-1))``,
-    and warns :class:`RankDeficit` when more of the top p exceed rho than
-    the spread spans. ``rho_next`` is the (p+1)-th value, 0.0 when
-    ``lam`` has no more than p values (``p == d``).
+    spread spans. Of the top p values, ``want`` exceed rho; the cut keeps
+    the top ``take = min(want, m)`` directions, with square-root transform
+    weights ``w_i = sqrt((lam_i - rho) (K-1))``, all positive, and warns
+    :class:`RankDeficit` when ``want > m``. ``rho_next`` is the (p+1)-th
+    value, 0.0 when ``lam`` has no more than p values (``p == d``).
     """
     p, rho = cfg.p, cfg.rho
     want = int(np.count_nonzero(lam[:p] > rho))
@@ -279,8 +284,8 @@ def _projection(lam, m: int, K: int, cfg):
             f"projection wants {want} directions but the spread spans {m}",
             RankDeficit,
         )
-    take = min(p, m)
-    w = np.sqrt(np.maximum(lam[:take] - rho, 0.0) * (K - 1))
+    take = min(want, m)
+    w = np.sqrt((lam[:take] - rho) * (K - 1))
     rho_next = float(lam[p]) if p < lam.shape[0] else 0.0
     return take, w, rho_next
 
@@ -318,7 +323,7 @@ def _assimilate_structured(mean_hat, S_hat, eta, y, cfg):
     lam[:m] = _kappa(s[:m], eta, c)
     take, w, rho_next = _projection(lam, m, K, cfg)
     if y is None:
-        mean_plus, resid = mean_hat.copy(), np.zeros(0)
+        mean_plus = mean_hat.copy()
     else:
         # G r = eta [kappa(0) r + sum_i (kappa(s_i) - kappa(0)) psi_i psi_i.T r]
         # over the left singular vectors psi_i; the weight
@@ -331,9 +336,9 @@ def _assimilate_structured(mean_hat, S_hat, eta, y, cfg):
         t = Phi_m @ (g * (Phi_m.T @ (S_hat.T @ resid)))
         mean_plus = mean_hat + eta * (kappa_tail * resid + S_hat @ t)
     Phi_t = Phi[:, :take]
+    # the kept left singular vectors S_hat phi_i / sing_i, weighted by w_i
     return _posterior(
-        mean_plus, S_hat, S_hat @ ((Phi_t * (w / sing[:take])) @ Phi_t.T),
-        resid, cfg, rho_next,
+        mean_plus, S_hat, S_hat @ (Phi_t * (w / sing[:take])), Phi_t, cfg, rho_next
     )
 
 
@@ -350,20 +355,17 @@ def _assimilate_dense(mean_hat, S_hat, H, y, cfg):
     C_hat = symmetrize(S_hat @ S_hat.T / (K - 1) + c * np.eye(d))
     if H is None:
         Kmat = C_hat
-        mean_plus, resid = mean_hat.copy(), np.zeros(0)
+        mean_plus = mean_hat.copy()
     else:
         G, Kmat = _gain_and_update(C_hat, _dense(H))
-        resid = y - np.asarray(H @ mean_hat).ravel()
-        mean_plus = mean_hat + G @ resid
+        mean_plus = mean_hat + G @ (y - np.asarray(H @ mean_hat).ravel())
     lam, Q = eigh_desc(Kmat)
     _, sing, PhiT = np.linalg.svd(S_hat, full_matrices=False)
     m = int(np.count_nonzero(_gram_keep(sing * sing, K)))
     take, w, rho_next = _projection(lam, m, K, cfg)
     # i-th eigenvector of the projected target pairs with the i-th right
     # singular direction of S_hat (both in descending order)
-    return _posterior(
-        mean_plus, S_hat, (Q[:, :take] * w) @ PhiT[:take, :], resid, cfg, rho_next
-    )
+    return _posterior(mean_plus, S_hat, Q[:, :take] * w, PhiT[:take].T, cfg, rho_next)
 
 
 def enkf_assimilate(mean_hat, S_hat, coeffs: StepCoefficients, y, cfg: EnkfConfig):
@@ -371,7 +373,7 @@ def enkf_assimilate(mean_hat, S_hat, coeffs: StepCoefficients, y, cfg: EnkfConfi
 
     Returns ``(posterior Ensemble, StepRecord)``. The posterior spread
     satisfies ``S+ S+.T / (K-1) = P (K(C_hat^{tau rho}) - rho I) P``
-    (negative directions clamped) whenever the needed directions lie in
+    (over the directions above rho) whenever the needed directions lie in
     the span of ``S_hat``; otherwise a :class:`RankDeficit` warning is
     recorded and the identity holds on the spanned part.
 
@@ -435,7 +437,7 @@ class EnkfFilter:
         self.seed = int(seed)
         self.n = 0
         self.coeffs: Optional[StepCoefficients] = None
-        self._factor_memo = _LastValueMemo(
+        self._factor_for = _LastValueMemo(
             lambda coeffs: sigma_plus_factor(coeffs, cfg.r, cfg.tau, cfg.rho)
         )
         mean0 = (
@@ -453,9 +455,6 @@ class EnkfFilter:
         # init_mean carry bitwise-identical spreads forever.
         mu_noise = noise.mean(axis=1)
         self.ensemble = Ensemble(mean=mean0 + mu_noise, spread=noise - mu_noise[:, None])
-
-    def _factor_for(self, coeffs):
-        return self._factor_memo(coeffs)
 
     def step(self, y) -> StepRecord:
         """Advance one step; a non-finite forecast raises

@@ -257,11 +257,11 @@ class JumpSpec:
     transition : (m, m) array
         Row-stochastic transition matrix.
     multipliers : (m, len(modes)) array
-        Multiplier applied to each listed mode's A-block, per chain state.
+        Finite multiplier for each listed mode's A-block, per chain state.
     modes : sequence of int
         Wavenumbers forming the instability set; only these are scaled.
     init_state : int
-        Chain state at step 0.
+        Chain state at step 0, in ``[0, m)``.
     """
 
     transition: np.ndarray
@@ -282,8 +282,13 @@ class JumpSpec:
                 f"got {self.multipliers.shape}"
             )
         rows = self.transition.sum(axis=1)
-        if np.any(np.abs(rows - 1.0) > 1e-12) or np.any(self.transition < 0):
+        # written so that a NaN entry fails: every comparison with NaN is False
+        if not (np.all(np.abs(rows - 1.0) <= 1e-12) and np.all(self.transition >= 0)):
             raise InvalidChain("transition rows must be stochastic (sum to 1 within 1e-12)")
+        if not np.all(np.isfinite(self.multipliers)):
+            raise InvalidChain("multipliers must be finite")
+        if not 0 <= self.init_state < m:
+            raise InvalidChain(f"init_state must be in [0, {m}), got {self.init_state}")
 
 
 def markov_jump_step(jump_spec: JumpSpec, state: int, rng) -> tuple[int, np.ndarray]:

@@ -226,6 +226,8 @@ def test_seeds_object_validation(tmp_path, capsys):
         ("verify-dim", {"model": {"J": 2}, "rho_grid": [0.04, 0]}, "rho_grid"),
         ("verify-dim", {"model": {"J": 2}, "seed": 5}, "seed"),
         ("simulate", tiny_simulate_config(seed=[5], seeds=[1]), "seed"),
+        ("simulate", tiny_simulate_config(T=2.5), "T"),
+        ("simulate", tiny_simulate_config(T=True), "T"),
     ],
 )
 def test_wrong_value_types_exit_2_naming_the_field(tmp_path, capsys, command, cfg, field):
@@ -296,6 +298,17 @@ def test_model_integral_J_and_null_keys_are_accepted(tmp_path):
     assert model["J"] == 2 and isinstance(model["J"], int)
     assert model["r"] == 2 and isinstance(model["r"], int)  # kept as written
     assert model["sigma_obs"] is None and model["omega_spec"] is None
+
+
+def test_integral_float_T_is_accepted_as_an_integer(tmp_path):
+    out = tmp_path / "o"
+    cfg = tiny_simulate_config(T=10.0, seeds=[0])
+    rc = cli_main(["simulate", "--config", write_config(tmp_path, cfg), "--out", str(out)])
+    assert rc == 0
+    T = json.loads((out / "manifest.json").read_text())["config"]["T"]
+    assert T == 10 and isinstance(T, int)
+    rows = (out / "diagnostics_seed0.csv").read_text().splitlines()
+    assert len([r for r in rows if not r.startswith("#")]) == 1 + 10
 
 
 @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity", "1e400"])

@@ -48,22 +48,26 @@ def dense_lambda_mu(C_hat_taurho, A, C_prev, Sigma_plus, r, tau, rho):
     return lam, mu
 
 
-def spread_for(C, K):
-    """Zero-column-sum d x K spread S with S S.T / (K-1) = C, for K > d."""
-    d = C.shape[0]
+def root_of(C):
+    """Square factor W of a PSD matrix, W W.T = C."""
     w, V = np.linalg.eigh(C)
-    root = V * np.sqrt(np.maximum(w, 0.0))
+    return V * np.sqrt(np.maximum(w, 0.0))
+
+
+def spread_for(W, K):
+    """Zero-column-sum d x K spread S with S S.T / (K-1) = W W.T, for W
+    with at most K - 1 columns."""
     # orthonormal K-vectors orthogonal to the ones vector
     E = np.linalg.qr(np.column_stack((np.ones(K), np.eye(K)[:, : K - 1])))[0][:, 1:]
-    return np.sqrt(K - 1) * root @ E[:, :d].T
+    return np.sqrt(K - 1) * W @ E[:, : W.shape[1]].T
 
 
 def factored_lambda_mu(C_hat_taurho, A, C_prev, Sigma_plus, r, tau, rho):
-    """compute_lambda_mu on spreads and a factor of the given d x d operands."""
+    """compute_lambda_mu on a spread and factors of the given d x d operands."""
     K = C_prev.shape[0] + 1
-    S_hat = spread_for(C_hat_taurho - tau * rho * np.eye(K - 1), K)
+    S_hat = spread_for(root_of(C_hat_taurho - tau * rho * np.eye(K - 1)), K)
     factor = positive_part_factor(Sigma_plus)
-    return compute_lambda_mu(S_hat, A, spread_for(C_prev, K), factor, r, tau, rho)
+    return compute_lambda_mu(S_hat, A, root_of(C_prev), factor, r, tau, rho)
 
 
 def scalar_bases(a, c, sp, r, tau, rho):
@@ -129,7 +133,7 @@ def centred(M):
 @settings(deadline=None, max_examples=120)
 @given(st.integers(0, 10**6))
 def test_compute_lambda_mu_matches_dense_oracle(seed):
-    # random (d, K < d, p); the stacked width K + rank(S_prev) + rank(Sigma+)
+    # random (d, K < d, p); the stacked width K + width(W_prev) + rank(Sigma+)
     # falls below d and at or above it (Q = I), with sparse and dense A
     rng = np.random.default_rng(seed)
     d = int(rng.integers(3, 30))
@@ -138,10 +142,10 @@ def test_compute_lambda_mu_matches_dense_oracle(seed):
     r, tau, rho = float(rng.uniform(1.01, 1.5)), float(rng.uniform(0.3, 1.0)), 0.04
     scale = rng.uniform(0.05, 2.0, d)
     S_hat = centred(scale[:, None] * rng.standard_normal((d, K)))
-    if rng.random() < 0.3:  # a full-rank initial ensemble
-        S_prev = centred(rng.standard_normal((d, K)))
-    else:  # a posterior spread of rank at most p
-        S_prev = centred(rng.standard_normal((d, p)) @ rng.standard_normal((p, K)))
+    if rng.random() < 0.3:  # a full-rank initial spread over sqrt(K-1)
+        W_prev = centred(rng.standard_normal((d, K))) / np.sqrt(K - 1)
+    else:  # a posterior's thin factor, 0 to p columns
+        W_prev = rng.standard_normal((d, int(rng.integers(0, p + 1))))
     m = int(rng.integers(0, d + 1))
     if rng.random() < 0.5:
         A = scipy.sparse.random(d, d, density=0.2, random_state=rng, format="csr")
@@ -152,9 +156,9 @@ def test_compute_lambda_mu_matches_dense_oracle(seed):
         Gm = rng.standard_normal((d, m))
         Sigma_plus = Gm @ Gm.T / max(m, 1)
     factor = positive_part_factor(Sigma_plus)
-    lam, mu = compute_lambda_mu(S_hat, A, S_prev, factor, r, tau, rho)
+    lam, mu = compute_lambda_mu(S_hat, A, W_prev, factor, r, tau, rho)
     C_hat = S_hat @ S_hat.T / (K - 1) + tau * rho * np.eye(d)
-    C_prev = S_prev @ S_prev.T / (K - 1)
+    C_prev = W_prev @ W_prev.T
     want = dense_lambda_mu(C_hat, A, C_prev, factor_matrix(factor), r, tau, rho)
     np.testing.assert_allclose((lam, mu), want, rtol=1e-8)
 
@@ -211,32 +215,31 @@ def test_run_filter_experiment_matches_dense_oracle(J, K, reference, jump):
 
 
 def test_mahalanobis_without_cancellation():
-    # a step whose error e lies almost inside span(X), C_post = X X.T, with
+    # a step whose error e lies almost inside span(W), C_post = W W.T, with
     # variances 1e12 times rho: there e.e / rho and a Woodbury correction
     # agree in their leading 12 digits
     rng = np.random.default_rng(7)
     d, K = 40, 7
     cfg = EnkfConfig(K=K, p=3, r=1.1, rho=1e-4, tau=0.6)
-    spread = centred(1e4 * np.sqrt(K - 1) * rng.standard_normal((d, K)))
-    X = spread / np.sqrt(K - 1)
+    W = 1e4 * rng.standard_normal((d, K - 1))
+    spread = spread_for(W, K)
     factor = positive_part_factor(np.eye(d))
-    W = diagnostics._thin_factor(spread)
     for tilt in (0.0, 1e-9, 1e-6):
-        e = X @ rng.standard_normal(K) + tilt * rng.standard_normal(d)
+        e = W @ rng.standard_normal(K - 1) + tilt * rng.standard_normal(d)
         rec = enkf.StepRecord(
             forecast_spread=spread, posterior=enkf.Ensemble(e, spread),
-            gain_residual=np.zeros(d), chi=1.0, projection_discard=0.0,
+            posterior_factor=W, chi=1.0, projection_discard=0.0,
         )
         row = diagnostics._step_diagnostics(
-            1, rec, W, W, np.eye(d), factor, np.zeros(d), np.eye(d), cfg
+            1, rec, W, np.eye(d), factor, np.zeros(d), np.eye(d), cfg
         )
-        want = mahalanobis_sq(e, X @ X.T + cfg.rho * np.eye(d))
+        want = mahalanobis_sq(e, W @ W.T + cfg.rho * np.eye(d))
         np.testing.assert_allclose(row.maha_sq_per_d * d, want, rtol=1e-8)
 
 
 def test_step_diagnostics_form_no_d_by_d_array():
-    # d = 4001, K = 8: one step's diagnostics, the posterior's thin factors
-    # included, peak below d^2 * 8 / 4 bytes, with r_ref's Cholesky factor
+    # d = 4001, K = 8: one step's diagnostics from the records' posterior
+    # factors, peak below d^2 * 8 / 4 bytes, with r_ref's Cholesky factor
     # and with the factor of its diagonal
     p = TurbulenceParams(J=2000, sigma_obs=10.0, tau=0.6)
     stream = build_turbulence(p)
@@ -244,8 +247,7 @@ def test_step_diagnostics_form_no_d_by_d_array():
     cfg = EnkfConfig(K=8, p=4, r=p.r, rho=p.rho, tau=p.tau)
     truth = simulate_truth(stream, np.zeros(d), 2, seed=0)
     filt = EnkfFilter(stream, cfg, seed=0)
-    filt.step(truth.observations[0])
-    S_prev = filt.ensemble.spread
+    W_prev = filt.step(truth.observations[0]).posterior_factor
     rec = filt.step(truth.observations[1])
     factor = filt._factor_for(filt.coeffs)
     r_diag = stationary_riccati_ambient(p)
@@ -256,10 +258,8 @@ def test_step_diagnostics_form_no_d_by_d_array():
         try:
             if ref.ndim == 1:
                 ref = diagnostics._reference_factor(ref, d)
-            W_prev = diagnostics._thin_factor(S_prev)
-            W = diagnostics._thin_factor(rec.posterior.spread)
             row = diagnostics._step_diagnostics(
-                2, rec, W_prev, W, filt.coeffs.A, factor, truth.states[2], ref, cfg
+                2, rec, W_prev, filt.coeffs.A, factor, truth.states[2], ref, cfg
             )
             peak = tracemalloc.get_traced_memory()[1]
         finally:
@@ -367,32 +367,31 @@ def test_run_filter_experiment_fetches_and_factors_once_per_step(monkeypatch):
     assert len(generated) == 2 * T
     assert len(factored) == T
     # each row's lambda, mu are those of its own step's coefficients and of
-    # the thin factor of its own step's previous posterior, which the driver
-    # carries from the step before; nu and the Mahalanobis error take the
-    # factor of the step's own posterior
+    # the factor of its own step's previous posterior, which the driver
+    # carries from the step before (the initial spread over sqrt(K-1) on
+    # step 1); nu and the Mahalanobis error take the record's own factor
     truth = simulate_truth(stream, np.zeros(stream.d), T, seed=0)
     filt = EnkfFilter(stream, cfg, seed=0)
     L = diagnostics._reference_factor(r_ref, stream.d)
+    W_prev = filt.ensemble.spread / np.sqrt(cfg.K - 1)
     for n, row in enumerate(per_seed[0]):
         coeffs = stream.at(n)
-        W_prev = diagnostics._thin_factor(filt.ensemble.spread)
         factor = filt._factor_for(coeffs)
         rec = filt.step(truth.observations[n])
         lam, mu = compute_lambda_mu(
-            rec.forecast_spread, coeffs.A, np.sqrt(cfg.K - 1) * W_prev, factor,
-            cfg.r, cfg.tau, cfg.rho,
+            rec.forecast_spread, coeffs.A, W_prev, factor, cfg.r, cfg.tau, cfg.rho
         )
         assert (row.lam, row.mu) == (lam, mu)
-        W = diagnostics._thin_factor(rec.posterior.spread)
         assert row == diagnostics._step_diagnostics(
-            n + 1, rec, W_prev, W, coeffs.A, factor, truth.states[n + 1], L, cfg
+            n + 1, rec, W_prev, coeffs.A, factor, truth.states[n + 1], L, cfg
         )
+        W_prev = rec.posterior_factor
 
 
 def test_collapsed_posterior_rows():
     # d = 1001 at sigma_obs = 10: eta^2 = d / 10 >= 1 / rho, so the posterior
-    # map clamps every direction and the posterior spread is exactly 0; its
-    # thin factor has no column, and from step 2 on neither has A W_prev
+    # map has no direction above rho and the posterior spread is exactly 0;
+    # the record's factor has no column, and from step 2 on neither has A W_prev
     p = TurbulenceParams(J=500, sigma_obs=10.0, tau=0.6)
     stream = build_turbulence(p)
     d = stream.d
@@ -405,7 +404,7 @@ def test_collapsed_posterior_rows():
     for n, row in enumerate(per_seed[0]):
         rec = filt.step(truth.observations[n])
         assert not rec.posterior.spread.any()
-        assert diagnostics._thin_factor(rec.posterior.spread).shape == (d, 0)
+        assert rec.posterior_factor.shape == (d, 0)
         assert row.cov_fidelity == 0.0 and row.nu == 1.0
         e = rec.posterior.mean - truth.states[n + 1]
         assert row.maha_sq_per_d == pytest.approx(e @ e / (cfg.rho * d), rel=1e-12)
@@ -436,9 +435,9 @@ def test_lambda_mu_certify_recorded_steps():
     truth = simulate_truth(stream, np.zeros(d), 10, seed=0)
     filt = EnkfFilter(stream, cfg, seed=0)
     eye = np.eye(d)
+    W_prev = filt.ensemble.spread / np.sqrt(cfg.K - 1)
     for n in range(10):
         coeffs = stream.at(n)
-        S_prev = filt.ensemble.spread
         C_prev = filt.ensemble.covariance()
         factor = filt._factor_for(coeffs)
         Sigma_plus = factor_matrix(factor)
@@ -446,8 +445,9 @@ def test_lambda_mu_certify_recorded_steps():
         S_hat = rec.forecast_spread
         C_hat = S_hat @ S_hat.T / (cfg.K - 1) + cfg.tau * cfg.rho * eye
         lam, mu = compute_lambda_mu(
-            S_hat, coeffs.A, S_prev, factor, cfg.r, cfg.tau, cfg.rho
+            S_hat, coeffs.A, W_prev, factor, cfg.r, cfg.tau, cfg.rho
         )
+        W_prev = rec.posterior_factor
         A = np.asarray(coeffs.A.todense())
         core = cfg.r * (A @ C_prev @ A.T + Sigma_plus)
         upper = lam * (core + cfg.r * cfg.tau * cfg.rho * eye) - C_hat
@@ -563,14 +563,21 @@ def test_accuracy_experiment_linear_scaling():
     )
 
 
-def test_accuracy_experiment_tiny_eps():
+def test_accuracy_experiment_tiny_eps(monkeypatch):
     p = TurbulenceParams(J=2, sigma_obs=10.0, tau=0.6)
     stream = build_turbulence(p)
     cfg = EnkfConfig(K=8, p=3, r=p.r, rho=p.rho, tau=p.tau)
     rows = run_accuracy_experiment(stream, cfg, T=30, eps_list=(1e-8,), seeds=(0,))
     assert rows[0]["mean_error"] < 1e-6
-    with pytest.raises(ValueError):
-        run_accuracy_experiment(stream, cfg, T=5, eps_list=(0.0,), seeds=(0,))
+
+    def no_truth(*args, **kwargs):
+        raise AssertionError("a run started before every eps was checked")
+
+    # a bad eps anywhere in the list fails before the first run
+    monkeypatch.setattr(diagnostics, "simulate_truth", no_truth)
+    for eps_list in ((0.0,), (0.5, -1.0), (0.5, np.nan), (np.inf,)):
+        with pytest.raises(ValueError, match="eps values must be finite and positive"):
+            run_accuracy_experiment(stream, cfg, T=5, eps_list=eps_list, seeds=(0,))
 
 
 def test_scaled_stream_memoises_constant_steps_and_maps_jump_steps():

@@ -62,8 +62,8 @@ def dense_coeffs(d, q=None, seed=0, radius=0.6, sigma_scale=0.3):
     return StepCoefficients(A=A, B=rng.standard_normal(d), Sigma=Sigma, H=H)
 
 
-def posterior_map_reference(S_hat, H, cfg):
-    """Independent dense evaluation of P (K(C_hat) - rho I)+ P."""
+def posterior_map_eigh(S_hat, H, cfg):
+    """Independent dense eigenpairs of the posterior map K(C_hat), descending."""
     d, K = S_hat.shape
     C_hat = S_hat @ S_hat.T / (K - 1) + cfg.tau * cfg.rho * np.eye(d)
     if H is None:
@@ -74,7 +74,12 @@ def posterior_map_reference(S_hat, H, cfg):
         ImGH = np.eye(d) - G @ Hd
         Kmat = ImGH @ C_hat @ ImGH.T + G @ G.T
     w, V = np.linalg.eigh(Kmat)
-    w, V = w[::-1], V[:, ::-1]
+    return w[::-1], V[:, ::-1]
+
+
+def posterior_map_reference(S_hat, H, cfg):
+    """Independent dense evaluation of P (K(C_hat) - rho I)+ P."""
+    w, V = posterior_map_eigh(S_hat, H, cfg)
     lam = np.maximum(w[: cfg.p] - cfg.rho, 0.0)
     return (V[:, : cfg.p] * lam) @ V[:, : cfg.p].T
 
@@ -129,10 +134,18 @@ def test_column_sum_check_scales_with_the_spread():
         dict(K=5, p=1, r=1.0, rho=0.1, tau=1.0),
         dict(K=5, p=1, r=1.1, rho=0.0, tau=1.0),
         dict(K=5, p=1, r=1.1, rho=0.1, tau=0.0),
+        dict(K=5, p=1, r=np.inf, rho=0.1, tau=1.0),
+        dict(K=5, p=1, r=1.1, rho=np.inf, tau=1.0),
+        dict(K=5, p=1, r=1.1, rho=0.1, tau=np.inf),
+        dict(K=2.5, p=1, r=1.1, rho=0.1, tau=1.0),
+        dict(K=5, p=1.5, r=1.1, rho=0.1, tau=1.0),
     ],
 )
 def test_config_validation(kwargs):
-    with pytest.raises(ValueError):
+    # each row breaks one field of a valid config; the error names it
+    valid = dict(K=5, p=1, r=1.1, rho=0.1, tau=1.0)
+    (field,) = [k for k in valid if kwargs[k] != valid[k]]
+    with pytest.raises(ValueError, match=f"^{field} must be"):
         EnkfConfig(**kwargs)
 
 
@@ -315,11 +328,10 @@ def test_ensemble_space_mean_update_matches_kalman_gain(d, k_frac, rank_frac, et
     y = rng.standard_normal(d)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RankDeficit)
-        ens, rec = enkf_assimilate(np.zeros(d), S_hat, coeffs, y, cfg)
+        ens, _ = enkf_assimilate(np.zeros(d), S_hat, coeffs, y, cfg)
     C = S_hat @ S_hat.T / (K - 1) + cfg.tau * cfg.rho * np.eye(d)
     want = kalman_gain(C, eta * np.eye(d)) @ y
     np.testing.assert_allclose(ens.mean, want, rtol=1e-8, atol=1e-8 * np.abs(want).max())
-    np.testing.assert_array_equal(rec.gain_residual, y)
 
 
 @settings(max_examples=60, deadline=None)
@@ -494,13 +506,12 @@ def test_posterior_mean_uses_woodbury_gain():
     mean_hat = np.linspace(-1, 1, d)
     S_hat = make_ensemble(d, K, seed=23).spread
     y = np.arange(q, dtype=float)
-    ens, rec = enkf_assimilate(mean_hat, S_hat, coeffs, y, cfg)
+    ens, _ = enkf_assimilate(mean_hat, S_hat, coeffs, y, cfg)
     H = np.asarray(coeffs.H)
     C_hat = S_hat @ S_hat.T / (K - 1) + cfg.tau * cfg.rho * np.eye(d)
     G = C_hat @ H.T @ np.linalg.inv(np.eye(q) + H @ C_hat @ H.T)
     resid = y - H @ mean_hat
     np.testing.assert_allclose(ens.mean, mean_hat + G @ resid, atol=1e-9)
-    np.testing.assert_allclose(rec.gain_residual, resid, atol=1e-12)
 
 
 def test_structured_route_matches_dense_route():
@@ -568,6 +579,50 @@ def test_structured_route_cuts_rank_like_dense_route():
             out["dense"][1].spread @ out["dense"][1].spread.T,
             atol=1e-12,
         )
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    d=st.integers(2, 25),
+    K=st.integers(2, 35),
+    p_frac=st.floats(0.0, 1.0),
+    rank_frac=st.floats(0.0, 1.0),
+    route=st.sampled_from(["structured", "unobserved", "general_H"]),
+    tau=st.sampled_from([0.6, 2.0]),
+    seed=st.integers(0, 2**31 - 1),
+)
+def test_record_factor_carries_the_posterior_covariance(
+    d, K, p_frac, rank_frac, route, tau, seed
+):
+    # W = rec.posterior_factor gives W W.T = S+ S+.T / (K-1), one nonzero
+    # column per kept direction: the top-p posterior-map eigenvalues above
+    # rho, at most the spread's rank m. K runs below and above d (K >= d
+    # takes the dense route whatever H is), m from 0 to K - 1, and tau = 2
+    # lifts the flat tail above rho, so RankDeficit fires when want > m
+    rng = np.random.default_rng(seed)
+    p = 1 + int(p_frac * (d - 1))
+    m = int(rank_frac * min(d, K - 1))
+    cfg = EnkfConfig(K=K, p=p, r=1.1, rho=0.04, tau=tau)
+    S_hat = rng.standard_normal((d, m)) @ rng.standard_normal((m, K))
+    S_hat -= S_hat.mean(axis=1, keepdims=True)
+    H = {
+        "structured": scipy.sparse.identity(d, format="csr") * rng.uniform(0.1, 3.0),
+        "unobserved": None,
+        "general_H": rng.standard_normal((1 + d // 2, d)),
+    }[route]
+    y = None if H is None else rng.standard_normal(H.shape[0])
+    coeffs = StepCoefficients(A=np.eye(d), B=np.zeros(d), Sigma=np.eye(d), H=H)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        ens, rec = enkf_assimilate(rng.standard_normal(d), S_hat, coeffs, y, cfg)
+    W = rec.posterior_factor
+    C = ens.spread @ ens.spread.T / (K - 1)
+    assert np.linalg.norm(W @ W.T - C) <= 1e-12 * np.linalg.norm(C)
+    assert np.all(np.linalg.norm(W, axis=0) > 0)
+    want = int(np.count_nonzero(posterior_map_eigh(S_hat, H, cfg)[0][:p] > cfg.rho))
+    assert W.shape == (d, min(want, m))
+    fired = any(issubclass(w.category, RankDeficit) for w in caught)
+    assert fired == (want > m)
 
 
 def test_structured_route_unobserved_matches_dense():

@@ -296,13 +296,21 @@ def test_white_noise_lln():
     assert np.linalg.norm(C - np.eye(d), 2) < 0.1
 
 
-def test_jump_spec_validation():
+@pytest.mark.parametrize(
+    "transition,multipliers,init_state",
+    [
+        ([[0.7, 0.2], [0.5, 0.5]], [[1.0], [2.0]], 0),
+        ([[np.nan, 0.5], [0.5, 0.5]], [[1.0], [2.0]], 0),
+        ([[0.5, 0.5], [0.5, 0.5]], [[1.0], [np.nan]], 0),
+        ([[0.5, 0.5], [0.5, 0.5]], [[1.0], [2.0]], -1),
+        ([[0.5, 0.5], [0.5, 0.5]], [[1.0], [2.0]], 2),
+    ],
+    ids=["row_sum_off", "nan_row", "nan_multiplier", "init_state_negative", "init_state_too_large"],
+)
+def test_jump_spec_validation(transition, multipliers, init_state):
     with pytest.raises(InvalidChain):
         JumpSpec(
-            transition=[[0.7, 0.2], [0.5, 0.5]],  # row sums off
-            multipliers=[[1.0], [2.0]],
-            modes=(1,),
-            init_state=0,
+            transition=transition, multipliers=multipliers, modes=(1,), init_state=init_state
         )
 
 
