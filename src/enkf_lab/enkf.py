@@ -3,10 +3,10 @@
 One step, given ensemble mean/spread (X_bar, S), coefficients
 (A, B, Sigma, H), and observation y:
 
-1. forecast: draw xi^(k) ~ N(0, Sigma+) with Sigma+ the PSD part of
-   ``rho A A.T + Sigma - (rho tau / r) I``; mean advances by
-   ``A X_bar + B + mean(xi)``; spread becomes
-   ``S_hat = sqrt(r) (A S + [xi - mean(xi)])``,
+1. forecast: ``xi^(k) = U sqrt(s) z^(k)`` draws N(0, Sigma+), ``Sigma+ = U diag(s) U.T``
+   being the PSD part of ``rho A A.T + Sigma - (rho tau / r) I``; the mean
+   advances by ``A X_bar + B + mean(xi)``, the spread becomes ``S_hat =
+   sqrt(r) (A S + [xi - mean(xi)])``, centred in the m-dim noise space,
 2. assimilate: the gain of ``C_hat + tau rho I`` moves the mean; the
    spread is rebuilt by a deterministic square-root transform so that
    ``S+ S+.T / (K-1)`` equals the rank-p projection
@@ -25,8 +25,8 @@ spread's rank ``m`` by one rule (:func:`~enkf_lab.linalg._gram_keep` on
 the squared singular values) and hand the posterior map's spectrum to
 one rank-p cut, :func:`_projection`, which keeps the top-p directions
 above rho that the spread spans. Each route returns the cut as a factor
-``F`` and a right basis ``Phi``, from which :func:`_posterior` alone
-builds ``S+ = F Phi.T`` and the record's factor ``F / sqrt(K-1)``.
+``F`` and a right basis ``Phi``, from which :func:`_posterior` alone builds
+``S+ = F Phi_c.T`` (``Phi`` centred) and the record's factor ``F / sqrt(K-1)``.
 """
 
 from __future__ import annotations
@@ -105,8 +105,8 @@ class Ensemble:
     """Ensemble mean and spread (deviation columns).
 
     The mean must be finite, the spread columns must sum to zero within
-    ``1e-10 max(1, max|S|)`` per component (so a non-finite spread fails
-    too), and there must be at least two members.
+    ``1e-10 max(1, max|S|)`` per component (one product with a ones vector;
+    a non-finite spread fails too), and there must be at least two members.
     """
 
     mean: np.ndarray
@@ -124,7 +124,7 @@ class Ensemble:
             raise DimensionMismatch("need K >= 2 members")
         if not np.all(np.isfinite(self.mean)):
             raise ValueError("ensemble mean must be finite")
-        colsum = np.abs(self.spread.sum(axis=1))
+        colsum = np.abs(self.spread @ np.ones(self.spread.shape[1]))
         # the bound scales with the spread, so roundoff in a large ensemble
         # passes; the scale costs a d x K pass, taken only when the unit
         # bound fails. An infinite scale or a NaN sum fails.
@@ -226,22 +226,26 @@ def enkf_forecast(
     :func:`sigma_plus_factor` (worth caching on constant streams).
 
     Member k's standard normals, the ones its child would draw in a
-    per-member :func:`~enkf_lab.models.sample_noise` call, fill row k of
-    one ``(K, m)`` block; a single product with ``U sqrt(s)`` then maps
-    the block to all K draws.
+    per-member :func:`~enkf_lab.models.sample_noise` call, fill column k
+    of one ``(m, K)`` block, scaled by ``sqrt(s)`` and centred over the
+    members in this noise space. ``U`` maps its mean into the forecast
+    mean and the centred block into ``A S`` in place; a sparse ``U``
+    touches only its nonzero rows, with no d x K temporary.
     """
     if factor is None:
         factor = sigma_plus_factor(coeffs, cfg.r, cfg.tau, cfg.rho)
     U, s = factor
     K, m = ens.K, s.shape[0]
-    Z = np.empty((K, m))
-    _fill_normals(_spawn_keys(rng, K), Z)
-    xi = U @ (np.sqrt(s)[:, None] * Z.T)
-    xi_mean = xi.mean(axis=1)
-    mean = np.asarray(coeffs.A @ ens.mean).ravel() + coeffs.B + xi_mean
-    S_hat = np.sqrt(cfg.r) * (
-        np.asarray(coeffs.A @ ens.spread) + (xi - xi_mean[:, None])
-    )
+    noise = np.empty((m, K))
+    _fill_normals(_spawn_keys(rng, K), noise.T)
+    noise *= np.sqrt(s)[:, None]
+    noise_mean = noise.mean(axis=1)
+    noise -= noise_mean[:, None]
+    mean = np.asarray(coeffs.A @ ens.mean).ravel() + coeffs.B + U @ noise_mean
+    S_hat = np.asarray(coeffs.A @ ens.spread)
+    rows = np.flatnonzero(U.getnnz(axis=1)) if scipy.sparse.issparse(U) else slice(None)
+    S_hat[rows] += U[rows] @ noise
+    S_hat *= np.sqrt(cfg.r)
     return mean, S_hat
 
 
@@ -249,12 +253,13 @@ def _posterior(mean_plus, S_hat, F, Phi, cfg, rho_next):
     """Shared tail of both routes: the posterior and the step record.
 
     ``F`` (d x take) and ``Phi`` (K x take, orthonormal columns) are the
-    route's cut: the posterior spread is ``S+ = F Phi.T``, recentred in
-    place, and ``F / sqrt(K-1)`` is recorded as its covariance factor.
+    route's cut: the posterior spread is ``S+ = F Phi_c.T`` with ``Phi``
+    recentred over the members, and ``F / sqrt(K-1)`` is recorded as its
+    covariance factor.
     """
-    S_plus = F @ Phi.T
-    # zero column sums are exact in theory; enforced against roundoff drift
-    S_plus -= S_plus.mean(axis=1, keepdims=True)
+    # zero column sums are exact in theory, enforced against roundoff in K
+    # space; np.dot, unlike matmul, is fast at zero inner width (take = 0)
+    S_plus = np.dot(F, (Phi - Phi.mean(axis=0)).T)
     ens = Ensemble(mean=mean_plus, spread=S_plus)
     rec = StepRecord(
         forecast_spread=S_hat,
@@ -440,12 +445,13 @@ class EnkfFilter:
         self._factor_for = _LastValueMemo(
             lambda coeffs: sigma_plus_factor(coeffs, cfg.r, cfg.tau, cfg.rho)
         )
-        mean0 = (
-            np.zeros(stream.d)
-            if init_mean is None
-            else np.asarray(init_mean, dtype=float).ravel()
-        )
-        scale = np.sqrt(cfg.rho if init_cov is None else init_cov)
+        mean0 = np.zeros(stream.d) if init_mean is None else np.asarray(init_mean, float).ravel()
+        if mean0.shape != (stream.d,):
+            raise DimensionMismatch(f"init_mean has length {mean0.size}, expected d={stream.d}")
+        init_cov = float(cfg.rho if init_cov is None else init_cov)
+        if not (np.isfinite(init_cov) and init_cov >= 0):
+            raise ValueError(f"init_cov must be finite and >= 0, got {init_cov!r}")
+        scale = np.sqrt(init_cov)
         # column k holds substream(seed, DOMAIN_INIT, k)'s first d normals
         noise = np.empty((stream.d, cfg.K))
         _fill_normals(_substream_keys((self.seed, DOMAIN_INIT), cfg.K), noise.T)

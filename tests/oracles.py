@@ -171,16 +171,28 @@ def spawn_normals(rng, K, m):
 
 def forecast_spawned_block(ens, coeffs, cfg, rng, factor):
     """The batched forecast with the draws taken through ``rng.spawn(K)``:
-    the same ``U @ (sqrt(s)[:, None] * Z.T)`` product ``enkf_forecast`` uses."""
+    the same ``(m, K)`` block, centred in noise space, and the same ``U``
+    products ``enkf_forecast`` uses, written on all d rows at once."""
     U, s = factor
-    Z = spawn_normals(rng, ens.K, s.shape[0])
-    xi = U @ (np.sqrt(s)[:, None] * Z.T)
-    xi_mean = xi.mean(axis=1)
-    mean = np.asarray(coeffs.A @ ens.mean).ravel() + coeffs.B + xi_mean
-    S_hat = np.sqrt(cfg.r) * (
-        np.asarray(coeffs.A @ ens.spread) + (xi - xi_mean[:, None])
-    )
+    noise = spawn_normals(rng, ens.K, s.shape[0]).T.copy()  # C order, as enkf_forecast's
+    noise *= np.sqrt(s)[:, None]
+    noise_mean = noise.mean(axis=1)
+    noise -= noise_mean[:, None]
+    mean = np.asarray(coeffs.A @ ens.mean).ravel() + coeffs.B + U @ noise_mean
+    S_hat = np.sqrt(cfg.r) * (np.asarray(coeffs.A @ ens.spread) + U @ noise)
     return mean, S_hat
+
+
+def forecast_centred_in_state_space(ens, coeffs, cfg, Z, factor):
+    """The forecast written densely from the ``(K, m)`` draws ``Z``:
+    ``xi = U diag(sqrt(s)) Z.T`` centred over the members in d space, and
+    ``S_hat = sqrt(r) (A S + xi_c)``."""
+    U, s = factor
+    xi = np.asarray(U @ (np.sqrt(s)[:, None] * Z.T))
+    xi_mean = xi.mean(axis=1)
+    A = _dense(coeffs.A)
+    mean = A @ ens.mean + coeffs.B + xi_mean
+    return mean, np.sqrt(cfg.r) * (A @ ens.spread + (xi - xi_mean[:, None]))
 
 
 def initial_ensemble_per_member(d, cfg, seed, init_mean=None, init_cov=None):

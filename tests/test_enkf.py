@@ -1,6 +1,7 @@
 """Tests for the augmented ensemble filter."""
 
 import gc
+import tracemalloc
 import warnings
 import weakref
 
@@ -40,9 +41,11 @@ from enkf_lab.reference import KalmanState, kalman_step
 
 from oracles import (
     factor_matrix,
+    forecast_centred_in_state_space,
     forecast_per_member,
     forecast_spawned_block,
     initial_ensemble_per_member,
+    spawn_normals,
 )
 
 
@@ -167,6 +170,38 @@ def test_sigma_plus_factor_sparse_matches_dense():
     assert np.all(s > 0)
 
 
+def _sigma_with_non_finite_entry(case):
+    """Coefficients whose Sigma holds one non-finite entry: NaN on a sparse
+    diagonal, NaN on a dense diagonal, or inf off a dense diagonal."""
+    if case == "sparse_nan_diagonal":
+        coeffs = build_turbulence(TurbulenceParams(J=3, sigma_obs=10.0, tau=0.6)).at(0)
+        Sigma = coeffs.Sigma.tolil(copy=True)
+        Sigma[1, 1] = np.nan
+        return StepCoefficients(A=coeffs.A, B=coeffs.B, Sigma=Sigma.tocsr(), H=coeffs.H)
+    Sigma = 0.3 * np.eye(4)
+    if case == "dense_nan_diagonal":
+        Sigma[2, 2] = np.nan
+    else:
+        Sigma[0, 1] = Sigma[1, 0] = np.inf
+    return StepCoefficients(A=0.5 * np.eye(4), B=np.zeros(4), Sigma=Sigma, H=np.eye(4))
+
+
+@pytest.mark.parametrize(
+    "case", ["sparse_nan_diagonal", "dense_nan_diagonal", "dense_inf_off_diagonal"]
+)
+def test_non_finite_sigma_fails_instead_of_dropping_the_component(case):
+    coeffs = _sigma_with_non_finite_entry(case)
+    d, q = coeffs.B.shape[0], coeffs.H.shape[0]
+    stream = CoefficientStream(d=d, q=q, generator=lambda n, rng: coeffs)
+    cfg = EnkfConfig(K=6, p=2, r=1.1, rho=0.04, tau=0.6)
+    with pytest.raises(ValueError, match="non-finite"):
+        sigma_plus_factor(coeffs, cfg.r, cfg.tau, cfg.rho)
+    with pytest.raises(ValueError, match="non-finite"):
+        simulate_truth(stream, np.zeros(d), 2, seed=0)
+    with pytest.raises(ValueError, match="non-finite"):
+        EnkfFilter(stream, cfg, seed=0).step(np.zeros(q))
+
+
 def test_forecast_exact_when_target_vanishes():
     # rho A A.T + Sigma below the subtraction level: no noise is drawn
     d, K = 4, 6
@@ -252,6 +287,27 @@ def test_forecast_matches_spawned_draws_at_kalman_limit_setup():
             )
             assert np.array_equal(got[0], want[0])
             assert np.array_equal(got[1], want[1])
+
+
+@pytest.mark.parametrize("selector", [True, False], ids=["sparse_selector_U", "dense_U"])
+def test_forecast_matches_draws_centred_in_state_space(selector):
+    # centring the draws in noise space and mapping them by U gives the
+    # d-space form sqrt(r) (A S + xi - mean(xi)) up to roundoff
+    if selector:
+        p = TurbulenceParams(J=10, sigma_obs=10.0, tau=0.6)
+        coeffs = build_turbulence(p).at(0)
+        cfg = EnkfConfig(K=40, p=3, r=p.r, rho=p.rho, tau=p.tau)
+    else:
+        coeffs = dense_coeffs(6, seed=4, sigma_scale=0.5)
+        cfg = EnkfConfig(K=40, p=2, r=1.1, rho=0.05, tau=1.0)
+    factor = sigma_plus_factor(coeffs, cfg.r, cfg.tau, cfg.rho)
+    assert scipy.sparse.issparse(factor[0]) == selector and factor[1].size > 0
+    ens = make_ensemble(coeffs.B.shape[0], cfg.K, seed=3)
+    got = enkf_forecast(ens, coeffs, cfg, substream(2, DOMAIN_FORECAST, 1), factor)
+    Z = spawn_normals(substream(2, DOMAIN_FORECAST, 1), cfg.K, factor[1].size)
+    want = forecast_centred_in_state_space(ens, coeffs, cfg, Z, factor)
+    for g, w in zip(got, want):
+        assert np.max(np.abs(g - w)) <= 1e-12 * np.max(np.abs(w))
 
 
 def test_forecast_reads_rng_without_advancing_it():
@@ -379,6 +435,29 @@ def test_structured_step_builds_no_gain_context(monkeypatch):
     f = EnkfFilter(stream, cfg, seed=0)
     for n in range(3):
         f.step(truth.observations[n])
+
+
+@pytest.mark.parametrize("collapsed", [True, False], ids=["collapsed", "kept_directions"])
+def test_structured_step_allocates_at_most_two_and_a_half_spreads(collapsed):
+    # d = 4001, K = 40 on the ensemble-space route: the forecast spread and
+    # the posterior spread are a step's only d x K arrays, so its peak new
+    # allocation stays below 2.5 d x K doubles (vectors of length d add 1/K each)
+    J, K = 2000, 40
+    d = 2 * J + 1
+    p = TurbulenceParams(J=J, sigma_obs=10.0 if collapsed else d / 10.1, tau=0.6)
+    stream = build_turbulence(p)
+    cfg = EnkfConfig(K=K, p=19, r=p.r, rho=p.rho, tau=p.tau)
+    truth = simulate_truth(stream, np.zeros(d), 2, seed=0)
+    filt = EnkfFilter(stream, cfg, seed=0)
+    filt.step(truth.observations[0])  # factors Sigma+ once
+    tracemalloc.start()
+    try:
+        rec = filt.step(truth.observations[1])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (rec.posterior_factor.shape[1] == 0) == collapsed
+    assert peak <= 2.5 * d * K * 8
 
 
 def _count_gain_work(monkeypatch):
@@ -685,6 +764,26 @@ def test_filter_init_scales_with_init_cov():
     wide = EnkfFilter(stream, cfg, seed=5, init_cov=4.0)
     ratio = np.sqrt(4.0 / cfg.rho)
     np.testing.assert_allclose(wide.ensemble.spread, ratio * base.ensemble.spread, rtol=1e-12)
+
+
+@pytest.mark.parametrize(
+    "kwargs, error, name",
+    [
+        ({"init_mean": np.ones(1)}, DimensionMismatch, "init_mean"),
+        ({"init_mean": np.ones(3)}, DimensionMismatch, "init_mean"),
+        ({"init_cov": -0.5}, ValueError, "init_cov"),
+        ({"init_cov": np.inf}, ValueError, "init_cov"),
+        ({"init_cov": np.nan}, ValueError, "init_cov"),
+    ],
+    ids=["mean_length_1", "mean_length_3", "cov_negative", "cov_inf", "cov_nan"],
+)
+def test_filter_rejects_bad_initial_arguments(kwargs, error, name):
+    stream = CoefficientStream(d=5, q=0, generator=None)
+    cfg = EnkfConfig(K=6, p=2, r=1.1, rho=0.04, tau=0.6)
+    with pytest.raises(error, match=name):
+        EnkfFilter(stream, cfg, seed=0, **kwargs)
+    # a zero initial covariance stays valid: a collapsed ensemble
+    assert not EnkfFilter(stream, cfg, seed=0, init_cov=0.0).ensemble.spread.any()
 
 
 def test_filter_spread_independent_of_mean():
