@@ -57,6 +57,7 @@ from .models import (
     build_turbulence,
     markov_jump_step,
     simulate_truth,
+    truth_path,
 )
 from .reference import (
     KalmanState,

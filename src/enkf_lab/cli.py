@@ -21,6 +21,7 @@ config (defaults filled in) and the tool version.
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import os
 import sys
@@ -57,15 +58,14 @@ _MODEL_KEYS = {
     "J", "alpha", "beta", "gamma0", "nu_visc", "E0", "h",
     "omega_spec", "r", "tau", "rho", "sigma_obs",
 }
-_RMT_KEYS = {
-    "d", "p", "K_list", "rho", "delta", "trials", "cond_targets",
-    "tail_K", "tail_trials", "tail_t_grid", "tail_min_count",
-}
 _RMT_LISTS = {"K_list", "cond_targets", "tail_t_grid"}
 _RMT_FLOATS = {"rho", "delta", "cond_targets", "tail_t_grid"}
-_RMT_DEFAULTS = dict(
-    d=200, p=5, K_list=(10, 20, 40, 80), rho=0.1, delta=0.1, trials=2000
-)
+# CLI defaults for the keys run_concentration_experiment requires, then its own
+_RMT_DEFAULTS = dict(d=200, p=5, K_list=(10, 20, 40, 80), rho=0.1, delta=0.1, trials=2000) | {
+    name: par.default
+    for name, par in inspect.signature(run_concentration_experiment).parameters.items()
+    if par.default is not par.empty
+}
 
 _COMMON_KEYS = {"experiment", "model", "seeds", "output_dir"}
 _ALLOWED_KEYS = {
@@ -186,6 +186,7 @@ def _parse_seeds(raw) -> tuple:
     _require(isinstance(raw, list) and raw, "seeds must be a nonempty list or {base, count}", "seeds")
     seeds = _convert_list(int, raw, "seeds")
     _require(min(seeds) >= 0, "entries must be >= 0", "seeds")
+    _require(len(set(seeds)) == len(seeds), "entries must be distinct", "seeds")
     return seeds
 
 
@@ -224,7 +225,7 @@ def load_config(path: str, experiment: Optional[str] = None) -> ExperimentConfig
     if exp == "rmt":
         sub = raw.get("rmt", {})
         _require(isinstance(sub, dict), "must be an object", "rmt")
-        _reject_unknown(sub, _RMT_KEYS, "rmt")
+        _reject_unknown(sub, set(_RMT_DEFAULTS), "rmt")
         merged = dict(_RMT_DEFAULTS)
         for key, value in sub.items():
             kind = float if key in _RMT_FLOATS else int
@@ -232,19 +233,16 @@ def load_config(path: str, experiment: Optional[str] = None) -> ExperimentConfig
                 merged[key] = _convert_list(kind, value, f"rmt.{key}")
             else:
                 merged[key] = _convert(kind, value, f"rmt.{key}")
-        _require(merged["trials"] >= 1, "trials must be >= 1", "rmt.trials")
+        for key, low in (
+            ("trials", 1), ("K_list", 2), ("tail_K", 2), ("tail_trials", 1),
+            ("cond_targets", 1), ("tail_min_count", 1),
+        ):
+            values = merged[key] if key in _RMT_LISTS else (merged[key],)
+            what = "entries" if key in _RMT_LISTS else key
+            _require(min(values) >= low, f"{what} must be >= {low}", f"rmt.{key}")
         _require(1 <= merged["p"] <= merged["d"], f"p must satisfy 1 <= p <= d = {merged['d']}", "rmt.p")
         _require(merged["rho"] > 0, "rho must be > 0", "rmt.rho")
         _require(merged["delta"] > 0, "delta must be > 0", "rmt.delta")
-        # a key left out takes the driver's default, which meets its bound
-        for key, low in (
-            ("K_list", 2), ("tail_K", 2), ("tail_trials", 1), ("cond_targets", 1),
-            ("tail_min_count", 1),
-        ):
-            value = merged.get(key, low)
-            values = value if isinstance(value, tuple) else (value,)
-            what = "entries" if key in _RMT_LISTS else key
-            _require(min(values) >= low, f"{what} must be >= {low}", f"rmt.{key}")
         cfg.rmt = merged
         return cfg
 

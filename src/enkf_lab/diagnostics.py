@@ -21,6 +21,8 @@ lam / mu, and both lam and mu come from one Gram reduction of
 Experiments: filter diagnostics over seeds, sample-covariance
 concentration (rare-event sweep over K and a tail-shape check),
 paired-run exponential stability, and small-noise accuracy scaling.
+Seeded experiments step filters in lockstep with the streamed truth
+(O(d) memory) and first reject an empty or repeating seed list.
 """
 
 from __future__ import annotations
@@ -49,8 +51,8 @@ from .models import (
     CoefficientStream,
     StepCoefficients,
     _LastValueMemo,
-    simulate_truth,
     substream,
+    truth_path,
 )
 from .reference import _benchmark_iterates
 
@@ -197,6 +199,11 @@ def _step_diagnostics(step, rec, W_prev, A, sigma_plus, x_true, L, cfg) -> Filte
     )
 
 
+def _check_seeds(seeds) -> None:
+    if len(seeds) == 0 or len(set(seeds)) < len(seeds):
+        raise ValueError(f"seeds must be nonempty and distinct (a repeat counts twice), got {list(seeds)}")
+
+
 def run_filter_experiment(
     stream: CoefficientStream,
     cfg: EnkfConfig,
@@ -219,6 +226,7 @@ def run_filter_experiment(
     :class:`FilterDiagnostics` and ``aggregate`` holds per-step mean and
     (0.1, 0.5, 0.9) quantiles of the error quantities across seeds.
     """
+    _check_seeds(seeds)
     d = stream.d
     if r_ref is None:
         r_ref = _long_run_reference(stream, cfg)
@@ -235,22 +243,18 @@ def run_filter_experiment(
         L = _reference_factor(r_ref, d)
     per_seed = {}
     for seed in seeds:
-        truth = simulate_truth(stream, np.zeros(d), T, seed)
+        path = truth_path(stream, np.zeros(d), T, seed)
         filt = EnkfFilter(stream, cfg, seed)
         # each posterior's factor comes from the filter's step record and
         # serves this step's nu and Mahalanobis error and the next step's
         # lambda / mu; the first step's comes from the initial spread
         W = filt.ensemble.spread / np.sqrt(cfg.K - 1)
         series = []
-        for n in range(T):
-            y = truth.observations[n] if truth.observations is not None else None
+        for n, (x, y) in enumerate(path):
             rec = filt.step(y)
             coeffs = filt.coeffs  # the step's coefficients; its factor is memoised
             series.append(
-                _step_diagnostics(
-                    n + 1, rec, W, coeffs.A, filt._factor_for(coeffs),
-                    truth.states[n + 1], L, cfg,
-                )
+                _step_diagnostics(n + 1, rec, W, coeffs.A, filt._factor_for(coeffs), x, L, cfg)
             )
             W = rec.posterior_factor
         per_seed[seed] = series
@@ -414,24 +418,22 @@ def run_stability_experiment(
     whether the spread matrices stayed bitwise identical (they must, as
     spreads never see the mean).
     """
+    _check_seeds(seeds)
     d = stream.d
     rows = []
     for shift in shift_magnitudes:
         delta0 = np.zeros(d)
         delta0[0] = shift
         for seed in seeds:
-            truth = simulate_truth(stream, np.zeros(d), T, seed)
+            path = truth_path(stream, np.zeros(d), T, seed)
             f1 = EnkfFilter(stream, cfg, seed, init_mean=np.zeros(d))
             f2 = EnkfFilter(stream, cfg, seed, init_mean=delta0)
             gaps = np.empty(T)
             spreads_identical = True
-            for n in range(T):
-                y = truth.observations[n] if truth.observations is not None else None
-                f1.step(y)
-                f2.step(y)
-                gaps[n] = np.linalg.norm(f1.ensemble.mean - f2.ensemble.mean)
-                if not np.array_equal(f1.ensemble.spread, f2.ensemble.spread):
-                    spreads_identical = False
+            for n, (_, y) in enumerate(path):
+                post1, post2 = f1.step(y).posterior, f2.step(y).posterior
+                gaps[n] = np.linalg.norm(post1.mean - post2.mean)
+                spreads_identical &= np.array_equal(post1.spread, post2.spread)
             mask = gaps > GAP_FLOOR
             if shift == 0 or int(mask.sum()) < 2:
                 slope = float("nan")
@@ -456,7 +458,7 @@ def _scaled_stream(stream: CoefficientStream, eps: float) -> CoefficientStream:
 
     The observation rescaling is expressed with unit noise as
     ``H -> H / eps`` (and observations divided by eps, which
-    simulate_truth then produces directly).
+    truth_path then produces directly).
     """
 
     def scale(c: StepCoefficients) -> StepCoefficients:
@@ -487,6 +489,7 @@ def run_accuracy_experiment(
     over the last half of the run, averaged across seeds. Every eps must
     be finite and positive, else ``ValueError`` before any run.
     """
+    _check_seeds(seeds)
     if not all(np.isfinite(eps) and eps > 0 for eps in eps_list):
         raise ValueError(f"eps values must be finite and positive, got {list(eps_list)}")
     rows = []
@@ -497,14 +500,10 @@ def run_accuracy_experiment(
         )
         errs = []
         for seed in seeds:
-            truth = simulate_truth(s_stream, np.zeros(stream.d), T, seed)
+            path = truth_path(s_stream, np.zeros(stream.d), T, seed)
             filt = EnkfFilter(s_stream, s_cfg, seed)
-            run_err = np.empty(T)
-            for n in range(T):
-                y = truth.observations[n] if truth.observations is not None else None
-                filt.step(y)
-                run_err[n] = np.linalg.norm(filt.ensemble.mean - truth.states[n + 1])
-            errs.append(run_err[T // 2 :].mean())
+            run_err = [np.linalg.norm(filt.step(y).posterior.mean - x) for x, y in path]
+            errs.append(np.mean(run_err[T // 2 :]))
         errs = np.array(errs)
         rows.append(
             {

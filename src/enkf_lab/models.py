@@ -37,6 +37,7 @@ __all__ = [
     "substream",
     "build_turbulence",
     "simulate_truth",
+    "truth_path",
     "markov_jump_step",
     "sample_noise",
 ]
@@ -534,36 +535,41 @@ def sample_noise(factor, rng) -> np.ndarray:
     return U @ (np.sqrt(s) * rng.standard_normal(s.shape[0]))
 
 
-def simulate_truth(
-    stream: CoefficientStream,
-    x0,
-    T: int,
-    seed: int,
-) -> TruthTrajectory:
-    """Simulate the truth path and its observations.
+def truth_path(stream: CoefficientStream, x0, T: int, seed: int):
+    """Iterate ``(X_{n+1}, Y_{n+1})`` for ``n < T``, holding only the current state.
 
-    Parameters
-    ----------
-    stream : CoefficientStream
-    x0 : (d,) initial state
-    T : number of steps, >= 1
-    seed : int, keys the noise substreams
+    ``Y`` is None on an unobserved stream. ``seed`` keys the noise. ``T >= 1``
+    and the length of ``x0`` are checked on the call, not at the first step.
     """
     if T < 1:
         raise InvalidParams("T must be >= 1")
-    x = np.asarray(x0, dtype=float).ravel().copy()
-    if x.shape[0] != stream.d:
-        raise InvalidParams(f"x0 has length {x.shape[0]}, stream.d = {stream.d}")
+    x0 = np.asarray(x0, dtype=float).ravel()
+    if x0.shape[0] != stream.d:
+        raise InvalidParams(f"x0 has length {x0.shape[0]}, stream.d = {stream.d}")
+
+    def steps(x):
+        noise_factor = _LastValueMemo(positive_part_factor)
+        for n in range(T):
+            coeffs = stream.at(n)
+            xi = sample_noise(noise_factor(coeffs.Sigma), substream(seed, DOMAIN_TRUTH, n))
+            x = np.asarray(coeffs.A @ x).ravel() + coeffs.B + xi
+            y = None
+            if stream.q:
+                y = np.asarray(coeffs.H @ x).ravel()
+                y = y + substream(seed, DOMAIN_OBS, n).standard_normal(stream.q)
+            yield x, y
+
+    return steps(x0)
+
+
+def simulate_truth(stream: CoefficientStream, x0, T: int, seed: int) -> TruthTrajectory:
+    """:func:`truth_path` collected into arrays, with ``x0`` as state 0."""
+    path = truth_path(stream, x0, T, seed)
     states = np.empty((T + 1, stream.d))
-    states[0] = x
+    states[0] = np.ravel(x0)
     obs = np.empty((T, stream.q)) if stream.q else None
-    noise_factor = _LastValueMemo(positive_part_factor)
-    for n in range(T):
-        coeffs = stream.at(n)
-        xi = sample_noise(noise_factor(coeffs.Sigma), substream(seed, DOMAIN_TRUTH, n))
-        x = np.asarray(coeffs.A @ x).ravel() + coeffs.B + xi
+    for n, (x, y) in enumerate(path):
         states[n + 1] = x
         if obs is not None:
-            y = np.asarray(coeffs.H @ x).ravel()
-            obs[n] = y + substream(seed, DOMAIN_OBS, n).standard_normal(stream.q)
+            obs[n] = y
     return TruthTrajectory(states=states, observations=obs, seed=seed)

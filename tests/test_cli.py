@@ -1,5 +1,6 @@
 """Command-line interface: config parsing, exit codes, output files."""
 
+import inspect
 import json
 import os
 import re
@@ -17,6 +18,7 @@ from enkf_lab.cli import (
     config_to_dict,
     load_config,
 )
+from enkf_lab.diagnostics import run_concentration_experiment
 
 CONFIG_DIR = os.path.join(
     os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
@@ -242,8 +244,9 @@ def test_wrong_value_types_exit_2_naming_the_field(tmp_path, capsys, command, cf
         ([-1], [], "seeds"),
         ({"base": -3, "count": 2}, [], "seeds.base"),
         ([0, 1], ["--seed", "-2"], "--seed"),
+        ([0, 0, 1], [], "seeds"),
     ],
-    ids=["list", "base", "flag"],
+    ids=["list", "base", "flag", "repeat"],
 )
 def test_negative_seed_exits_2_naming_the_field(tmp_path, capsys, seeds, flag, field):
     cfg = tiny_simulate_config(seeds=seeds)
@@ -511,6 +514,25 @@ def test_rmt_experiment_subcommand(tmp_path, capsys):
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["experiment"] == "rmt"
     assert "rmt-experiment:" in capsys.readouterr().out
+
+
+def test_rmt_manifest_records_the_experiment_defaults(tmp_path):
+    cfg = {"experiment": "rmt", "rmt": {"d": 20, "p": 2, "K_list": [5], "trials": 4, "tail_trials": 50}}
+    out = tmp_path / "out"
+    assert cli_main(["rmt-experiment", "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 0
+    recorded = json.loads((out / "manifest.json").read_text())["config"]
+    assert set(recorded["rmt"]) == {
+        "d", "p", "K_list", "rho", "delta", "trials", "cond_targets",
+        "tail_K", "tail_trials", "tail_t_grid", "tail_min_count",
+    }
+    # a key left out records run_concentration_experiment's own default
+    defaults = inspect.signature(run_concentration_experiment).parameters
+    for key in ("cond_targets", "tail_K", "tail_t_grid", "tail_min_count"):
+        default = defaults[key].default
+        assert recorded["rmt"][key] == (list(default) if isinstance(default, tuple) else default)
+    loaded = load_config(write_config(tmp_path, cfg, "again.json"))
+    assert load_config(write_config(tmp_path, config_to_dict(loaded), "dump.json")) == loaded
+    assert config_to_dict(loaded) == recorded
 
 
 # ------------------------------------------------------------- reproducibility

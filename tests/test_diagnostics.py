@@ -296,9 +296,50 @@ def test_run_filter_experiment_rejects_bad_r_ref(monkeypatch, make_bad, error):
     def no_truth(*args, **kwargs):
         raise AssertionError("a seed ran before r_ref was checked")
 
-    monkeypatch.setattr(diagnostics, "simulate_truth", no_truth)
+    monkeypatch.setattr(diagnostics, "truth_path", no_truth)
     with pytest.raises(error):
         run_filter_experiment(stream, cfg, T=3, seeds=(0,), r_ref=make_bad(r_ref))
+
+
+@pytest.mark.parametrize("seeds", [(), (0, 0, 1)], ids=["empty", "repeat"])
+def test_experiments_reject_empty_or_repeating_seeds_before_any_run(monkeypatch, seeds):
+    p = TurbulenceParams(J=2, sigma_obs=10.0, tau=0.6)
+    stream = build_turbulence(p)
+    cfg = EnkfConfig(K=6, p=3, r=p.r, rho=p.rho, tau=p.tau)
+    r_ref = stationary_riccati_ambient(p)
+
+    def no_truth(*args, **kwargs):
+        raise AssertionError("a seed ran before the seed list was checked")
+
+    monkeypatch.setattr(diagnostics, "truth_path", no_truth)
+    runs = (
+        lambda: run_filter_experiment(stream, cfg, T=3, seeds=seeds, r_ref=r_ref),
+        lambda: run_stability_experiment(stream, cfg, T=3, shift_magnitudes=(1.0,), seeds=seeds),
+        lambda: run_accuracy_experiment(stream, cfg, T=3, eps_list=(1.0,), seeds=seeds),
+    )
+    for run in runs:
+        with pytest.raises(ValueError, match="seeds must be nonempty and distinct"):
+            run()
+
+
+def test_filter_experiment_memory_does_not_grow_with_T():
+    # the truth is streamed: a run holds the current state, not the path,
+    # so 54 more steps add less than 4 d doubles to the peak (a stored
+    # path would add two d-vectors per step, states and observations)
+    params = TurbulenceParams(J=10000, sigma_obs=20001 / 10.1, tau=0.6)
+    stream = build_turbulence(params)
+    d = stream.d
+    cfg = EnkfConfig(K=8, p=19, r=params.r, rho=params.rho, tau=params.tau)
+    r_ref = stationary_riccati_ambient(params)
+    peaks = []
+    for T in (6, 60):
+        tracemalloc.start()
+        try:
+            run_filter_experiment(stream, cfg, T, seeds=(0,), r_ref=r_ref)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] - peaks[0] < 4 * d * 8
 
 
 def test_compute_nu():
@@ -574,7 +615,7 @@ def test_accuracy_experiment_tiny_eps(monkeypatch):
         raise AssertionError("a run started before every eps was checked")
 
     # a bad eps anywhere in the list fails before the first run
-    monkeypatch.setattr(diagnostics, "simulate_truth", no_truth)
+    monkeypatch.setattr(diagnostics, "truth_path", no_truth)
     for eps_list in ((0.0,), (0.5, -1.0), (0.5, np.nan), (np.inf,)):
         with pytest.raises(ValueError, match="eps values must be finite and positive"):
             run_accuracy_experiment(stream, cfg, T=5, eps_list=eps_list, seeds=(0,))

@@ -23,6 +23,7 @@ from enkf_lab.models import (
     markov_jump_step,
     simulate_truth,
     substream,
+    truth_path,
 )
 
 from oracles import spawn_normals
@@ -258,6 +259,33 @@ def test_simulate_truth_T_validation():
     stream = build_turbulence(TurbulenceParams(J=1))
     with pytest.raises(InvalidParams, match="T must be >= 1"):
         simulate_truth(stream, np.zeros(3), 0, seed=0)
+
+
+@pytest.mark.parametrize("sigma_obs", [2.0, None], ids=["observed", "unobserved"])
+def test_simulate_truth_is_the_collected_truth_path(sigma_obs):
+    stream = build_turbulence(TurbulenceParams(J=3, sigma_obs=sigma_obs))
+    x0 = np.linspace(-1.0, 1.0, stream.d)
+    truth = simulate_truth(stream, x0, 7, seed=5)
+    steps = list(truth_path(stream, x0, 7, seed=5))
+    assert len(steps) == 7
+    assert np.array_equal(truth.states[0], x0)
+    assert np.array_equal(truth.states[1:], np.array([x for x, _ in steps]))
+    if sigma_obs is None:
+        assert truth.observations is None
+        assert all(y is None for _, y in steps)
+    else:
+        assert np.array_equal(truth.observations, np.array([y for _, y in steps]))
+
+
+@pytest.mark.parametrize(
+    "T,x0,match",
+    [(0, np.zeros(3), "T must be >= 1"), (4, np.zeros(4), "x0 has length 4")],
+    ids=["T_zero", "x0_length"],
+)
+def test_truth_path_checks_its_input_when_called(T, x0, match):
+    stream = build_turbulence(TurbulenceParams(J=1))
+    with pytest.raises(InvalidParams, match=match):
+        truth_path(stream, x0, T, seed=0)  # raises before any next()
 
 
 def test_observation_pairing_without_noise():
