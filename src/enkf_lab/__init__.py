@@ -50,7 +50,6 @@ from .models import (
     InvalidChain,
     InvalidParams,
     JumpSpec,
-    NotASubstream,
     StepCoefficients,
     TruthTrajectory,
     TurbulenceParams,

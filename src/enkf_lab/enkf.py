@@ -54,10 +54,8 @@ from .models import (
     CoefficientStream,
     StepCoefficients,
     _LastValueMemo,
-    _fill_normals,
-    _spawn_keys,
-    _substream_keys,
-    substream,
+    _check_seed,
+    _member_normals,
 )
 
 __all__ = [
@@ -207,20 +205,16 @@ def enkf_forecast(
     ens: Ensemble,
     coeffs: StepCoefficients,
     cfg: EnkfConfig,
-    rng: np.random.Generator,
+    key: tuple,
     factor=None,
 ):
     """Forecast the ensemble one step.
 
     Draws one instability-noise vector per member, member k from the k-th
-    child that ``rng.spawn(K)`` would make. ``rng`` must be a Philox
-    substream, as :func:`~enkf_lab.models.substream` makes (else
-    :class:`~enkf_lab.models.NotASubstream`, a ``TypeError``). The children's
-    keys are derived from ``rng``'s SeedSequence in one vectorised pass, so
-    ``rng`` is read but not advanced: two forecasts on the same ``rng``
-    draw the same noise, and a freshly keyed per-step generator gives each
-    step its own. Returns ``(forecast_mean, forecast_spread)``; the spread
-    columns sum to zero.
+    child that ``substream(*key).spawn(K)`` would make; the filter passes
+    its step's key ``(seed, DOMAIN_FORECAST, step)``, so the same key
+    gives the same noise. Returns ``(forecast_mean, forecast_spread)``;
+    the spread columns sum to zero.
 
     ``factor`` optionally supplies a precomputed Sigma+ factor from
     :func:`sigma_plus_factor` (worth caching on constant streams).
@@ -237,7 +231,7 @@ def enkf_forecast(
     U, s = factor
     K, m = ens.K, s.shape[0]
     noise = np.empty((m, K))
-    _fill_normals(_spawn_keys(rng, K), noise.T)
+    _member_normals(key, noise.T, spawned=True)
     noise *= np.sqrt(s)[:, None]
     noise_mean = noise.mean(axis=1)
     noise -= noise_mean[:, None]
@@ -439,7 +433,7 @@ class EnkfFilter:
             raise DimensionMismatch(f"p={cfg.p} exceeds model dimension d={stream.d}")
         self.stream = stream
         self.cfg = cfg
-        self.seed = int(seed)
+        self.seed = _check_seed(seed)
         self.n = 0
         self.coeffs: Optional[StepCoefficients] = None
         self._factor_for = _LastValueMemo(
@@ -454,7 +448,7 @@ class EnkfFilter:
         scale = np.sqrt(init_cov)
         # column k holds substream(seed, DOMAIN_INIT, k)'s first d normals
         noise = np.empty((stream.d, cfg.K))
-        _fill_normals(_substream_keys((self.seed, DOMAIN_INIT), cfg.K), noise.T)
+        _member_normals((self.seed, DOMAIN_INIT), noise.T, spawned=False)
         noise *= scale
         # Center the noise before attaching the mean: the spread is then a
         # function of the seed alone, so paired runs that differ only in
@@ -466,10 +460,10 @@ class EnkfFilter:
         """Advance one step; a non-finite forecast raises
         :class:`FilterDiverged` naming this step (from 1) and the seed."""
         coeffs = self.stream.at(self.n)
-        rng = substream(self.seed, DOMAIN_FORECAST, self.n)
         factor = self._factor_for(coeffs)
+        key = (self.seed, DOMAIN_FORECAST, self.n)
         try:
-            mean_hat, S_hat = enkf_forecast(self.ensemble, coeffs, self.cfg, rng, factor=factor)
+            mean_hat, S_hat = enkf_forecast(self.ensemble, coeffs, self.cfg, key, factor=factor)
             self.ensemble, rec = enkf_assimilate(mean_hat, S_hat, coeffs, y, self.cfg)
         except FilterDiverged as exc:
             raise FilterDiverged(self.n + 1, exc.quantity, self.seed) from None

@@ -11,8 +11,9 @@ All randomness is drawn from counter-based Philox substreams keyed by
 ``(seed, domain, step[, member])``, so trajectories are bit-reproducible
 and noise draws never depend on ensemble size or on program state. For
 per-member draws, the K members' Philox keys, the ones K separate
-``SeedSequence`` objects would produce, are derived in one vectorised
-pass of numpy's SeedSequence mix, and one reused Philox draws from each.
+``SeedSequence`` objects would produce, are derived from the key tuple in
+one vectorised pass of numpy's SeedSequence mix, and one reused Philox
+draws from each.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ from .linalg import positive_part_factor
 __all__ = [
     "InvalidParams",
     "InvalidChain",
-    "NotASubstream",
     "StepCoefficients",
     "CoefficientStream",
     "TurbulenceParams",
@@ -59,22 +59,25 @@ class InvalidChain(ValueError):
     """A Markov jump specification is not a valid finite-state chain."""
 
 
+def _check_seed(seed) -> int:
+    """``seed`` as an int; :class:`InvalidParams` naming it unless it is a
+    non-negative integer (a bool is not one, an ``np.integer`` is)."""
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise InvalidParams(f"seed must be a non-negative integer, got {seed!r}")
+    return int(seed)
+
+
 def substream(*key: int) -> np.random.Generator:
     """Counter-based generator keyed by a tuple of non-negative ints."""
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(key)))
 
 
-class NotASubstream(TypeError):
-    """A generator that is not a SeedSequence-keyed Philox, as
-    :func:`substream` makes, where per-member keys are derived from it."""
-
-
-# numpy's SeedSequence constants (O'Neill's seed_seq hash and mix)
+# numpy's SeedSequence constants (O'Neill's hash and mix)
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
 _M32 = 0xFFFFFFFF
-_POOL_SIZE = 4  # SeedSequence's default pool_size
+_POOL_SIZE = 4  # SeedSequence's default pool size
 _SHIFT = np.uint32(16)
 
 
@@ -93,7 +96,7 @@ def _uint32_words(x) -> list:
     return [w for v in x for w in _uint32_words(v)]
 
 
-def _philox_keys(words, pool_size: int) -> np.ndarray:
+def _philox_keys(words) -> np.ndarray:
     """Philox keys of K SeedSequences at once: row k of the ``(K, L)`` uint32
     ``words`` is one sequence's assembled entropy, and row k of the
     ``(K, 2)`` uint64 result is ``Philox(SeedSequence(words[k])).state``'s
@@ -117,71 +120,44 @@ def _philox_keys(words, pool_size: int) -> np.ndarray:
         return out ^ (out >> _SHIFT)
 
     zero = np.zeros(K, dtype=np.uint32)
-    pool = [hashmix(words[:, i] if i < L else zero) for i in range(pool_size)]
-    for src in range(pool_size):
-        for dst in range(pool_size):
+    pool = [hashmix(words[:, i] if i < L else zero) for i in range(_POOL_SIZE)]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
             if src != dst:
                 pool[dst] = mix(pool[dst], hashmix(pool[src]))
-    for src in range(pool_size, L):
-        for dst in range(pool_size):
+    for src in range(_POOL_SIZE, L):
+        for dst in range(_POOL_SIZE):
             pool[dst] = mix(pool[dst], hashmix(words[:, src]))
     h = _INIT_B
     state = np.empty((K, 4), dtype=np.uint32)
     for i in range(4):
-        v = pool[i % pool_size] ^ np.uint32(h)
+        v = pool[i % _POOL_SIZE] ^ np.uint32(h)
         h = (h * _MULT_B) & _M32
         v = v * np.uint32(h)
         state[:, i] = v ^ (v >> _SHIFT)
     return state.astype("<u4").view("<u8").astype(np.uint64)
 
 
-def _indexed_keys(prefix: list, first: int, count: int, pool_size: int) -> np.ndarray:
-    """Philox keys of the sequences with entropy words ``prefix + [i]`` for
-    ``i = first, ..., first + count - 1``, each index one uint32 word (as
-    numpy's child counter is)."""
-    if first + count - 1 > _M32:
-        raise ValueError(f"indices up to {first + count - 1} exceed one uint32 word")
-    words = np.empty((count, len(prefix) + 1), dtype=np.uint32)
-    words[:, :-1] = prefix
-    words[:, -1] = np.arange(first, first + count)
-    return _philox_keys(words, pool_size)
+def _member_normals(key: tuple, out: np.ndarray, spawned: bool) -> None:
+    """Fill row k of ``out`` (any layout) with the first standard normals of
+    member k's generator: the k-th child that ``substream(*key).spawn(K)``
+    makes when ``spawned``, else ``substream(*key, k)``.
 
-
-def _substream_keys(key: tuple, count: int) -> np.ndarray:
-    """Philox keys of ``substream(*key, k)`` for ``k < count``."""
-    return _indexed_keys(_uint32_words(key), 0, count, _POOL_SIZE)
-
-
-def _spawn_keys(rng: np.random.Generator, count: int) -> np.ndarray:
-    """Philox keys of the children ``rng.spawn(count)`` would make, read off
-    ``rng``'s SeedSequence without spawning, so ``rng`` is not advanced.
-
-    A child's entropy is the parent's, zero-padded to ``pool_size``, then
-    the parent's ``spawn_key``, then its index from ``n_children_spawned``.
-    Raises :class:`NotASubstream` unless ``rng`` is a Philox generator keyed
-    by a SeedSequence, as :func:`substream` makes.
+    Member k's entropy is the key's uint32 words, zero-padded to the pool
+    size for a spawned child (as SeedSequence pads a parent's entropy
+    before its spawn key), then k. One Philox is reset per row to the key,
+    counter 0 and an empty buffer, which is exactly the state a newly
+    seeded Philox starts in.
     """
-    bg = getattr(rng, "bit_generator", None)
-    seq = getattr(bg, "seed_seq", None) if isinstance(bg, np.random.Philox) else None
-    if not isinstance(seq, np.random.SeedSequence):
-        raise NotASubstream(
-            "member noise needs a Philox generator keyed by a SeedSequence, "
-            f"such as models.substream(...); got {type(bg).__name__}"
-        )
-    run = _uint32_words(seq.entropy)
-    prefix = run + [0] * (seq.pool_size - len(run)) + _uint32_words(seq.spawn_key)
-    return _indexed_keys(prefix, seq.n_children_spawned, count, seq.pool_size)
-
-
-def _fill_normals(keys: np.ndarray, out: np.ndarray) -> None:
-    """Fill row k of ``out`` (any layout) with the standard normals a fresh
-    ``Generator(Philox)`` keyed by ``keys[k]`` draws first.
-
-    One Philox is reset per row to the key, counter 0 and an empty buffer,
-    which is exactly the state a newly seeded Philox starts in.
-    """
-    if out.shape[1] == 0:
+    prefix = _uint32_words(key)
+    K, m = out.shape
+    if m == 0:
         return
+    if spawned:
+        prefix += [0] * (_POOL_SIZE - len(prefix))
+    words = np.empty((K, len(prefix) + 1), dtype=np.uint32)
+    words[:, :-1] = prefix
+    words[:, -1] = np.arange(K)
     bg = np.random.Philox(0)
     gen = np.random.Generator(bg)
     zeros = (0, 0, 0, 0)
@@ -194,9 +170,8 @@ def _fill_normals(keys: np.ndarray, out: np.ndarray) -> None:
         "has_uint32": 0,
         "uinteger": 0,
     }
-    m = out.shape[1]
-    for k, key in enumerate(keys.tolist()):
-        inner["key"] = key
+    for k, member_key in enumerate(_philox_keys(words).tolist()):
+        inner["key"] = member_key
         bg.state = state
         out[k] = gen.standard_normal(m)
 
@@ -246,7 +221,16 @@ class CoefficientStream:
     seed: int = 0
 
     def at(self, n: int) -> StepCoefficients:
-        return self.generator(n, substream(self.seed, DOMAIN_JUMP, n))
+        """Step ``n``'s coefficients; :class:`InvalidParams` naming the step
+        when their shapes do not fit the stream's ``(d, q)``."""
+        c = self.generator(n, substream(self.seed, DOMAIN_JUMP, n))
+        if c.B.shape[0] != self.d:
+            raise InvalidParams(f"step {n}: B has length {c.B.shape[0]}, expected d = {self.d}")
+        rows = None if c.H is None else c.H.shape[0]
+        if rows != (self.q or None):  # H None exactly when q = 0, else q rows
+            got = "H is None" if rows is None else f"H has {rows} rows"
+            raise InvalidParams(f"step {n}: {got} but the stream has q = {self.q}")
+        return c
 
 
 @dataclass
@@ -538,14 +522,18 @@ def sample_noise(factor, rng) -> np.ndarray:
 def truth_path(stream: CoefficientStream, x0, T: int, seed: int):
     """Iterate ``(X_{n+1}, Y_{n+1})`` for ``n < T``, holding only the current state.
 
-    ``Y`` is None on an unobserved stream. ``seed`` keys the noise. ``T >= 1``
-    and the length of ``x0`` are checked on the call, not at the first step.
+    ``Y`` is None on an unobserved stream. ``seed`` keys the noise. ``T >= 1``,
+    the seed and the length and finiteness of ``x0`` are checked on the
+    call, not at the first step.
     """
     if T < 1:
         raise InvalidParams("T must be >= 1")
+    seed = _check_seed(seed)
     x0 = np.asarray(x0, dtype=float).ravel()
     if x0.shape[0] != stream.d:
         raise InvalidParams(f"x0 has length {x0.shape[0]}, stream.d = {stream.d}")
+    if not np.all(np.isfinite(x0)):
+        raise InvalidParams("x0 must be finite")
 
     def steps(x):
         noise_factor = _LastValueMemo(positive_part_factor)

@@ -144,12 +144,13 @@ def unfiltered_mode_values(params, r=None, tau=None, rho=None):
     return v, den
 
 
-def forecast_per_member(ens, coeffs, cfg, rng, factor):
-    """The forecast with one :func:`sample_noise` call per member, written
-    column by column: the loop that ``enkf_forecast``'s batched draw replaced."""
+def forecast_per_member(ens, coeffs, cfg, key, factor):
+    """The forecast with one :func:`sample_noise` call per member, on the
+    children of ``substream(*key).spawn(K)``, written column by column: the
+    loop that ``enkf_forecast``'s batched draw replaced."""
     K = ens.K
     xi = np.empty((ens.mean.shape[0], K))
-    for k, child in enumerate(rng.spawn(K)):
+    for k, child in enumerate(substream(*key).spawn(K)):
         xi[:, k] = sample_noise(factor, child)
     xi_mean = xi.mean(axis=1)
     mean = np.asarray(coeffs.A @ ens.mean).ravel() + coeffs.B + xi_mean
@@ -159,22 +160,23 @@ def forecast_per_member(ens, coeffs, cfg, rng, factor):
     return mean, S_hat
 
 
-def spawn_normals(rng, K, m):
-    """``(K, m)`` block whose row k is ``rng.spawn(K)[k].standard_normal(m)``:
-    the per-member loop whose keys ``models._spawn_keys`` now derives in bulk.
-    Advances ``rng``'s child counter, as ``spawn`` does."""
+def spawn_normals(key, K, m):
+    """``(K, m)`` block whose row k is ``substream(*key).spawn(K)[k]
+    .standard_normal(m)``: the per-member loop whose keys
+    ``models._member_normals`` derives in bulk."""
     Z = np.empty((K, m))
-    for k, child in enumerate(rng.spawn(K)):
+    for k, child in enumerate(substream(*key).spawn(K)):
         Z[k] = child.standard_normal(m)
     return Z
 
 
-def forecast_spawned_block(ens, coeffs, cfg, rng, factor):
-    """The batched forecast with the draws taken through ``rng.spawn(K)``:
-    the same ``(m, K)`` block, centred in noise space, and the same ``U``
-    products ``enkf_forecast`` uses, written on all d rows at once."""
+def forecast_spawned_block(ens, coeffs, cfg, key, factor):
+    """The batched forecast with the draws taken through
+    ``substream(*key).spawn(K)``: the same ``(m, K)`` block, centred in
+    noise space, and the same ``U`` products ``enkf_forecast`` uses,
+    written on all d rows at once."""
     U, s = factor
-    noise = spawn_normals(rng, ens.K, s.shape[0]).T.copy()  # C order, as enkf_forecast's
+    noise = spawn_normals(key, ens.K, s.shape[0]).T.copy()  # C order, as enkf_forecast's
     noise *= np.sqrt(s)[:, None]
     noise_mean = noise.mean(axis=1)
     noise -= noise_mean[:, None]

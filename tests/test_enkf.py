@@ -28,14 +28,13 @@ from enkf_lab.enkf import (
 from enkf_lab.linalg import DimensionMismatch, kalman_gain, kalman_update_operator
 from enkf_lab.models import (
     DOMAIN_FORECAST,
+    InvalidParams,
     JumpSpec,
-    NotASubstream,
     StepCoefficients,
     CoefficientStream,
     TurbulenceParams,
     build_turbulence,
     simulate_truth,
-    substream,
 )
 from enkf_lab.reference import KalmanState, kalman_step
 
@@ -210,8 +209,7 @@ def test_forecast_exact_when_target_vanishes():
         A=0.2 * np.eye(d), B=np.arange(d, dtype=float), Sigma=0.01 * np.eye(d)
     )
     ens = make_ensemble(d, K, seed=3)
-    rng = substream(0, 99, 0)
-    mean, S_hat = enkf_forecast(ens, coeffs, cfg, rng)
+    mean, S_hat = enkf_forecast(ens, coeffs, cfg, (0, 99, 0))
     np.testing.assert_allclose(mean, 0.2 * ens.mean + coeffs.B, atol=1e-14)
     np.testing.assert_allclose(S_hat, np.sqrt(1.1) * 0.2 * ens.spread, atol=1e-14)
 
@@ -225,7 +223,7 @@ def test_forecast_covariance_law_of_large_numbers():
     target = factor_matrix((U, s))
     A = np.asarray(coeffs.A)
     expected = cfg.r * (A @ ens.covariance() @ A.T + target)
-    _, S_hat = enkf_forecast(ens, coeffs, cfg, substream(0, 99, 1))
+    _, S_hat = enkf_forecast(ens, coeffs, cfg, (0, 99, 1))
     sample = S_hat @ S_hat.T / (K - 1)
     err = np.linalg.norm(sample - expected, 2) / np.linalg.norm(expected, 2)
     assert err < 0.08
@@ -241,7 +239,7 @@ def test_forecast_mean_unbiased():
     U, s = sigma_plus_factor(coeffs, cfg.r, cfg.tau, cfg.rho)
     target = factor_matrix((U, s))
     A = np.asarray(coeffs.A)
-    mean, _ = enkf_forecast(ens, coeffs, cfg, substream(0, 99, 2))
+    mean, _ = enkf_forecast(ens, coeffs, cfg, (0, 99, 2))
     drift = mean - (A @ ens.mean + coeffs.B)
     se = np.sqrt(np.diag(target) / K)
     assert np.all(np.abs(drift) <= 3 * se + 1e-12)
@@ -260,15 +258,16 @@ def test_batched_forecast_bit_identical_to_per_member_loop(J, jump):
         factor = sigma_plus_factor(coeffs, cfg.r, cfg.tau, cfg.rho)
         assert scipy.sparse.issparse(factor[0]) and factor[1].size > 0
         ens = make_ensemble(stream.d, cfg.K, seed=n)
-        got = enkf_forecast(ens, coeffs, cfg, substream(5, 4, n), factor=factor)
-        want = forecast_per_member(ens, coeffs, cfg, substream(5, 4, n), factor)
+        got = enkf_forecast(ens, coeffs, cfg, (5, 4, n), factor=factor)
+        want = forecast_per_member(ens, coeffs, cfg, (5, 4, n), factor)
         assert np.array_equal(got[0], want[0])
         assert np.array_equal(got[1], want[1])
 
 
 def test_forecast_matches_spawned_draws_at_kalman_limit_setup():
     # acceptance 03's set-up (d=4, K=1000, dense U): the keys derived in
-    # bulk reproduce the rng.spawn(K) draws, so the forecast keeps its bits
+    # bulk reproduce the substream(*key).spawn(K) draws, so the forecast
+    # keeps its bits
     d, K = 4, 1000
     cfg = EnkfConfig(K=K, p=d, r=1.0 + 1e-6, rho=1e-6, tau=1.0)
     rng = np.random.default_rng(2)
@@ -281,10 +280,9 @@ def test_forecast_matches_spawned_draws_at_kalman_limit_setup():
     for seed in (0, 3):
         ens = EnkfFilter(stream, cfg, seed=seed, init_cov=1.0).ensemble
         for n in range(3):
-            got = enkf_forecast(ens, coeffs, cfg, substream(seed, DOMAIN_FORECAST, n), factor)
-            want = forecast_spawned_block(
-                ens, coeffs, cfg, substream(seed, DOMAIN_FORECAST, n), factor
-            )
+            key = (seed, DOMAIN_FORECAST, n)
+            got = enkf_forecast(ens, coeffs, cfg, key, factor)
+            want = forecast_spawned_block(ens, coeffs, cfg, key, factor)
             assert np.array_equal(got[0], want[0])
             assert np.array_equal(got[1], want[1])
 
@@ -303,32 +301,11 @@ def test_forecast_matches_draws_centred_in_state_space(selector):
     factor = sigma_plus_factor(coeffs, cfg.r, cfg.tau, cfg.rho)
     assert scipy.sparse.issparse(factor[0]) == selector and factor[1].size > 0
     ens = make_ensemble(coeffs.B.shape[0], cfg.K, seed=3)
-    got = enkf_forecast(ens, coeffs, cfg, substream(2, DOMAIN_FORECAST, 1), factor)
-    Z = spawn_normals(substream(2, DOMAIN_FORECAST, 1), cfg.K, factor[1].size)
+    got = enkf_forecast(ens, coeffs, cfg, (2, DOMAIN_FORECAST, 1), factor)
+    Z = spawn_normals((2, DOMAIN_FORECAST, 1), cfg.K, factor[1].size)
     want = forecast_centred_in_state_space(ens, coeffs, cfg, Z, factor)
     for g, w in zip(got, want):
         assert np.max(np.abs(g - w)) <= 1e-12 * np.max(np.abs(w))
-
-
-def test_forecast_reads_rng_without_advancing_it():
-    # the documented contract: the same rng object gives the same draws
-    d, K = 5, 12
-    cfg = EnkfConfig(K=K, p=2, r=1.1, rho=0.05, tau=1.0)
-    coeffs = dense_coeffs(d, seed=4, sigma_scale=0.5)
-    ens = make_ensemble(d, K, seed=2)
-    rng = substream(1, 4, 0)
-    first = enkf_forecast(ens, coeffs, cfg, rng)
-    second = enkf_forecast(ens, coeffs, cfg, rng)
-    assert rng.bit_generator.seed_seq.n_children_spawned == 0
-    assert np.array_equal(first[1], second[1])
-    assert np.array_equal(first[0], second[0])
-
-
-def test_forecast_rejects_a_generator_that_is_not_a_substream():
-    d, K = 3, 4
-    cfg = EnkfConfig(K=K, p=1, r=1.1, rho=0.05, tau=1.0)
-    with pytest.raises(NotASubstream, match="models.substream"):
-        enkf_forecast(make_ensemble(d, K), dense_coeffs(d), cfg, np.random.default_rng(0))
 
 
 @pytest.mark.parametrize(
@@ -355,8 +332,8 @@ def test_batched_forecast_matches_per_member_loop_dense_factor(d, K):
     factor = sigma_plus_factor(coeffs, cfg.r, cfg.tau, cfg.rho)
     assert isinstance(factor[0], np.ndarray) and factor[1].size > 0
     ens = make_ensemble(d, K, seed=K)
-    got = enkf_forecast(ens, coeffs, cfg, substream(6, 4, 0), factor=factor)
-    want = forecast_per_member(ens, coeffs, cfg, substream(6, 4, 0), factor)
+    got = enkf_forecast(ens, coeffs, cfg, (6, 4, 0), factor=factor)
+    want = forecast_per_member(ens, coeffs, cfg, (6, 4, 0), factor)
     for g, w in zip(got, want):
         assert np.abs(g - w).max() <= 1e-15 * np.abs(w).max()
 
@@ -786,6 +763,20 @@ def test_filter_rejects_bad_initial_arguments(kwargs, error, name):
     assert not EnkfFilter(stream, cfg, seed=0, init_cov=0.0).ensemble.spread.any()
 
 
+@pytest.mark.parametrize(
+    "seed", [2.7, True, -1, "3", None], ids=["float", "bool", "negative", "str", "none"]
+)
+def test_filter_rejects_a_seed_that_is_not_a_non_negative_integer(seed):
+    stream = CoefficientStream(d=5, q=0, generator=None)
+    cfg = EnkfConfig(K=6, p=2, r=1.1, rho=0.04, tau=0.6)
+    with pytest.raises(InvalidParams, match="seed"):
+        EnkfFilter(stream, cfg, seed=seed)
+    # an np.integer seed is the int it holds
+    f = EnkfFilter(stream, cfg, seed=np.uint64(2**40 + 5))
+    assert type(f.seed) is int and f.seed == 2**40 + 5
+    assert np.array_equal(f.ensemble.spread, EnkfFilter(stream, cfg, 2**40 + 5).ensemble.spread)
+
+
 def test_filter_spread_independent_of_mean():
     p = TurbulenceParams(J=4, sigma_obs=10.0, tau=0.6)
     stream = build_turbulence(p)
@@ -1011,9 +1002,10 @@ def test_sampled_posterior_deflates_on_average():
     mean_K = np.zeros((d, d))
     mean_C = np.zeros((d, d))
     samples = np.empty((N, d, d))
-    root = substream(0, 98, 0)
     for i in range(N):
-        _, S_hat = enkf_forecast(ens, coeffs, cfg, root.spawn(1)[0])
+        # the key of substream(0, 98, 0)'s i-th spawned child: the root's
+        # words zero-padded to the pool size of 4, then i
+        _, S_hat = enkf_forecast(ens, coeffs, cfg, (0, 98, 0, 0, i))
         C_hat = S_hat @ S_hat.T / (K - 1) + cfg.tau * cfg.rho * np.eye(d)
         samples[i] = kalman_op(C_hat, H)
         mean_K += samples[i]

@@ -5,10 +5,9 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.sparse
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from enkf_lab import models
+from enkf_lab.enkf import EnkfConfig, EnkfFilter
 from enkf_lab.models import (
     DOMAIN_INIT,
     DOMAIN_JUMP,
@@ -68,62 +67,40 @@ def test_substream_determinism():
     assert not np.array_equal(a, c)
 
 
-def _numpy_keys(seqs):
-    return np.array(
-        [np.random.Philox(q).state["state"]["key"] for q in seqs], dtype=np.uint64
-    )
+# member keys of fewer than, exactly and more than the pool size of 4
+# uint32 words; at 5 words a spawned child's entropy needs no padding
+_KEYS = [(5, 4, 11), (2**33 + 5, 4, 11), (2**33 + 5, 4, 2**32 + 1)]
 
 
-_WORD = st.integers(min_value=0, max_value=2**64)
-
-
-@settings(deadline=None, max_examples=60)
-@given(
-    entropy=st.one_of(_WORD, st.tuples(_WORD), st.lists(_WORD, min_size=1, max_size=6).map(tuple)),
-    spawn_key=st.lists(_WORD, max_size=3).map(tuple),
-    spawned=st.integers(min_value=0, max_value=10**6),
-    pool_size=st.sampled_from([4, 5, 8]),
-    K=st.integers(min_value=1, max_value=2000),
-)
-def test_spawn_keys_match_numpy(entropy, spawn_key, spawned, pool_size, K):
-    # the vectorised SeedSequence mix gives every child's Philox key, for
-    # parents that are themselves children and parents that already spawned
-    seq = np.random.SeedSequence(
-        entropy, spawn_key=spawn_key, pool_size=pool_size, n_children_spawned=spawned
-    )
-    rng = np.random.Generator(np.random.Philox(seq))
-    got = models._spawn_keys(rng, K)
-    assert seq.n_children_spawned == spawned  # read, not advanced
-    assert got.dtype == np.uint64 and got.shape == (K, 2)
-    assert np.array_equal(got, _numpy_keys(seq.spawn(K)))
+@pytest.mark.parametrize("K", [1, 1000])
+@pytest.mark.parametrize("spawned", [True, False], ids=["spawned", "indexed"])
+@pytest.mark.parametrize("key", _KEYS, ids=["3_words", "4_words", "5_words"])
+def test_member_normals_match_numpy(key, spawned, K):
+    # row k: the k-th child of substream(*key).spawn(K), or substream(*key, k)
+    m = 3
+    Z = np.empty((K, m))
+    models._member_normals(key, Z, spawned)
+    rngs = substream(*key).spawn(K) if spawned else (substream(*key, k) for k in range(K))
+    assert np.array_equal(Z, np.array([rng.standard_normal(m) for rng in rngs]))
 
 
 @pytest.mark.parametrize("seed", [0, 7, 901000, 2**40 + 5])
 def test_substream_keys_match_numpy(seed):
-    got = models._substream_keys((seed, DOMAIN_INIT), 1000)
-    want = _numpy_keys(np.random.SeedSequence((seed, DOMAIN_INIT, k)) for k in range(1000))
-    assert np.array_equal(got, want)
+    # the initial ensemble's draws: substream(seed, DOMAIN_INIT, k) per row
+    Z = np.empty((1000, 2))
+    models._member_normals((seed, DOMAIN_INIT), Z, spawned=False)
+    want = [substream(seed, DOMAIN_INIT, k).standard_normal(2) for k in range(1000)]
+    assert np.array_equal(Z, np.array(want))
 
 
 @pytest.mark.parametrize("K", [1, 2, 1000])
 @pytest.mark.parametrize("m", [0, 1, 4, 19])
 def test_fill_normals_matches_spawned_children(m, K):
-    # a fresh Philox per key, counter 0, empty buffer: the children's bits
-    rng = substream(5, 4, 11)
-    Z = np.empty((K, m))
-    models._fill_normals(models._spawn_keys(rng, K), Z)
-    assert np.array_equal(Z, spawn_normals(rng, K, m))
-
-
-@pytest.mark.parametrize(
-    "rng",
-    [np.random.default_rng(0), np.random.Generator(np.random.Philox(key=5)), None],
-    ids=["pcg64", "philox_without_seed_seq", "none"],
-)
-def test_spawn_keys_need_a_substream(rng):
-    with pytest.raises(models.NotASubstream, match="models.substream"):
-        models._spawn_keys(rng, 3)
-    assert issubclass(models.NotASubstream, TypeError)
+    # a fresh Philox per key, counter 0, empty buffer: the children's bits,
+    # in a column view as the forecast fills them
+    Z = np.empty((m, K)).T
+    models._member_normals((5, 4, 11), Z, spawned=True)
+    assert np.array_equal(Z, spawn_normals((5, 4, 11), K, m))
 
 
 def test_params_dimensions_and_gamma():
@@ -278,14 +255,51 @@ def test_simulate_truth_is_the_collected_truth_path(sigma_obs):
 
 
 @pytest.mark.parametrize(
-    "T,x0,match",
-    [(0, np.zeros(3), "T must be >= 1"), (4, np.zeros(4), "x0 has length 4")],
-    ids=["T_zero", "x0_length"],
+    "T,x0,seed,match",
+    [
+        (0, np.zeros(3), 0, "T must be >= 1"),
+        (4, np.zeros(4), 0, "x0 has length 4"),
+        (4, np.full(3, np.nan), 0, "x0 must be finite"),
+        (4, np.zeros(3), 2.7, "seed"),
+        (4, np.zeros(3), True, "seed"),
+        (4, np.zeros(3), -1, "seed"),
+    ],
+    ids=["T_zero", "x0_length", "x0_nan", "seed_float", "seed_bool", "seed_negative"],
 )
-def test_truth_path_checks_its_input_when_called(T, x0, match):
+def test_truth_path_checks_its_input_when_called(T, x0, seed, match):
     stream = build_turbulence(TurbulenceParams(J=1))
     with pytest.raises(InvalidParams, match=match):
-        truth_path(stream, x0, T, seed=0)  # raises before any next()
+        truth_path(stream, x0, T, seed)  # raises before any next()
+
+
+@pytest.mark.parametrize("entry", ["truth_path", "filter_step"])
+@pytest.mark.parametrize(
+    "d, q, bad, match",
+    [
+        (5, 0, StepCoefficients(A=np.eye(4), B=np.zeros(4), Sigma=np.eye(4)), "B has length 4"),
+        (4, 4, StepCoefficients(A=np.eye(4), B=np.zeros(4), Sigma=np.eye(4), H=np.eye(3, 4)),
+         "H has 3 rows but the stream has q = 4"),
+        (4, 4, StepCoefficients(A=np.eye(4), B=np.zeros(4), Sigma=np.eye(4)),
+         "H is None but the stream has q = 4"),
+        (4, 0, StepCoefficients(A=np.eye(4), B=np.zeros(4), Sigma=np.eye(4), H=np.eye(4)),
+         "H has 4 rows but the stream has q = 0"),
+    ],
+    ids=["B_length", "H_rows", "H_missing", "H_unexpected"],
+)
+def test_stream_coefficients_must_fit_its_shape(d, q, bad, match, entry):
+    # steps 0 and 1 fit (d, q); step 2's coefficients do not, and both
+    # truth and filter stop there with the step named
+    good = StepCoefficients(
+        A=0.5 * np.eye(d), B=np.zeros(d), Sigma=np.eye(d), H=np.eye(d)[:q] if q else None
+    )
+    stream = CoefficientStream(d=d, q=q, generator=lambda n, rng: bad if n == 2 else good)
+    with pytest.raises(InvalidParams, match=f"step 2: {match}"):
+        if entry == "truth_path":
+            list(truth_path(stream, np.zeros(d), 3, seed=0))
+        else:
+            filt = EnkfFilter(stream, EnkfConfig(K=3, p=1, r=1.1, rho=0.04), seed=0)
+            for _ in range(3):
+                filt.step(np.zeros(q) if q else None)
 
 
 def test_observation_pairing_without_noise():
