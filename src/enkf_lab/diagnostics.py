@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, is_dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -543,24 +543,16 @@ def write_csv(rows, path, comments: Sequence[str] = (), columns: Sequence[str] =
             fh.write(",".join(cells) + "\n")
 
 
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj.tolist()]
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if isinstance(obj, (bool, int, float, str)) or obj is None:
-        return obj
-    if hasattr(obj, "__dataclass_fields__"):
-        return _jsonable(asdict(obj))
+def _json_default(obj):
+    if isinstance(obj, (np.ndarray, np.generic)):
+        return obj.tolist()
+    if is_dataclass(obj):
+        return asdict(obj)
     return str(obj)
 
 
 def write_json(report, path):
     """Serialize a report (dataclass or dict tree) as indented JSON."""
     with open(path, "w") as fh:
-        json.dump(_jsonable(report), fh, indent=2)
+        json.dump(report, fh, indent=2, default=_json_default)
         fh.write("\n")

@@ -10,10 +10,9 @@ equilibrium spectrum) is the built-in instance.
 All randomness is drawn from counter-based Philox substreams keyed by
 ``(seed, domain, step[, member])``, so trajectories are bit-reproducible
 and noise draws never depend on ensemble size or on program state. For
-per-member draws, the K members' Philox keys, the ones K separate
-``SeedSequence`` objects would produce, are derived from the key tuple in
-one vectorised pass of numpy's SeedSequence mix, and one reused Philox
-draws from each.
+per-member forecast draws, the K children of one key share its
+``SeedSequence`` pool; the member index is mixed into that pool for all
+K members in one array pass, and one reused Philox draws from each.
 """
 
 from __future__ import annotations
@@ -75,89 +74,46 @@ def substream(*key: int) -> np.random.Generator:
 # numpy's SeedSequence constants (O'Neill's hash and mix)
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
 _M32 = 0xFFFFFFFF
-_POOL_SIZE = 4  # SeedSequence's default pool size
-_SHIFT = np.uint32(16)
 
 
-def _uint32_words(x) -> list:
-    """The uint32 entropy words SeedSequence makes of an int (little end
-    first, 0 giving one word) or of a sequence of ints (concatenated)."""
-    if isinstance(x, (int, np.integer)):
-        n, words = int(x), []
-        if n < 0:
-            raise ValueError(f"entropy must be non-negative, got {n}")
-        while True:
-            words.append(n & _M32)
-            n >>= 32
-            if not n:
-                return words
-    return [w for v in x for w in _uint32_words(v)]
-
-
-def _philox_keys(words) -> np.ndarray:
-    """Philox keys of K SeedSequences at once: row k of the ``(K, L)`` uint32
-    ``words`` is one sequence's assembled entropy, and row k of the
-    ``(K, 2)`` uint64 result is ``Philox(SeedSequence(words[k])).state``'s
-    key. numpy's ``mix_entropy`` then ``generate_state(2, uint64)``, run as
-    uint32 array operations over all rows; the hash constants do not depend
-    on the data, so they stay scalars.
-    """
-    words = np.asarray(words, dtype=np.uint32)
-    K, L = words.shape
-    h = _INIT_A
-
-    def hashmix(v):
-        nonlocal h
-        v = v ^ np.uint32(h)
-        h = (h * _MULT_A) & _M32
-        v = v * np.uint32(h)
-        return v ^ (v >> _SHIFT)
-
-    def mix(x, y):
-        out = _MIX_L * x - _MIX_R * y
-        return out ^ (out >> _SHIFT)
-
-    zero = np.zeros(K, dtype=np.uint32)
-    pool = [hashmix(words[:, i] if i < L else zero) for i in range(_POOL_SIZE)]
-    for src in range(_POOL_SIZE):
-        for dst in range(_POOL_SIZE):
-            if src != dst:
-                pool[dst] = mix(pool[dst], hashmix(pool[src]))
-    for src in range(_POOL_SIZE, L):
-        for dst in range(_POOL_SIZE):
-            pool[dst] = mix(pool[dst], hashmix(words[:, src]))
-    h = _INIT_B
-    state = np.empty((K, 4), dtype=np.uint32)
-    for i in range(4):
-        v = pool[i % _POOL_SIZE] ^ np.uint32(h)
-        h = (h * _MULT_B) & _M32
-        v = v * np.uint32(h)
-        state[:, i] = v ^ (v >> _SHIFT)
-    return state.astype("<u4").view("<u8").astype(np.uint64)
-
-
-def _member_normals(key: tuple, out: np.ndarray, spawned: bool) -> None:
+def _member_normals(key: tuple, out: np.ndarray) -> None:
     """Fill row k of ``out`` (any layout) with the first standard normals of
-    member k's generator: the k-th child that ``substream(*key).spawn(K)``
-    makes when ``spawned``, else ``substream(*key, k)``.
+    the k-th child that ``substream(*key).spawn(K)`` makes.
 
-    Member k's entropy is the key's uint32 words, zero-padded to the pool
-    size for a spawned child (as SeedSequence pads a parent's entropy
-    before its spawn key), then k. One Philox is reset per row to the key,
-    counter 0 and an empty buffer, which is exactly the state a newly
-    seeded Philox starts in.
+    The children share their parent's pool, ``SeedSequence(key).pool``;
+    only the spawn word k differs. It is mixed into the pool by four more
+    hashes, as numpy's ``mix_entropy`` does, and ``generate_state(2,
+    uint64)`` follows, both as uint32 array operations over all K rows.
+    The hash constant resumes after the parent's ``n + n(n-1) +
+    n max(0, L-n)`` hashes, for pool size n and L uint32 key words. One
+    Philox is reset per row to the key, counter 0 and an empty buffer,
+    which is exactly the state a newly seeded Philox starts in.
     """
-    prefix = _uint32_words(key)
     K, m = out.shape
     if m == 0:
         return
-    if spawned:
-        prefix += [0] * (_POOL_SIZE - len(prefix))
-    words = np.empty((K, len(prefix) + 1), dtype=np.uint32)
-    words[:, :-1] = prefix
-    words[:, -1] = np.arange(K)
+    pool = np.random.SeedSequence(key).pool.tolist()
+    n = len(pool)
+    L = sum(max(1, -(-int(v).bit_length() // 32)) for v in key)
+    h = _INIT_A * pow(_MULT_A, n + n * (n - 1) + n * max(0, L - n), _M32 + 1) & _M32
+    spawn_word = np.arange(K, dtype=np.uint32)
+    mixed = []
+    for word in pool:
+        v = spawn_word ^ h
+        h = (h * _MULT_A) & _M32
+        v *= h
+        v ^= v >> 16  # hashmix(k)
+        v = (_MIX_L * word & _M32) - _MIX_R * v
+        mixed.append(v ^ (v >> 16))  # mix(pool word, hashmix(k))
+    h = _INIT_B
+    words = np.empty((K, 4), dtype=np.uint32)
+    for i in range(4):
+        v = mixed[i % n] ^ h
+        h = (h * _MULT_B) & _M32
+        v *= h
+        words[:, i] = v ^ (v >> 16)
     bg = np.random.Philox(0)
     gen = np.random.Generator(bg)
     zeros = (0, 0, 0, 0)
@@ -170,7 +126,7 @@ def _member_normals(key: tuple, out: np.ndarray, spawned: bool) -> None:
         "has_uint32": 0,
         "uinteger": 0,
     }
-    for k, member_key in enumerate(_philox_keys(words).tolist()):
+    for k, member_key in enumerate(words.astype("<u4").view("<u8").tolist()):
         inner["key"] = member_key
         bg.state = state
         out[k] = gen.standard_normal(m)
@@ -522,12 +478,12 @@ def sample_noise(factor, rng) -> np.ndarray:
 def truth_path(stream: CoefficientStream, x0, T: int, seed: int):
     """Iterate ``(X_{n+1}, Y_{n+1})`` for ``n < T``, holding only the current state.
 
-    ``Y`` is None on an unobserved stream. ``seed`` keys the noise. ``T >= 1``,
-    the seed and the length and finiteness of ``x0`` are checked on the
-    call, not at the first step.
+    ``Y`` is None on an unobserved stream. ``seed`` keys the noise. ``T``
+    (an integer >= 1, not a bool), the seed and the length and finiteness
+    of ``x0`` are checked on the call, not at the first step.
     """
-    if T < 1:
-        raise InvalidParams("T must be >= 1")
+    if isinstance(T, bool) or not isinstance(T, (int, np.integer)) or T < 1:
+        raise InvalidParams(f"T must be >= 1 and an integer, got {T!r}")
     seed = _check_seed(seed)
     x0 = np.asarray(x0, dtype=float).ravel()
     if x0.shape[0] != stream.d:

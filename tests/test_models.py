@@ -9,7 +9,6 @@ import scipy.sparse
 from enkf_lab import models
 from enkf_lab.enkf import EnkfConfig, EnkfFilter
 from enkf_lab.models import (
-    DOMAIN_INIT,
     DOMAIN_JUMP,
     DOMAIN_OBS,
     CoefficientStream,
@@ -68,29 +67,20 @@ def test_substream_determinism():
 
 
 # member keys of fewer than, exactly and more than the pool size of 4
-# uint32 words; at 5 words a spawned child's entropy needs no padding
-_KEYS = [(5, 4, 11), (2**33 + 5, 4, 11), (2**33 + 5, 4, 2**32 + 1)]
+# uint32 words, the last with a tail word past the pool, and keys with a 0
+_KEYS = [(5, 4, 11), (2**33 + 5, 4, 11), (2**33 + 5, 4, 2**32 + 1), (7,), (0, 4, 0)]
 
 
 @pytest.mark.parametrize("K", [1, 1000])
-@pytest.mark.parametrize("spawned", [True, False], ids=["spawned", "indexed"])
-@pytest.mark.parametrize("key", _KEYS, ids=["3_words", "4_words", "5_words"])
-def test_member_normals_match_numpy(key, spawned, K):
-    # row k: the k-th child of substream(*key).spawn(K), or substream(*key, k)
+@pytest.mark.parametrize(
+    "key", _KEYS, ids=["3_words", "4_words", "5_words", "1_word", "with_zero"]
+)
+def test_member_normals_match_numpy(key, K):
+    # row k: the k-th child of substream(*key).spawn(K)
     m = 3
     Z = np.empty((K, m))
-    models._member_normals(key, Z, spawned)
-    rngs = substream(*key).spawn(K) if spawned else (substream(*key, k) for k in range(K))
-    assert np.array_equal(Z, np.array([rng.standard_normal(m) for rng in rngs]))
-
-
-@pytest.mark.parametrize("seed", [0, 7, 901000, 2**40 + 5])
-def test_substream_keys_match_numpy(seed):
-    # the initial ensemble's draws: substream(seed, DOMAIN_INIT, k) per row
-    Z = np.empty((1000, 2))
-    models._member_normals((seed, DOMAIN_INIT), Z, spawned=False)
-    want = [substream(seed, DOMAIN_INIT, k).standard_normal(2) for k in range(1000)]
-    assert np.array_equal(Z, np.array(want))
+    models._member_normals(key, Z)
+    assert np.array_equal(Z, spawn_normals(key, K, m))
 
 
 @pytest.mark.parametrize("K", [1, 2, 1000])
@@ -99,7 +89,7 @@ def test_fill_normals_matches_spawned_children(m, K):
     # a fresh Philox per key, counter 0, empty buffer: the children's bits,
     # in a column view as the forecast fills them
     Z = np.empty((m, K)).T
-    models._member_normals((5, 4, 11), Z, spawned=True)
+    models._member_normals((5, 4, 11), Z)
     assert np.array_equal(Z, spawn_normals((5, 4, 11), K, m))
 
 
@@ -258,18 +248,30 @@ def test_simulate_truth_is_the_collected_truth_path(sigma_obs):
     "T,x0,seed,match",
     [
         (0, np.zeros(3), 0, "T must be >= 1"),
+        (2.5, np.zeros(3), 0, "T must be >= 1 and an integer, got 2.5"),
+        (True, np.zeros(3), 0, "T must be >= 1 and an integer, got True"),
         (4, np.zeros(4), 0, "x0 has length 4"),
         (4, np.full(3, np.nan), 0, "x0 must be finite"),
         (4, np.zeros(3), 2.7, "seed"),
         (4, np.zeros(3), True, "seed"),
         (4, np.zeros(3), -1, "seed"),
     ],
-    ids=["T_zero", "x0_length", "x0_nan", "seed_float", "seed_bool", "seed_negative"],
+    ids=[
+        "T_zero", "T_float", "T_bool", "x0_length", "x0_nan",
+        "seed_float", "seed_bool", "seed_negative",
+    ],
 )
 def test_truth_path_checks_its_input_when_called(T, x0, seed, match):
     stream = build_turbulence(TurbulenceParams(J=1))
     with pytest.raises(InvalidParams, match=match):
         truth_path(stream, x0, T, seed)  # raises before any next()
+    with pytest.raises(InvalidParams, match=match):
+        simulate_truth(stream, x0, T, seed)
+
+
+def test_truth_path_takes_a_numpy_integer_T():
+    stream = build_turbulence(TurbulenceParams(J=1))
+    assert len(list(truth_path(stream, np.zeros(3), np.int64(3), 0))) == 3
 
 
 @pytest.mark.parametrize("entry", ["truth_path", "filter_step"])
