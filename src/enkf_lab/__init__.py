@@ -66,7 +66,6 @@ from .reference import (
     stationary_riccati_diag,
 )
 from .diagnostics import (
-    ConcentrationTrial,
     FilterDiagnostics,
     compute_lambda_mu,
     run_accuracy_experiment,

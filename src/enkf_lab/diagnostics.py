@@ -58,7 +58,6 @@ from .reference import _benchmark_iterates
 
 __all__ = [
     "FilterDiagnostics",
-    "ConcentrationTrial",
     "compute_lambda_mu",
     "run_filter_experiment",
     "run_concentration_experiment",
@@ -92,20 +91,6 @@ class FilterDiagnostics:
     nu: float
     chi: float
     cov_fidelity: float
-
-
-@dataclass
-class ConcentrationTrial:
-    """One concentration draw: realized ratios and the rare-event flag."""
-
-    d: int
-    p: int
-    K: int
-    rho: float
-    delta: float
-    lam: float
-    mu: float
-    in_rare_event: bool
 
 
 def compute_lambda_mu(S_hat, A, W_prev, sigma_plus, r, tau, rho):
@@ -156,10 +141,10 @@ def _reference_factor(r_ref, d: int) -> np.ndarray:
     return scipy.linalg.cholesky(symmetrize(r_ref), lower=True)
 
 
-def _long_run_reference(stream, cfg, burn_in: int = 200) -> np.ndarray:
-    """The ``burn_in``-th augmented Riccati iterate (stationary-benchmark noise)."""
+def _long_run_reference(stream, cfg) -> np.ndarray:
+    """The 200th augmented Riccati iterate (stationary-benchmark noise)."""
     iterates = _benchmark_iterates(stream, cfg.r, cfg.tau, cfg.rho)
-    return next(itertools.islice(iterates, burn_in - 1, None))[1]
+    return next(itertools.islice(iterates, 199, None))[1]
 
 
 def _step_diagnostics(step, rec, W_prev, A, sigma_plus, x_true, L, cfg) -> FilterDiagnostics:
@@ -272,16 +257,10 @@ def run_filter_experiment(
 
 
 def _concentration_trial(
-    p: int,
-    K: int,
-    rho: float,
-    delta: float,
-    sig_vals: np.ndarray,
-    rng,
-    cond_target: Optional[float],
-    d: int,
-) -> ConcentrationTrial:
-    """One draw of the whitened sample-covariance ratios.
+    p: int, K: int, rho: float, sig_vals: np.ndarray, rng, cond_target: Optional[float]
+) -> tuple[float, float]:
+    """One draw of the whitened sample-covariance ratios ``(lam, mu)``, mu
+    floored at 1.
 
     Signal vectors and noise live in the same rank-p subspace, so the
     d-dimensional Loewner ratios reduce exactly to the p-dimensional
@@ -302,12 +281,7 @@ def _concentration_trial(
     G = np.hstack((a / np.sqrt(K - 1), np.diag(np.sqrt(sig_vals))))
     # [F, G] is at least p wide, so no cut; mu's orthocomplement block sits at 1
     lam, mu = _two_sided_ratios(F, G, 0.0, rho, rho)
-    mu = max(1.0, mu)
-    thr = 1.0 + 5.0 * delta
-    return ConcentrationTrial(
-        d=d, p=p, K=K, rho=rho, delta=delta, lam=lam, mu=mu,
-        in_rare_event=bool(lam > thr or mu > thr),
-    )
+    return lam, max(1.0, mu)
 
 
 def run_concentration_experiment(
@@ -340,16 +314,15 @@ def run_concentration_experiment(
     log-linear tail fit (slope, intercept, r_squared).
     """
     sig_vals = np.linspace(1.0, 2.0, p)
+    thr = 1.0 + 5.0 * delta
     rare_rows = []
     for ci, cond in enumerate(cond_targets):
         for ki, K in enumerate(K_list):
             hits = 0
             for t in range(trials):
                 rng = substream(seed, DOMAIN_TRIAL, ci, ki, t)
-                trial = _concentration_trial(
-                    p, K, rho, delta, sig_vals, rng, cond, d
-                )
-                hits += trial.in_rare_event
+                lam, mu = _concentration_trial(p, K, rho, sig_vals, rng, cond)
+                hits += lam > thr or mu > thr
             rare_rows.append(
                 {
                     "K": int(K),
@@ -362,8 +335,7 @@ def run_concentration_experiment(
     lam_samples = np.empty(tail_trials)
     for t in range(tail_trials):
         rng = substream(seed, DOMAIN_TRIAL, 999, t)
-        trial = _concentration_trial(p, tail_K, rho, delta, sig_vals, rng, None, d)
-        lam_samples[t] = trial.lam
+        lam_samples[t] = _concentration_trial(p, tail_K, rho, sig_vals, rng, None)[0]
     tail_rows = []
     for tv in tail_t_grid:
         count = int(np.count_nonzero(lam_samples > 8.0 + tv))
@@ -468,10 +440,7 @@ def _scaled_stream(stream: CoefficientStream, eps: float) -> CoefficientStream:
     # a constant stream hands out one object, so it maps to one scaled
     # object and the filter factors Sigma+ once
     scaled = _LastValueMemo(scale)
-    return CoefficientStream(
-        d=stream.d, q=stream.q, generator=lambda n, rng: scaled(stream.at(n)),
-        seed=stream.seed,
-    )
+    return CoefficientStream(d=stream.d, q=stream.q, generator=lambda n, _seed: scaled(stream.at(n)))
 
 
 def run_accuracy_experiment(

@@ -82,9 +82,12 @@ def _pm_count(modes) -> int:
 def instability_modes(params: TurbulenceParams, rho=None) -> list:
     """Wavenumbers in the additive inflation target's support.
 
-    Membership: ``rho e^{-2 gamma_k h} + Sigma_kk >= tau rho / r``.
+    Membership: ``rho e^{-2 gamma_k h} + Sigma_kk >= tau rho / r``. The
+    effective rho must be finite and > 0, else :class:`InvalidParams`.
     """
     rho = params.rho if rho is None else rho
+    if not (np.isfinite(rho) and rho > 0):
+        raise InvalidParams(f"rho must be finite and > 0, got {rho!r}")
     r, tau = params.r, params.tau
     lhs = rho * np.exp(-2.0 * params.gamma() * params.h) + params.mode_sigma()
     return [int(k) for k in np.nonzero(lhs >= tau * rho / r)[0]]
@@ -93,11 +96,11 @@ def instability_modes(params: TurbulenceParams, rho=None) -> list:
 def _assemble(params, rho, branch1, fail_cov, r_k=None) -> DimReport:
     """Either closed-form verifier's report, with the instability branch
     ``(r rho / tau) e^{-2 gamma_k h} + (r / tau) Sigma_kk`` both tabulate."""
+    inst = instability_modes(params, rho=rho)  # checks rho first
     J, r, tau = params.J, params.r, params.tau
     g = params.gamma()
     sig = params.mode_sigma()
     branch2 = (r * rho / tau) * np.exp(-2.0 * g * params.h) + (r / tau) * sig
-    inst = instability_modes(params, rho=rho)
     failing = [int(k) for k in np.nonzero(fail_cov)[0]]
     p_cov = len(failing)
     p_inst = len(inst)
@@ -183,28 +186,21 @@ def minimal_p_search(params: TurbulenceParams, rho_grid) -> list:
     return [(rho, verifier(params, rho=rho).p_effective) for rho in rho_grid]
 
 
-def verify_dim_general(
-    stream: CoefficientStream,
-    r: float,
-    tau: float,
-    rho: float,
-    burn_in: int = 100,
-    window: int = 20,
-) -> DimReport:
+def verify_dim_general(stream: CoefficientStream, r: float, tau: float, rho: float) -> DimReport:
     """Numerical check for streams without a closed form.
 
     Iterates the augmented reference recursion (stationary-benchmark
-    noise convention ``r^2 Sigma + tau rho I``) from zero for
-    ``burn_in`` steps, then over ``window`` further steps reports the
-    max count of covariance eigenvalues above rho and the max rank of
-    the additive inflation target, the filter's own Sigma+ factor. Counts
-    are ambient (per component, not per wavenumber).
+    noise convention ``r^2 Sigma + tau rho I``) from zero for 100 steps,
+    then over the next 20 steps reports the max count of covariance
+    eigenvalues above rho and the max rank of the additive inflation
+    target, the filter's own Sigma+ factor. Counts are ambient (per
+    component, not per wavenumber).
     """
     max_cov = 0
     max_rank = 0
     worst_idx: list = []
     iterates = _benchmark_iterates(stream, r, tau, rho)
-    for coeffs, cov in itertools.islice(iterates, burn_in, burn_in + window):
+    for coeffs, cov in itertools.islice(iterates, 100, 120):
         w = np.linalg.eigvalsh(cov)
         above = [int(i) for i in np.nonzero(w > rho)[0]]
         if len(above) > max_cov:

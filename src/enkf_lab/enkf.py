@@ -202,23 +202,15 @@ def sigma_plus_factor(coeffs: StepCoefficients, r, tau, rho):
     return positive_part_factor(rho * (A @ A.T) + Sigma - (rho * tau / r) * eye(d))
 
 
-def enkf_forecast(
-    ens: Ensemble,
-    coeffs: StepCoefficients,
-    cfg: EnkfConfig,
-    key: tuple,
-    factor=None,
-):
+def enkf_forecast(ens: Ensemble, coeffs: StepCoefficients, cfg: EnkfConfig, key: tuple, factor):
     """Forecast the ensemble one step.
 
     Draws one instability-noise vector per member, member k from the k-th
     child that ``substream(*key).spawn(K)`` would make; the filter passes
     its step's key ``(seed, DOMAIN_FORECAST, step)``, so the same key
-    gives the same noise. Returns ``(forecast_mean, forecast_spread)``;
-    the spread columns sum to zero.
-
-    ``factor`` optionally supplies a precomputed Sigma+ factor from
-    :func:`sigma_plus_factor` (worth caching on constant streams).
+    gives the same noise. ``factor`` is the step's Sigma+ factor ``(U, s)``
+    from :func:`sigma_plus_factor`. Returns ``(forecast_mean,
+    forecast_spread)``; the spread columns sum to zero.
 
     Member k's standard normals, the ones its child would draw in a
     per-member :func:`~enkf_lab.models.sample_noise` call, fill column k
@@ -227,8 +219,6 @@ def enkf_forecast(
     mean and the centred block into ``A S`` in place; a sparse ``U``
     touches only its nonzero rows, with no d x K temporary.
     """
-    if factor is None:
-        factor = sigma_plus_factor(coeffs, cfg.r, cfg.tau, cfg.rho)
     U, s = factor
     K, m = ens.K, s.shape[0]
     noise = np.empty((m, K))
@@ -464,7 +454,7 @@ class EnkfFilter:
         factor = self._factor_for(coeffs)
         key = (self.seed, DOMAIN_FORECAST, self.n)
         try:
-            mean_hat, S_hat = enkf_forecast(self.ensemble, coeffs, self.cfg, key, factor=factor)
+            mean_hat, S_hat = enkf_forecast(self.ensemble, coeffs, self.cfg, key, factor)
             self.ensemble, rec = enkf_assimilate(mean_hat, S_hat, coeffs, y, self.cfg)
         except FilterDiverged as exc:
             raise FilterDiverged(self.n + 1, exc.quantity, self.seed) from None

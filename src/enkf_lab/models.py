@@ -164,22 +164,23 @@ class StepCoefficients:
 
 @dataclass
 class CoefficientStream:
-    """Deterministic map ``(step, rng) -> StepCoefficients``.
+    """Deterministic map ``(step, seed) -> StepCoefficients``.
 
-    The generator must be pure given the step index and the supplied
-    substream, so the same seed reproduces bit-identical coefficients.
-    ``q = 0`` marks an unobserved system.
+    The generator must be pure given the step index and the stream's
+    seed, so the same seed reproduces bit-identical coefficients; one
+    that draws keys its own substreams from that seed. ``q = 0`` marks an
+    unobserved system.
     """
 
     d: int
     q: int
-    generator: Callable[[int, np.random.Generator], StepCoefficients]
+    generator: Callable[[int, int], StepCoefficients]
     seed: int = 0
 
     def at(self, n: int) -> StepCoefficients:
         """Step ``n``'s coefficients; :class:`InvalidParams` naming the step
         when their shapes do not fit the stream's ``(d, q)``."""
-        c = self.generator(n, substream(self.seed, DOMAIN_JUMP, n))
+        c = self.generator(n, self.seed)
         if c.B.shape[0] != self.d:
             raise InvalidParams(f"step {n}: B has length {c.B.shape[0]}, expected d = {self.d}")
         rows = None if c.H is None else c.H.shape[0]
@@ -355,7 +356,6 @@ class TruthTrajectory:
 
     states: np.ndarray
     observations: Optional[np.ndarray]
-    seed: int
 
 
 def _turbulence_A(params: TurbulenceParams):
@@ -414,7 +414,7 @@ def build_turbulence(params: TurbulenceParams) -> CoefficientStream:
 
     if params.jump_spec is None:
 
-        def generator(n, rng):
+        def generator(_n, _seed):
             return base  # constant-coefficient: same object every step
 
         return CoefficientStream(d=d, q=q, generator=generator)
@@ -435,19 +435,16 @@ def build_turbulence(params: TurbulenceParams) -> CoefficientStream:
         latest[stream_seed] = (i, s)
         return spec.multipliers[s]
 
-    stream = CoefficientStream(d=d, q=q, generator=None)
-
     # the four entries of each listed wavenumber's block in A0.data
     blocks = [slice(A0.indptr[2 * k - 1], A0.indptr[2 * k + 1]) for k in spec.modes]
 
-    def generator(n, rng):
+    def generator(n, seed):
         A = A0.copy()
-        for block, m in zip(blocks, chain_state(n, stream.seed)):
+        for block, m in zip(blocks, chain_state(n, seed)):
             A.data[block] = m * A0.data[block]
         return StepCoefficients(A=A, B=B, Sigma=Sigma, H=H)
 
-    stream.generator = generator
-    return stream
+    return CoefficientStream(d=d, q=q, generator=generator)
 
 
 class _LastValueMemo:
@@ -516,4 +513,4 @@ def simulate_truth(stream: CoefficientStream, x0, T: int, seed: int) -> TruthTra
         states[n + 1] = x
         if obs is not None:
             obs[n] = y
-    return TruthTrajectory(states=states, observations=obs, seed=seed)
+    return TruthTrajectory(states=states, observations=obs)

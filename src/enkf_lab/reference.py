@@ -24,7 +24,7 @@ from .linalg import (
     kalman_update_operator,
     symmetrize,
 )
-from .models import CoefficientStream, StepCoefficients, TurbulenceParams
+from .models import CoefficientStream, InvalidParams, StepCoefficients, TurbulenceParams
 
 __all__ = [
     "KalmanState",
@@ -110,20 +110,28 @@ def stationary_riccati_diag(params: TurbulenceParams, rho=None):
     ``b = r^2 Sigma_kk + tau rho``. ``f`` is increasing and concave, so its
     iterates from 0 rise to the one nonnegative root of
     ``d a x^2 + B x - so b = 0``, ``B = so (1 - a) + d b``, taken here in
-    closed form without cancellation (0 where ``b = 0``).
+    closed form without cancellation (0 where ``b = 0``). The effective
+    rho and sigma_obs must be finite and > 0, and every value finite, else
+    :class:`InvalidParams`.
     """
     if params.sigma_obs is None:
         raise ValueError("sigma_obs must be set for the observed stationary solve")
     r, tau = params.r, params.tau
     rho = params.rho if rho is None else rho
     so, d = params.sigma_obs, params.d
+    for name, value in (("rho", rho), ("sigma_obs", so)):
+        if not (np.isfinite(value) and value > 0):
+            raise InvalidParams(f"{name} must be finite and > 0, got {value!r}")
     a = r * r * np.exp(-2.0 * params.gamma() * params.h)
     b = r * r * params.mode_sigma() + tau * rho
     B = so * (1.0 - a) + d * b
     root = np.sqrt(B * B + 4.0 * d * a * so * b)
     with np.errstate(divide="ignore", invalid="ignore"):
         x = np.where(B >= 0, 2.0 * so * b / (B + root), (root - B) / (2.0 * d * a))
-    return np.where(b > 0, x, 0.0)
+    x = np.where(b == 0, 0.0, x)  # a NaN b stays NaN and fails below
+    if not np.all(np.isfinite(x)):
+        raise InvalidParams("the stationary variances are not finite: check r, tau, gamma and h")
+    return x
 
 
 def stationary_riccati_ambient(params: TurbulenceParams) -> np.ndarray:

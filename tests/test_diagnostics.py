@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 from enkf_lab import diagnostics
 from enkf_lab.diagnostics import (
     CSV_COLUMNS,
-    ConcentrationTrial,
     FilterDiagnostics,
     compute_lambda_mu,
     run_accuracy_experiment,
@@ -24,7 +23,7 @@ from enkf_lab.diagnostics import (
     write_csv,
     write_json,
 )
-from enkf_lab import enkf
+from enkf_lab import enkf, models
 from enkf_lab.enkf import EnkfConfig, EnkfFilter
 from enkf_lab.linalg import (
     DimensionMismatch,
@@ -398,7 +397,7 @@ def test_run_filter_experiment_fetches_and_factors_once_per_step(monkeypatch):
     T = 10
     generated = []
     generate = stream.generator
-    stream.generator = lambda n, rng: generated.append(n) or generate(n, rng)
+    stream.generator = lambda n, seed: generated.append(n) or generate(n, seed)
     factored = []
     real = enkf.sigma_plus_factor
     monkeypatch.setattr(
@@ -512,18 +511,52 @@ def test_chi_stays_at_floor_under_certified_rank():
         assert x.chi <= x.nu
 
 
+def test_filter_experiment_substream_budget(monkeypatch):
+    # one seed builds K initial-member substreams and, per step, the truth's
+    # noise and observation substreams: K + 2T, none for coefficients (the
+    # forecast keys its members without building a substream)
+    keys = []
+    for module in (models, enkf):
+        real = module.substream
+        monkeypatch.setattr(
+            module, "substream", lambda *key, real=real: keys.append(key) or real(*key)
+        )
+    p = TurbulenceParams(J=10, sigma_obs=10.0, tau=0.6)
+    stream = build_turbulence(p)
+    K, T = 40, 20
+    cfg = EnkfConfig(K=K, p=4, r=p.r, rho=p.rho, tau=p.tau)
+    r_ref = stationary_riccati_ambient(p)
+    run_filter_experiment(stream, cfg, T=T, seeds=(3,), r_ref=r_ref)
+    assert len(keys) == K + 2 * T
+
+
 def test_concentration_trial_flag():
-    rng = np.random.default_rng(3)
-    trial = _trial = None
+    # the sweep counts a draw when lam or mu exceeds 1 + 5 delta: recount
+    # each row from the trials on the same DOMAIN_TRIAL substreams
     from enkf_lab.diagnostics import _concentration_trial
 
-    trial = _concentration_trial(
-        3, 8, 0.1, 0.1, np.linspace(1, 2, 3), rng, 10.0, 50
+    p, rho, delta, trials, seed = 3, 0.1, 0.1, 30, 4
+    K_list, conds = (5, 40), (10.0, 1e3)
+    report = run_concentration_experiment(
+        d=50, p=p, K_list=K_list, rho=rho, delta=delta, trials=trials, seed=seed,
+        cond_targets=conds, tail_trials=5, tail_min_count=5,
     )
-    thr = 1.0 + 5 * 0.1
-    assert trial.in_rare_event == (trial.lam > thr or trial.mu > thr)
-    assert trial.lam >= 0.0 and trial.mu >= 1.0
-    assert trial.d == 50 and trial.p == 3 and trial.K == 8
+    sig_vals = np.linspace(1.0, 2.0, p)
+    thr = 1.0 + 5 * delta
+    rows = iter(report["rare_event"])
+    hits = []
+    for ci, cond in enumerate(conds):
+        for ki, K in enumerate(K_list):
+            draws = [
+                _concentration_trial(
+                    p, K, rho, sig_vals, models.substream(seed, models.DOMAIN_TRIAL, ci, ki, t), cond
+                )
+                for t in range(trials)
+            ]
+            assert all(lam >= 0.0 and mu >= 1.0 for lam, mu in draws)
+            hits.append(sum(lam > thr or mu > thr for lam, mu in draws))
+            assert next(rows)["hits"] == hits[-1]
+    assert min(hits) < trials and max(hits) > 0  # the rule decides both ways
 
 
 def test_concentration_large_ensemble_rare():
@@ -681,15 +714,18 @@ def test_write_csv_accepts_dict_rows(tmp_path):
 
 
 def test_write_json(tmp_path):
-    trial = ConcentrationTrial(
-        d=10, p=2, K=5, rho=0.1, delta=0.1, lam=1.2, mu=np.float64(1.0),
-        in_rare_event=False,
+    row = FilterDiagnostics(
+        step=3, maha_sq_per_d=0.5, l2_error=2.0, lam=1.2, mu=np.float64(1.0),
+        nu=1.0, chi=1.0, cov_fidelity=0.9,
     )
-    report = {"trials": [trial], "count": np.int64(1), "arr": np.arange(3)}
+    report = {
+        "rows": [row], "count": np.int64(1), "arr": np.arange(3), "flag": np.bool_(False)
+    }
     path = tmp_path / "report.json"
     write_json(report, path)
     back = json.loads(path.read_text())
     assert back["count"] == 1
     assert back["arr"] == [0, 1, 2]
-    assert back["trials"][0]["in_rare_event"] is False
-    assert back["trials"][0]["mu"] == 1.0
+    assert back["flag"] is False
+    assert back["rows"][0]["step"] == 3
+    assert back["rows"][0]["mu"] == 1.0

@@ -11,6 +11,7 @@ from enkf_lab.effective_dim import (
     verify_dim_observed,
     verify_dim_unfiltered,
 )
+from enkf_lab.reference import stationary_riccati_ambient, stationary_riccati_diag
 
 BENCH_UNFILTERED = TurbulenceParams(J=50, tau=0.6)
 BENCH_OBSERVED = TurbulenceParams(J=50, sigma_obs=10.0, tau=0.6)
@@ -114,6 +115,38 @@ def test_minimal_p_search_validates_grid():
         minimal_p_search(BENCH_UNFILTERED, (0.04, -0.1))
 
 
+RHO_ENTRY_POINTS = {
+    "verify_dim_unfiltered": lambda p, rho: verify_dim_unfiltered(p, rho=rho),
+    "verify_dim_observed": lambda p, rho: verify_dim_observed(p, rho=rho),
+    "minimal_p_search": lambda p, rho: minimal_p_search(p, [rho]),
+    "instability_modes": lambda p, rho: instability_modes(p, rho=rho),
+    "stationary_riccati_diag": lambda p, rho: stationary_riccati_diag(p, rho=rho),
+}
+
+
+@pytest.mark.parametrize("rho", [np.nan, np.inf, 0.0, -0.04], ids=["nan", "inf", "zero", "negative"])
+@pytest.mark.parametrize("entry", list(RHO_ENTRY_POINTS))
+def test_rho_override_must_be_finite_and_positive(entry, rho):
+    # a rho= override bypasses TurbulenceParams.validate(), so the rho each
+    # entry point uses is checked where it is used
+    with pytest.raises(InvalidParams, match="rho"):
+        RHO_ENTRY_POINTS[entry](BENCH_OBSERVED, rho)
+
+
+@pytest.mark.parametrize("sigma_obs", [-5.0, 0.0, np.inf], ids=["negative", "zero", "inf"])
+@pytest.mark.parametrize("entry", [stationary_riccati_diag, stationary_riccati_ambient])
+def test_stationary_solve_rejects_bad_sigma_obs(entry, sigma_obs):
+    with pytest.raises(InvalidParams, match="sigma_obs"):
+        entry(TurbulenceParams(J=10, sigma_obs=sigma_obs))
+
+
+def test_stationary_solve_rejects_a_non_finite_value():
+    # tau is not checked there (its tau = 0 limit is evaluated), but a NaN
+    # tau makes every value NaN, and no NaN is masked to a zero
+    with pytest.raises(InvalidParams, match="not finite"):
+        stationary_riccati_diag(TurbulenceParams(J=10, sigma_obs=10.0, tau=np.nan))
+
+
 def test_general_verifier_matches_observed_on_time_invariant_model():
     p = TurbulenceParams(J=12, sigma_obs=10.0, tau=0.6)
     stream = build_turbulence(p)
@@ -137,9 +170,9 @@ def test_general_verifier_on_jump_stream():
     stream.seed = 7
     fetched = []
     generate = stream.generator
-    stream.generator = lambda n, rng: fetched.append(n) or generate(n, rng)
+    stream.generator = lambda n, seed: fetched.append(n) or generate(n, seed)
     rep = verify_dim_general(stream, r=p.r, tau=p.tau, rho=p.rho)
-    assert fetched == list(range(120))  # burn_in + window, one fetch per step
+    assert fetched == list(range(120))  # 100 burn-in and 20 counted steps, one fetch each
     plain = TurbulenceParams(J=8, sigma_obs=10.0, tau=0.6)
     base = verify_dim_general(build_turbulence(plain), r=p.r, tau=p.tau, rho=p.rho)
     # amplifying unstable modes can only grow the count

@@ -209,7 +209,8 @@ def test_forecast_exact_when_target_vanishes():
         A=0.2 * np.eye(d), B=np.arange(d, dtype=float), Sigma=0.01 * np.eye(d)
     )
     ens = make_ensemble(d, K, seed=3)
-    mean, S_hat = enkf_forecast(ens, coeffs, cfg, (0, 99, 0))
+    factor = sigma_plus_factor(coeffs, cfg.r, cfg.tau, cfg.rho)
+    mean, S_hat = enkf_forecast(ens, coeffs, cfg, (0, 99, 0), factor)
     np.testing.assert_allclose(mean, 0.2 * ens.mean + coeffs.B, atol=1e-14)
     np.testing.assert_allclose(S_hat, np.sqrt(1.1) * 0.2 * ens.spread, atol=1e-14)
 
@@ -223,7 +224,7 @@ def test_forecast_covariance_law_of_large_numbers():
     target = factor_matrix((U, s))
     A = np.asarray(coeffs.A)
     expected = cfg.r * (A @ ens.covariance() @ A.T + target)
-    _, S_hat = enkf_forecast(ens, coeffs, cfg, (0, 99, 1))
+    _, S_hat = enkf_forecast(ens, coeffs, cfg, (0, 99, 1), (U, s))
     sample = S_hat @ S_hat.T / (K - 1)
     err = np.linalg.norm(sample - expected, 2) / np.linalg.norm(expected, 2)
     assert err < 0.08
@@ -239,7 +240,7 @@ def test_forecast_mean_unbiased():
     U, s = sigma_plus_factor(coeffs, cfg.r, cfg.tau, cfg.rho)
     target = factor_matrix((U, s))
     A = np.asarray(coeffs.A)
-    mean, _ = enkf_forecast(ens, coeffs, cfg, (0, 99, 2))
+    mean, _ = enkf_forecast(ens, coeffs, cfg, (0, 99, 2), (U, s))
     drift = mean - (A @ ens.mean + coeffs.B)
     se = np.sqrt(np.diag(target) / K)
     assert np.all(np.abs(drift) <= 3 * se + 1e-12)
@@ -1002,10 +1003,11 @@ def test_sampled_posterior_deflates_on_average():
     mean_K = np.zeros((d, d))
     mean_C = np.zeros((d, d))
     samples = np.empty((N, d, d))
+    factor = sigma_plus_factor(coeffs, cfg.r, cfg.tau, cfg.rho)
     for i in range(N):
         # the key of substream(0, 98, 0)'s i-th spawned child: the root's
         # words zero-padded to the pool size of 4, then i
-        _, S_hat = enkf_forecast(ens, coeffs, cfg, (0, 98, 0, 0, i))
+        _, S_hat = enkf_forecast(ens, coeffs, cfg, (0, 98, 0, 0, i), factor)
         C_hat = S_hat @ S_hat.T / (K - 1) + cfg.tau * cfg.rho * np.eye(d)
         samples[i] = kalman_op(C_hat, H)
         mean_K += samples[i]

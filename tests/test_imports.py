@@ -1,8 +1,10 @@
 """Import hygiene of the package, checked from its syntax trees.
 
-No linter ships with the test dependencies, so this keeps the two rules
-that matter when code is deleted: a module other than ``__init__`` (which
-re-exports) uses every name it imports, and every ``__all__`` entry exists.
+No linter ships with the test dependencies, so this keeps the rules that
+matter when code is deleted: a module other than ``__init__`` (which
+re-exports) uses every name it imports, every ``__all__`` entry exists, and
+a function or lambda parameter that is never read is named with a leading
+``_`` (``self`` and ``cls`` aside).
 """
 
 import ast
@@ -48,3 +50,28 @@ def test_every_all_entry_resolves(name):
     module = importlib.import_module("enkf_lab" if name == "__init__" else f"enkf_lab.{name}")
     missing = [entry for entry in _all_entries(TREES[name]) if not hasattr(module, entry)]
     assert not missing, f"enkf_lab.{name}.__all__ names what it lacks: {missing}"
+
+
+def _unread_parameters(tree):
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        args = node.args
+        params = args.posonlyargs + args.args + args.kwonlyargs
+        params += [a for a in (args.vararg, args.kwarg) if a is not None]
+        body = node.body if isinstance(node.body, list) else [node.body]
+        read = {
+            n.id
+            for stmt in body
+            for n in ast.walk(stmt)
+            if isinstance(n, ast.Name) and not isinstance(n.ctx, ast.Store)
+        }
+        for a in params:
+            if a.arg not in read and a.arg not in ("self", "cls") and not a.arg.startswith("_"):
+                yield f"{node.lineno} {a.arg}"
+
+
+@pytest.mark.parametrize("name", list(TREES))
+def test_unread_parameters_start_with_underscore(name):
+    unread = list(_unread_parameters(TREES[name]))
+    assert not unread, f"enkf_lab.{name} has parameters it never reads (line, name): {unread}"

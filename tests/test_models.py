@@ -505,6 +505,29 @@ def test_jump_stream_does_not_rebuild_A(monkeypatch):
         assert stream.at(n).A.nnz == 4 * 40 + 1
 
 
+def test_coefficient_fetch_builds_substreams_only_for_new_transitions(monkeypatch):
+    # a fetch builds no generator of its own: a constant stream none, a jump
+    # stream one per chain transition it has not yet taken
+    keys = []
+    real = models.substream
+    monkeypatch.setattr(models, "substream", lambda *key: keys.append(key) or real(*key))
+    constant = build_turbulence(TurbulenceParams(J=5, sigma_obs=10.0))
+    for n in (0, 1, 2, 50, 1):
+        constant.at(n)
+    assert keys == []
+    spec = JumpSpec(
+        transition=[[0.5, 0.5], [0.5, 0.5]], multipliers=[[1.0], [1.2]], modes=(1,)
+    )
+    stream = build_turbulence(TurbulenceParams(J=5, jump_spec=spec))
+    stream.seed = 7
+    # (request, transitions it takes): forward from the latest state, none
+    # on a repeat, and a replay from step 0 for an earlier step
+    for n, new in ((0, []), (3, [1, 2, 3]), (3, []), (5, [4, 5]), (2, [1, 2]), (2, [])):
+        keys.clear()
+        stream.at(n)
+        assert keys == [(7, DOMAIN_JUMP, i) for i in new]
+
+
 @pytest.mark.parametrize(
     "modes,mults,msg",
     [
