@@ -26,6 +26,7 @@ import json
 import os
 import sys
 import time
+from collections import namedtuple
 from dataclasses import dataclass, fields as dc_fields
 from typing import Optional, Sequence
 
@@ -33,6 +34,7 @@ import numpy as np
 
 from . import __version__
 from .diagnostics import (
+    _concentration_arg_error,
     run_accuracy_experiment,
     run_concentration_experiment,
     run_filter_experiment,
@@ -45,8 +47,6 @@ from .enkf import EnkfConfig
 from .models import InvalidParams, TurbulenceParams, build_turbulence
 from .reference import stationary_riccati_ambient
 
-EXPERIMENTS = ("simulate", "verify-dim", "rmt", "stability", "accuracy")
-
 # preset name -> constructor kwargs
 MODEL_PRESETS = {
     "kolmogorov-unfiltered": dict(J=50, r=1.1, tau=0.6, rho=0.04),
@@ -54,10 +54,8 @@ MODEL_PRESETS = {
     "kolmogorov-reduced": dict(J=10, r=1.1, tau=0.6, rho=0.04, sigma_obs=10.0),
 }
 
-_MODEL_KEYS = {
-    "J", "alpha", "beta", "gamma0", "nu_visc", "E0", "h",
-    "omega_spec", "r", "tau", "rho", "sigma_obs",
-}
+# a jump spec has no JSON form; every other field is a config key
+_MODEL_KEYS = tuple(f.name for f in dc_fields(TurbulenceParams) if f.name != "jump_spec")
 _RMT_LISTS = {"K_list", "cond_targets", "tail_t_grid"}
 _RMT_FLOATS = {"rho", "delta", "cond_targets", "tail_t_grid"}
 # CLI defaults for the keys run_concentration_experiment requires, then its own
@@ -65,15 +63,6 @@ _RMT_DEFAULTS = dict(d=200, p=5, K_list=(10, 20, 40, 80), rho=0.1, delta=0.1, tr
     name: par.default
     for name, par in inspect.signature(run_concentration_experiment).parameters.items()
     if par.default is not par.empty
-}
-
-_COMMON_KEYS = {"experiment", "model", "seeds", "output_dir"}
-_ALLOWED_KEYS = {
-    "simulate": _COMMON_KEYS | {"enkf", "T"},
-    "verify-dim": _COMMON_KEYS | {"rho_grid"},
-    "rmt": _COMMON_KEYS | {"rmt"},
-    "stability": _COMMON_KEYS | {"enkf", "T", "shifts"},
-    "accuracy": _COMMON_KEYS | {"enkf", "T", "eps_list"},
 }
 
 
@@ -131,7 +120,7 @@ def _convert_list(kind, raw, field_name) -> tuple:
 
 def _reject_unknown(raw: dict, allowed, section: Optional[str] = None, note: str = ""):
     """ParseError naming the first key of ``raw`` (sorted) not in ``allowed``."""
-    unknown = sorted(set(raw) - allowed)
+    unknown = sorted(set(raw).difference(allowed))
     if unknown:
         key = unknown[0]
         raise ParseError(f"unknown key {key!r}{note}", field=key if section is None else f"{section}.{key}")
@@ -210,11 +199,11 @@ def load_config(path: str, experiment: Optional[str] = None) -> ExperimentConfig
 
     exp = raw.get("experiment", experiment)
     _require(exp is not None, "missing 'experiment' (and no subcommand default)", "experiment")
-    _require(exp in EXPERIMENTS, f"must be one of {', '.join(EXPERIMENTS)}", "experiment")
+    _require(isinstance(exp, str) and exp in _REGISTRY, f"must be one of {', '.join(_REGISTRY)}", "experiment")
     if experiment is not None and exp != experiment:
         raise ParseError(f"config says {exp!r} but the subcommand is {experiment!r}", field="experiment")
 
-    _reject_unknown(raw, _ALLOWED_KEYS[exp], note=f" for experiment {exp!r}")
+    _reject_unknown(raw, _REGISTRY[exp].keys, note=f" for experiment {exp!r}")
 
     cfg = ExperimentConfig(experiment=exp)
     cfg.seeds = _parse_seeds(raw.get("seeds"))
@@ -233,16 +222,8 @@ def load_config(path: str, experiment: Optional[str] = None) -> ExperimentConfig
                 merged[key] = _convert_list(kind, value, f"rmt.{key}")
             else:
                 merged[key] = _convert(kind, value, f"rmt.{key}")
-        for key, low in (
-            ("trials", 1), ("K_list", 2), ("tail_K", 2), ("tail_trials", 1),
-            ("cond_targets", 1), ("tail_min_count", 1),
-        ):
-            values = merged[key] if key in _RMT_LISTS else (merged[key],)
-            what = "entries" if key in _RMT_LISTS else key
-            _require(min(values) >= low, f"{what} must be >= {low}", f"rmt.{key}")
-        _require(1 <= merged["p"] <= merged["d"], f"p must satisfy 1 <= p <= d = {merged['d']}", "rmt.p")
-        _require(merged["rho"] > 0, "rho must be > 0", "rmt.rho")
-        _require(merged["delta"] > 0, "delta must be > 0", "rmt.delta")
+        if error := _concentration_arg_error(merged):
+            raise ParseError(error[1], field=f"rmt.{error[0]}")
         cfg.rmt = merged
         return cfg
 
@@ -288,14 +269,9 @@ def config_to_dict(cfg: ExperimentConfig) -> dict:
     """Resolved, JSON-ready form; load_config of it compares equal."""
     out = {"experiment": cfg.experiment, "seeds": list(cfg.seeds)}
     if cfg.model is not None:
-        model = {}
-        for f in dc_fields(TurbulenceParams):
-            if f.name == "jump_spec":
-                continue
-            val = getattr(cfg.model, f.name)
-            if f.name == "omega_spec" and val is not None:
-                val = list(val)
-            model[f.name] = val
+        model = {key: getattr(cfg.model, key) for key in _MODEL_KEYS}
+        if model["omega_spec"] is not None:
+            model["omega_spec"] = list(model["omega_spec"])
         out["model"] = model
     if cfg.enkf is not None:
         out["enkf"] = {"K": cfg.enkf.K, "p": cfg.enkf.p}
@@ -331,15 +307,9 @@ def _config_comment(cfg: ExperimentConfig) -> str:
     return "config: " + json.dumps(config_to_dict(cfg), sort_keys=True)
 
 
-def _reference_for(model: TurbulenceParams):
-    if model.sigma_obs is None:
-        return None
-    return stationary_riccati_ambient(model)
-
-
 def _run_simulate(cfg: ExperimentConfig, out_dir: str) -> int:
     stream = build_turbulence(cfg.model)
-    r_ref = _reference_for(cfg.model)
+    r_ref = None if cfg.model.sigma_obs is None else stationary_riccati_ambient(cfg.model)
     per_seed, aggregate = run_filter_experiment(
         stream, cfg.enkf, cfg.T, cfg.seeds, r_ref=r_ref
     )
@@ -465,20 +435,16 @@ def _run_accuracy(cfg: ExperimentConfig, out_dir: str) -> int:
     return 0
 
 
-_DISPATCH = {
-    "simulate": _run_simulate,
-    "verify-dim": _run_verify_dim,
-    "rmt": _run_rmt,
-    "stability": _run_stability,
-    "accuracy": _run_accuracy,
-}
-
-_SUBCOMMANDS = {
-    "simulate": "simulate",
-    "verify-dim": "verify-dim",
-    "rmt-experiment": "rmt",
-    "stability": "stability",
-    "accuracy": "accuracy",
+_Experiment = namedtuple("_Experiment", "subcommand keys run")  # keys: the top-level config keys
+_BASE_KEYS = frozenset({"experiment", "seeds", "output_dir"})
+_FILTER_KEYS = _BASE_KEYS | {"model", "enkf", "T"}
+# experiment name -> its subcommand, config keys and runner, in subcommand order
+_REGISTRY = {
+    "simulate": _Experiment("simulate", _FILTER_KEYS, _run_simulate),
+    "verify-dim": _Experiment("verify-dim", _BASE_KEYS | {"model", "rho_grid"}, _run_verify_dim),
+    "rmt": _Experiment("rmt-experiment", _BASE_KEYS | {"rmt"}, _run_rmt),
+    "stability": _Experiment("stability", _FILTER_KEYS | {"shifts"}, _run_stability),
+    "accuracy": _Experiment("accuracy", _FILTER_KEYS | {"eps_list"}, _run_accuracy),
 }
 
 
@@ -489,8 +455,9 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"enkf-lab {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in _SUBCOMMANDS:
-        sp = sub.add_parser(name, help=f"run the {name} experiment")
+    for experiment, spec in _REGISTRY.items():
+        sp = sub.add_parser(spec.subcommand, help=f"run the {spec.subcommand} experiment")
+        sp.set_defaults(experiment=experiment)
         sp.add_argument("--config", required=True, help="path to a JSON experiment config")
         sp.add_argument("--seed", type=int, default=None, help="override the config's seed list with this single seed")
         sp.add_argument("--out", default=None, help="output directory (default: config output_dir, else ./out/<timestamp>)")
@@ -503,9 +470,8 @@ def cli_main(argv: Optional[Sequence[str]] = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    experiment = _SUBCOMMANDS[args.command]
     try:
-        cfg = load_config(args.config, experiment=experiment)
+        cfg = load_config(args.config, experiment=args.experiment)
         if args.seed is not None:
             _require(args.seed >= 0, "must be >= 0", "--seed")
             cfg.seeds = (args.seed,)
@@ -518,7 +484,7 @@ def cli_main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         os.makedirs(out_dir, exist_ok=True)
         _write_manifest(cfg, out_dir)
-        return _DISPATCH[cfg.experiment](cfg, out_dir)
+        return _REGISTRY[cfg.experiment].run(cfg, out_dir)
     except Exception as exc:  # runtime failure, not a config problem
         print(f"enkf-lab: error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1

@@ -49,6 +49,7 @@ from .linalg import (
 from .models import (
     DOMAIN_TRIAL,
     CoefficientStream,
+    InvalidParams,
     StepCoefficients,
     _LastValueMemo,
     substream,
@@ -284,6 +285,26 @@ def _concentration_trial(
     return lam, max(1.0, mu)
 
 
+def _concentration_arg_error(args: dict):
+    """The first out-of-range entry of ``args``, the keyword arguments of
+    :func:`run_concentration_experiment`, as ``(key, message)``, else None."""
+    def what(key):
+        return "entries" if np.ndim(args[key]) else key
+    for key in ("rho", "delta", "cond_targets", "tail_t_grid"):
+        if not np.all(np.isfinite(args[key])):
+            return key, f"{what(key)} must be finite"
+    # trials only divide rare-event hit counts, so with no rows 0 is fine
+    rows = len(args["K_list"]) * len(args["cond_targets"])
+    for key, low in dict(trials=min(rows, 1), K_list=2, tail_K=2, tail_trials=1, cond_targets=1, tail_min_count=1).items():
+        if np.any(np.asarray(args[key]) < low):
+            return key, f"{what(key)} must be >= {low}"
+    if not 1 <= args["p"] <= args["d"]:
+        return "p", f"p must satisfy 1 <= p <= d = {args['d']}"
+    for key in ("rho", "delta"):
+        if not args[key] > 0:
+            return key, f"{key} must be > 0"
+
+
 def run_concentration_experiment(
     d: int,
     p: int,
@@ -311,8 +332,11 @@ def run_concentration_experiment(
     ``tail_min_count`` hits are dropped from the returned fit points.
 
     Returns a dict with "rare_event" rows, "tail" rows, and the
-    log-linear tail fit (slope, intercept, r_squared).
+    log-linear tail fit (slope, intercept, r_squared). An out-of-range
+    argument raises :class:`InvalidParams` naming it, before any trial.
     """
+    if error := _concentration_arg_error(locals()):
+        raise InvalidParams("%s: %s" % error)
     sig_vals = np.linspace(1.0, 2.0, p)
     thr = 1.0 + 5.0 * delta
     rare_rows = []

@@ -50,9 +50,9 @@ class DimReport:
     are the ambient-component counts (k >= 1 doubled, mode 0 once).
     ``failing_modes`` lists the covariance-branch failures and has
     length ``p_covariance``; ``instability_mode_list`` likewise for the
-    instability branch. ``table`` holds one per-mode row dict for the
-    CSV emitter. ``convention`` is "wavenumber" for the closed-form
-    verifiers and "ambient" for the general one.
+    instability branch. ``table`` holds the per-mode row dicts that
+    verify-dim writes to report.json. ``convention`` is "wavenumber" for
+    the closed-form verifiers and "ambient" for the general one.
     """
 
     p_instability: int

@@ -292,13 +292,14 @@ class TurbulenceParams:
         )
         return out
 
+    def ambient(self, per_mode) -> np.ndarray:
+        """Per-wavenumber values over k = 0..J laid out on the d state
+        components: mode 0 once, then each k >= 1 on its (cos, sin) pair."""
+        return np.repeat(per_mode, [1] + [2] * self.J)
+
     def sigma_diag(self) -> np.ndarray:
         """Diagonal of Sigma over the d state components."""
-        per_mode = self.mode_sigma()[1:]
-        out = np.zeros(self.d)
-        out[1::2] = per_mode
-        out[2::2] = per_mode
-        return out
+        return self.ambient(self.mode_sigma())
 
     def validate(self):
         for name in (

@@ -75,10 +75,13 @@ def augmented_riccati_step(cov, coeffs: StepCoefficients, r, tau, rho) -> np.nda
     """One step of the inflated reference recursion from covariance ``cov``.
 
     ``R_hat' = r^2 A R' A.T + r^2 Sigma + tau rho I`` followed by the
-    Kalman covariance update (identity when ``H`` is absent).
+    Kalman covariance update (identity when ``H`` is absent). ``r``,
+    ``tau`` and ``rho`` must be finite with ``r > 1``, ``tau > 0`` and
+    ``rho > 0``, else a ``ValueError`` names the first that is not.
     """
-    if not (r > 1 and tau > 0 and rho > 0):
-        raise ValueError("require r > 1, tau > 0, rho > 0")
+    for name, value, low in (("r", r, 1), ("tau", tau, 0), ("rho", rho, 0)):
+        if not (np.isfinite(value) and value > low):
+            raise ValueError(f"{name} must be finite and > {low}, got {value!r}")
     A = _dense(coeffs.A)
     noise = r**2 * _dense(coeffs.Sigma) + tau * rho * np.eye(A.shape[0])
     R_hat = symmetrize(r * r * (A @ cov @ A.T) + noise)
@@ -136,9 +139,4 @@ def stationary_riccati_diag(params: TurbulenceParams, rho=None):
 
 def stationary_riccati_ambient(params: TurbulenceParams) -> np.ndarray:
     """Stationary variances expanded to the d ambient components."""
-    vals = stationary_riccati_diag(params)
-    out = np.empty(params.d)
-    out[0] = vals[0]
-    out[1::2] = vals[1:]
-    out[2::2] = vals[1:]
-    return out
+    return params.ambient(stationary_riccati_diag(params))

@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+from dataclasses import fields, replace as dataclass_replace
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from enkf_lab.cli import (
     load_config,
 )
 from enkf_lab.diagnostics import run_concentration_experiment
+from enkf_lab.models import TurbulenceParams
 
 CONFIG_DIR = os.path.join(
     os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
@@ -191,6 +193,15 @@ def test_rmt_unknown_key_is_named(tmp_path, capsys):
     rc = cli_main(["rmt-experiment", "--config", write_config(tmp_path, cfg)])
     assert rc == 2
     assert "rmt.dd" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("model", ["kolmogorov-observed", {"J": "x"}, None], ids=["preset", "malformed", "null"])
+def test_rmt_rejects_a_model_section(tmp_path, capsys, model):
+    # the concentration experiment reads no model, so a model section is unknown
+    cfg = {"experiment": "rmt", "model": model, "rmt": {"d": 20, "p": 2, "K_list": [5], "trials": 2}}
+    rc = cli_main(["rmt-experiment", "--config", write_config(tmp_path, cfg), "--out", str(tmp_path / "o")])
+    assert rc == 2
+    assert "config error: model: unknown key 'model'" in capsys.readouterr().err
 
 
 def test_seeds_object_validation(tmp_path, capsys):
@@ -420,6 +431,29 @@ def test_config_round_trips_through_dict(tmp_path):
     cfg = load_config(write_config(tmp_path, tiny_simulate_config(), "sim.json"))
     dumped = write_config(tmp_path, config_to_dict(cfg), "sim_dump.json")
     assert load_config(dumped) == cfg
+
+
+# a valid value other than the default for every model key; a new
+# TurbulenceParams field fails below until it gets one here
+MODEL_FIELD_VALUES = {
+    "J": 3, "alpha": 1.5, "beta": 2.0, "gamma0": 0.02, "nu_visc": 0.03, "E0": 2.0,
+    "h": 0.25, "omega_spec": [0.0, 1.0, 0.5], "r": 1.3, "tau": 0.5, "rho": 0.05, "sigma_obs": 5.0,
+}
+
+
+@pytest.mark.parametrize("key", [f.name for f in fields(TurbulenceParams) if f.name != "jump_spec"])
+def test_every_model_field_loads_and_round_trips(tmp_path, key):
+    cfg = {"experiment": "verify-dim", "model": {"J": 2, key: MODEL_FIELD_VALUES[key]}}
+    loaded = load_config(write_config(tmp_path, cfg))
+    default = TurbulenceParams(J=2)
+    assert getattr(loaded.model, key) != getattr(default, key)
+    assert loaded.model == dataclass_replace(default, **{key: getattr(loaded.model, key)})
+    out = tmp_path / "o"
+    assert cli_main(["verify-dim", "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 0
+    recorded = json.loads((out / "manifest.json").read_text())["config"]
+    assert recorded["model"][key] == MODEL_FIELD_VALUES[key]
+    assert recorded == config_to_dict(loaded)
+    assert load_config(write_config(tmp_path, recorded, "dump.json")) == loaded
 
 
 def test_load_config_raises_parse_error_directly(tmp_path):

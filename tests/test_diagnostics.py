@@ -4,6 +4,7 @@ import csv
 import json
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -31,7 +32,7 @@ from enkf_lab.linalg import (
     positive_part_factor,
     symmetrize,
 )
-from enkf_lab.models import JumpSpec, TurbulenceParams, build_turbulence, simulate_truth
+from enkf_lab.models import InvalidParams, JumpSpec, TurbulenceParams, build_turbulence, simulate_truth
 from enkf_lab.reference import stationary_riccati_ambient
 
 from oracles import compute_nu, factor_matrix, loewner_ratio, mahalanobis_sq
@@ -591,6 +592,47 @@ def test_concentration_tail_fit():
     fit = report["tail_fit"]
     assert fit["slope"] < 0
     assert fit["r_squared"] > 0.5
+
+
+@pytest.mark.parametrize(
+    "bad,key",
+    [
+        ({"d": 3, "p": 5, "delta": -1}, "p"),
+        ({"p": 0}, "p"),
+        ({"K_list": (1,)}, "K_list"),
+        ({"tail_K": 1}, "tail_K"),
+        ({"trials": 0}, "trials"),
+        ({"tail_trials": 0}, "tail_trials"),
+        ({"tail_min_count": 0}, "tail_min_count"),
+        ({"cond_targets": (0.5,)}, "cond_targets"),
+        ({"rho": -0.1}, "rho"),
+        ({"delta": 0}, "delta"),
+        ({"rho": math.nan}, "rho"),
+        ({"rho": math.inf}, "rho"),
+        ({"delta": math.nan}, "delta"),
+        ({"delta": math.inf}, "delta"),
+        ({"cond_targets": (10.0, math.nan)}, "cond_targets"),
+        ({"cond_targets": (math.inf,)}, "cond_targets"),
+        ({"tail_t_grid": (0.0, math.nan)}, "tail_t_grid"),
+    ],
+    ids=[
+        "p_above_d", "p_zero", "K_list", "tail_K", "trials", "tail_trials", "tail_min_count",
+        "cond_targets", "rho", "delta", "rho_nan", "rho_inf", "delta_nan", "delta_inf",
+        "cond_targets_nan", "cond_targets_inf", "tail_t_grid_nan",
+    ],
+)
+def test_concentration_rejects_out_of_range_arguments(monkeypatch, bad, key):
+    # the CLI's rmt bounds, plus finiteness, hold for Python callers too,
+    # checked before any trial runs
+    def no_trial(*_args):
+        raise AssertionError("a trial ran")
+
+    monkeypatch.setattr(diagnostics, "_concentration_trial", no_trial)
+    kw = dict(d=20, p=2, K_list=(10,), rho=0.1, delta=0.1, trials=5, seed=0) | bad
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidParams, match=f"^{key}: "):
+            run_concentration_experiment(**kw)
 
 
 def test_concentration_reproducible():

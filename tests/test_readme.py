@@ -1,15 +1,38 @@
-"""README's Python code runs as written, so the documented API cannot
-drift from the package."""
+"""README's code and tables match the package as written, so the
+documented API and command line cannot drift from it."""
 
 import os
 import re
 
+from enkf_lab.cli import cli_main, load_config
+
 README = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "README.md")
 
 
-def test_readme_python_blocks_run():
+def read_readme():
     with open(README) as fh:
-        blocks = re.findall(r"```python\n(.*?)```", fh.read(), flags=re.S)
+        return fh.read()
+
+
+def test_readme_python_blocks_run():
+    blocks = re.findall(r"```python\n(.*?)```", read_readme(), flags=re.S)
     assert blocks, "README has no python block"
     for i, block in enumerate(blocks):
         exec(compile(block, f"README.md python block {i}", "exec"), {"__name__": "readme"})
+
+
+def test_readme_json_blocks_load_as_configs(tmp_path):
+    blocks = re.findall(r"```json\n(.*?)```", read_readme(), flags=re.S)
+    assert blocks, "README has no json block"
+    for i, block in enumerate(blocks):
+        path = tmp_path / f"block{i}.json"
+        path.write_text(block)
+        load_config(str(path))
+
+
+def test_readme_subcommand_table_matches_the_parser(capsys):
+    assert cli_main(["--help"]) == 0
+    parser_names = re.search(r"\{([^}]*)\}", capsys.readouterr().out).group(1).split(",")
+    section = read_readme().split("## Command line", 1)[1].split("\n## ", 1)[0]
+    table_names = re.findall(r"^\| `([^`]+)` \|", section, flags=re.M)
+    assert table_names == parser_names

@@ -1,11 +1,13 @@
 """Tests for the exact Kalman recursion and the reference benchmarks."""
 
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
 import scipy.sparse
 
+from enkf_lab.effective_dim import verify_dim_general
 from enkf_lab.enkf import sigma_plus_factor
 from enkf_lab.linalg import DimensionMismatch
 from enkf_lab.models import (
@@ -214,6 +216,22 @@ def test_augmented_state_validation():
         augmented_riccati_step(np.eye(1), coeffs, 1.0, 1.0, 0.04)
 
 
+@pytest.mark.parametrize("value", [np.inf, np.nan], ids=["inf", "nan"])
+@pytest.mark.parametrize("name", ["r", "tau", "rho"])
+def test_augmented_rejects_non_finite_inflation(name, value):
+    # an infinite tau * rho turned the off-diagonal of tau rho I into NaN and
+    # ended in LinAlgError after a run of RuntimeWarnings
+    args = dict(r=1.1, tau=0.6, rho=0.04) | {name: value}
+    coeffs = StepCoefficients(A=[[0.5]], B=[0.0], Sigma=[[0.2]], H=[[1.0]])
+    stream = build_turbulence(TurbulenceParams(J=3, sigma_obs=10.0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            augmented_riccati_step(np.eye(1), coeffs, **args)
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            verify_dim_general(stream, **args)
+
+
 def test_augmented_reduces_to_kalman():
     # r -> 1, tau*rho -> 0 recovers the plain recursion
     rng = np.random.default_rng(3)
@@ -284,6 +302,11 @@ def test_stationary_riccati_ambient_layout():
     assert amb[0] == vals[0]
     assert amb[1] == amb[2] == vals[1]
     assert amb[5] == amb[6] == vals[3]
+    # the one layout owner: mode 0 once, then each k >= 1 on its (cos, sin) pair
+    np.testing.assert_array_equal(p.ambient(np.arange(4.0)), [0, 1, 1, 2, 2, 3, 3])
+    np.testing.assert_array_equal(amb, p.ambient(vals))
+    np.testing.assert_array_equal(p.sigma_diag(), p.ambient(p.mode_sigma()))
+    assert p.sigma_diag()[0] == 0.0  # mode 0 is unforced
 
 
 def test_stationary_dominated_by_unfiltered_bound():
