@@ -14,8 +14,8 @@ parameter in a file is one the run actually consumed. Exit codes:
 field or path), 1 runtime failure.
 
 Reruns with the same config and seeds write byte-identical files; the
-output directory always contains ``manifest.json`` echoing the resolved
-config (defaults filled in) and the tool version.
+output directory always contains ``manifest.json`` echoing the keys the
+run consumed (defaults filled in) and the tool version.
 """
 
 from __future__ import annotations
@@ -56,8 +56,8 @@ MODEL_PRESETS = {
 
 # a jump spec has no JSON form; every other field is a config key
 _MODEL_KEYS = tuple(f.name for f in dc_fields(TurbulenceParams) if f.name != "jump_spec")
-_RMT_LISTS = {"K_list", "cond_targets", "tail_t_grid"}
-_RMT_FLOATS = {"rho", "delta", "cond_targets", "tail_t_grid"}
+# the keys of each object section, as loaded and as recorded
+_SECTIONS = {"model": _MODEL_KEYS, "enkf": ("K", "p")}
 # CLI defaults for the keys run_concentration_experiment requires, then its own
 _RMT_DEFAULTS = dict(d=200, p=5, K_list=(10, 20, 40, 80), rho=0.1, delta=0.1, trials=2000) | {
     name: par.default
@@ -212,16 +212,17 @@ def load_config(path: str, experiment: Optional[str] = None) -> ExperimentConfig
         cfg.output_dir = raw["output_dir"]
 
     if exp == "rmt":
+        _require(len(cfg.seeds) == 1, "the rmt experiment takes exactly one seed", "seeds")
         sub = raw.get("rmt", {})
         _require(isinstance(sub, dict), "must be an object", "rmt")
         _reject_unknown(sub, set(_RMT_DEFAULTS), "rmt")
         merged = dict(_RMT_DEFAULTS)
         for key, value in sub.items():
-            kind = float if key in _RMT_FLOATS else int
-            if key in _RMT_LISTS:
-                merged[key] = _convert_list(kind, value, f"rmt.{key}")
+            default = _RMT_DEFAULTS[key]
+            if isinstance(default, tuple):
+                merged[key] = _convert_list(type(default[0]), value, f"rmt.{key}")
             else:
-                merged[key] = _convert(kind, value, f"rmt.{key}")
+                merged[key] = _convert(type(default), value, f"rmt.{key}")
         if error := _concentration_arg_error(merged):
             raise ParseError(error[1], field=f"rmt.{error[0]}")
         cfg.rmt = merged
@@ -241,7 +242,7 @@ def load_config(path: str, experiment: Optional[str] = None) -> ExperimentConfig
     enkf_raw = raw.get("enkf")
     _require(enkf_raw is not None, "experiment needs an 'enkf' section", "enkf")
     _require(isinstance(enkf_raw, dict), "must be an object", "enkf")
-    _reject_unknown(enkf_raw, {"K", "p"}, "enkf", note=" (r, tau, rho live in the model section)")
+    _reject_unknown(enkf_raw, _SECTIONS["enkf"], "enkf", note=" (r, tau, rho live in the model section)")
     _require("K" in enkf_raw and "p" in enkf_raw, "needs both 'K' and 'p'", "enkf")
     K, p = _convert(int, enkf_raw["K"], "enkf.K"), _convert(int, enkf_raw["p"], "enkf.p")
     try:
@@ -266,28 +267,17 @@ def load_config(path: str, experiment: Optional[str] = None) -> ExperimentConfig
 
 
 def config_to_dict(cfg: ExperimentConfig) -> dict:
-    """Resolved, JSON-ready form; load_config of it compares equal."""
-    out = {"experiment": cfg.experiment, "seeds": list(cfg.seeds)}
-    if cfg.model is not None:
-        model = {key: getattr(cfg.model, key) for key in _MODEL_KEYS}
-        if model["omega_spec"] is not None:
-            model["omega_spec"] = list(model["omega_spec"])
-        out["model"] = model
-    if cfg.enkf is not None:
-        out["enkf"] = {"K": cfg.enkf.K, "p": cfg.enkf.p}
-    if cfg.T is not None:
-        out["T"] = cfg.T
-    if cfg.experiment == "stability":
-        out["shifts"] = list(cfg.shifts)
-    if cfg.experiment == "accuracy":
-        out["eps_list"] = list(cfg.eps_list)
-    if cfg.rmt is not None:
-        rmt = {k: (list(v) if isinstance(v, tuple) else v) for k, v in cfg.rmt.items()}
-        out["rmt"] = rmt
-    if cfg.rho_grid is not None:
-        out["rho_grid"] = list(cfg.rho_grid)
-    if cfg.output_dir is not None:
-        out["output_dir"] = cfg.output_dir
+    """The experiment's registry keys, unset optional ones left out, in JSON
+    form (a tuple is a list); load_config of it compares equal."""
+    out = {}
+    for key in sorted(_REGISTRY[cfg.experiment].keys):
+        value = getattr(cfg, key)
+        if key in _SECTIONS:
+            value = {k: getattr(value, k) for k in _SECTIONS[key]}
+        if isinstance(value, dict):
+            value = {k: list(v) if isinstance(v, tuple) else v for k, v in value.items()}
+        if value is not None:
+            out[key] = list(value) if isinstance(value, tuple) else value
     return out
 
 
@@ -436,13 +426,13 @@ def _run_accuracy(cfg: ExperimentConfig, out_dir: str) -> int:
 
 
 _Experiment = namedtuple("_Experiment", "subcommand keys run")  # keys: the top-level config keys
-_BASE_KEYS = frozenset({"experiment", "seeds", "output_dir"})
-_FILTER_KEYS = _BASE_KEYS | {"model", "enkf", "T"}
+_BASE_KEYS = frozenset({"experiment", "output_dir"})
+_FILTER_KEYS = _BASE_KEYS | {"seeds", "model", "enkf", "T"}
 # experiment name -> its subcommand, config keys and runner, in subcommand order
 _REGISTRY = {
     "simulate": _Experiment("simulate", _FILTER_KEYS, _run_simulate),
     "verify-dim": _Experiment("verify-dim", _BASE_KEYS | {"model", "rho_grid"}, _run_verify_dim),
-    "rmt": _Experiment("rmt-experiment", _BASE_KEYS | {"rmt"}, _run_rmt),
+    "rmt": _Experiment("rmt-experiment", _BASE_KEYS | {"seeds", "rmt"}, _run_rmt),
     "stability": _Experiment("stability", _FILTER_KEYS | {"shifts"}, _run_stability),
     "accuracy": _Experiment("accuracy", _FILTER_KEYS | {"eps_list"}, _run_accuracy),
 }
@@ -459,7 +449,8 @@ def _build_parser() -> argparse.ArgumentParser:
         sp = sub.add_parser(spec.subcommand, help=f"run the {spec.subcommand} experiment")
         sp.set_defaults(experiment=experiment)
         sp.add_argument("--config", required=True, help="path to a JSON experiment config")
-        sp.add_argument("--seed", type=int, default=None, help="override the config's seed list with this single seed")
+        if "seeds" in spec.keys:
+            sp.add_argument("--seed", type=int, help="override the config's seed list with this single seed")
         sp.add_argument("--out", default=None, help="output directory (default: config output_dir, else ./out/<timestamp>)")
     return parser
 
@@ -472,7 +463,7 @@ def cli_main(argv: Optional[Sequence[str]] = None) -> int:
         return int(exc.code or 0)
     try:
         cfg = load_config(args.config, experiment=args.experiment)
-        if args.seed is not None:
+        if getattr(args, "seed", None) is not None:
             _require(args.seed >= 0, "must be >= 0", "--seed")
             cfg.seeds = (args.seed,)
     except ParseError as exc:

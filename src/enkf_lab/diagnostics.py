@@ -240,7 +240,7 @@ def run_filter_experiment(
             rec = filt.step(y)
             coeffs = filt.coeffs  # the step's coefficients; its factor is memoised
             series.append(
-                _step_diagnostics(n + 1, rec, W, coeffs.A, filt._factor_for(coeffs), x, L, cfg)
+                _step_diagnostics(n + 1, rec, W, coeffs.A, filt.factor_for(coeffs), x, L, cfg)
             )
             W = rec.posterior_factor
         per_seed[seed] = series

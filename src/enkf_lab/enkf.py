@@ -56,6 +56,7 @@ from .models import (
     StepCoefficients,
     _LastValueMemo,
     _check_seed,
+    _is_index,
     _member_normals,
     substream,
 )
@@ -154,7 +155,7 @@ class EnkfConfig:
     def __post_init__(self):
         for name, low in (("K", 2), ("p", 1)):
             value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < low:
+            if not _is_index(value) or value < low:
                 raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
         for name, low in (("r", 1), ("rho", 0), ("tau", 0)):
             value = getattr(self, name)
@@ -405,11 +406,12 @@ class EnkfFilter:
     Noise substreams are keyed by ``(seed, domain, step, member)``
     independently of the state, so two filters sharing a seed draw
     identical noise regardless of their means (used by the stability
-    experiments). The Sigma+ factor of the latest coefficient object is
-    kept, so constant streams factor once and memory stays bounded on
-    time-varying ones. ``coeffs`` holds the coefficients of the latest
-    step (None before the first), so a caller can reuse them and their
-    memoised factor instead of fetching the step again.
+    experiments). ``factor_for(coeffs)`` gives the Sigma+ factor the step
+    uses, kept for the latest coefficient object only, so constant streams
+    factor once and memory stays bounded on time-varying ones. ``coeffs``
+    holds the coefficients of the latest step (None before the first), so
+    a caller can reuse them and their memoised factor instead of fetching
+    the step again.
     """
 
     def __init__(
@@ -427,7 +429,7 @@ class EnkfFilter:
         self.seed = _check_seed(seed)
         self.n = 0
         self.coeffs: Optional[StepCoefficients] = None
-        self._factor_for = _LastValueMemo(
+        self.factor_for = _LastValueMemo(
             lambda coeffs: sigma_plus_factor(coeffs, cfg.r, cfg.tau, cfg.rho)
         )
         mean0 = np.zeros(stream.d) if init_mean is None else np.asarray(init_mean, float).ravel()
@@ -451,7 +453,7 @@ class EnkfFilter:
         """Advance one step; a non-finite forecast raises
         :class:`FilterDiverged` naming this step (from 1) and the seed."""
         coeffs = self.stream.at(self.n)
-        factor = self._factor_for(coeffs)
+        factor = self.factor_for(coeffs)
         key = (self.seed, DOMAIN_FORECAST, self.n)
         try:
             mean_hat, S_hat = enkf_forecast(self.ensemble, coeffs, self.cfg, key, factor)

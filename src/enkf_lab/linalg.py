@@ -240,12 +240,11 @@ def positive_part_factor(M) -> tuple[np.ndarray, np.ndarray]:
 
     ``s`` holds only the strictly positive eigenvalues. Diagonal input
     (dense with zero off-diagonal, or sparse) is handled in O(d) without
-    an eigensolve; sparse diagonal input yields a sparse selector ``U``
-    so that applying the factor stays O(d) as well. Non-finite input
-    raises ValueError: the cut ``s > 0`` would otherwise drop it unseen.
+    an eigensolve and yields a sparse selector ``U``, so that applying the
+    factor stays O(d) as well. Non-finite input raises ValueError: the cut
+    ``s > 0`` would otherwise drop it unseen.
     """
-    sparse = scipy.sparse.issparse(M)
-    if not sparse:
+    if not scipy.sparse.issparse(M):
         M = _as_square(M)
     diag = _diag_or_none(M)
     values = diag if diag is not None else _dense(M)
@@ -253,14 +252,9 @@ def positive_part_factor(M) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError("positive_part_factor: the matrix has non-finite entries")
     if diag is not None:
         idx = np.nonzero(diag > 0.0)[0]
-        cols = np.arange(idx.size)
-        if sparse:
-            U = scipy.sparse.csr_matrix(
-                (np.ones(idx.size), (idx, cols)), shape=(M.shape[0], idx.size)
-            )
-        else:
-            U = np.zeros((M.shape[0], idx.size))
-            U[idx, cols] = 1.0
+        U = scipy.sparse.csr_matrix(
+            (np.ones(idx.size), (idx, np.arange(idx.size))), shape=(M.shape[0], idx.size)
+        )
         return U, diag[idx]
     w, V = np.linalg.eigh(symmetrize(values))
     pos = w > 0.0

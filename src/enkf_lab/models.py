@@ -17,7 +17,7 @@ K members in one array pass, and one reused Philox draws from each.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -58,10 +58,15 @@ class InvalidChain(ValueError):
     """A Markov jump specification is not a valid finite-state chain."""
 
 
+def _is_index(value) -> bool:
+    """Whether ``value`` is an integer: an int or ``np.integer``, not a bool."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def _check_seed(seed) -> int:
     """``seed`` as an int; :class:`InvalidParams` naming it unless it is a
-    non-negative integer (a bool is not one, an ``np.integer`` is)."""
-    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+    non-negative integer."""
+    if not _is_index(seed) or seed < 0:
         raise InvalidParams(f"seed must be a non-negative integer, got {seed!r}")
     return int(seed)
 
@@ -214,6 +219,8 @@ class JumpSpec:
     def __post_init__(self):
         self.transition = np.asarray(self.transition, dtype=float)
         self.multipliers = np.atleast_2d(np.asarray(self.multipliers, dtype=float))
+        if not all(_is_index(k) for k in self.modes):
+            raise InvalidChain(f"modes must be integers, got {self.modes}")
         self.modes = tuple(int(k) for k in self.modes)
         m = self.transition.shape[0]
         if self.transition.shape != (m, m):
@@ -229,8 +236,8 @@ class JumpSpec:
             raise InvalidChain("transition rows must be stochastic (sum to 1 within 1e-12)")
         if not np.all(np.isfinite(self.multipliers)):
             raise InvalidChain("multipliers must be finite")
-        if not 0 <= self.init_state < m:
-            raise InvalidChain(f"init_state must be in [0, {m}), got {self.init_state}")
+        if not (_is_index(self.init_state) and 0 <= self.init_state < m):
+            raise InvalidChain(f"init_state must be an integer in [0, {m}), got {self.init_state!r}")
 
 
 def markov_jump_step(jump_spec: JumpSpec, state: int, rng) -> tuple[int, np.ndarray]:
@@ -302,19 +309,18 @@ class TurbulenceParams:
         return self.ambient(self.mode_sigma())
 
     def validate(self):
-        for name in (
-            "J", "alpha", "beta", "gamma0", "nu_visc", "E0", "h", "r", "tau", "rho", "sigma_obs",
-        ):
-            value = getattr(self, name)
-            if value is not None and not np.isfinite(value):
-                raise InvalidParams(f"{name} must be finite, got {value}")
-        if self.omega_spec is not None and not np.all(np.isfinite(self.omega_spec)):
-            raise InvalidParams("omega_spec entries must be finite")
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.name == "jump_spec" or value is None or np.all(np.isfinite(value)):
+                continue
+            if np.ndim(value):
+                raise InvalidParams(f"{f.name} entries must be finite")
+            raise InvalidParams(f"{f.name} must be finite, got {value}")
         if not self.r > 1:
             raise InvalidParams("r must satisfy r > 1")
         if not self.tau > 0:
             raise InvalidParams("tau must satisfy tau > 0")
-        if self.J < 0 or int(self.J) != self.J:
+        if not _is_index(self.J) or self.J < 0:
             raise InvalidParams("J must be a non-negative integer")
         if self.alpha <= 0:
             raise InvalidParams("alpha must satisfy alpha > 0")
@@ -480,7 +486,7 @@ def truth_path(stream: CoefficientStream, x0, T: int, seed: int):
     (an integer >= 1, not a bool), the seed and the length and finiteness
     of ``x0`` are checked on the call, not at the first step.
     """
-    if isinstance(T, bool) or not isinstance(T, (int, np.integer)) or T < 1:
+    if not _is_index(T) or T < 1:
         raise InvalidParams(f"T must be >= 1 and an integer, got {T!r}")
     seed = _check_seed(seed)
     x0 = np.asarray(x0, dtype=float).ravel()

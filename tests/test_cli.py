@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from enkf_lab.cli import (
+    _REGISTRY,
     MODEL_PRESETS,
     ExperimentConfig,
     ParseError,
@@ -454,6 +455,51 @@ def test_every_model_field_loads_and_round_trips(tmp_path, key):
     assert recorded["model"][key] == MODEL_FIELD_VALUES[key]
     assert recorded == config_to_dict(loaded)
     assert load_config(write_config(tmp_path, recorded, "dump.json")) == loaded
+
+
+# a minimal config per experiment, optional keys left unset; a new
+# registry entry fails below until it gets one here
+MINIMAL_CONFIGS = {
+    "simulate": tiny_simulate_config(),
+    "verify-dim": {"experiment": "verify-dim", "model": {"J": 2}},
+    "rmt": {"experiment": "rmt", "rmt": {"d": 20, "p": 2, "K_list": [5], "trials": 4, "tail_trials": 50}},
+    "stability": tiny_simulate_config(experiment="stability"),
+    "accuracy": tiny_simulate_config(experiment="accuracy", eps_list=[1.0, 0.1]),
+}
+
+
+@pytest.mark.parametrize("experiment", list(_REGISTRY))
+def test_manifest_records_exactly_the_registry_keys(tmp_path, experiment):
+    path = write_config(tmp_path, MINIMAL_CONFIGS[experiment])
+    out = tmp_path / "out"
+    assert cli_main([_REGISTRY[experiment].subcommand, "--config", path, "--out", str(out)]) == 0
+    recorded = json.loads((out / "manifest.json").read_text())["config"]
+    assert set(recorded) == set(_REGISTRY[experiment].keys) - {"output_dir", "rho_grid"}
+    assert recorded == config_to_dict(load_config(path))
+
+
+@pytest.mark.parametrize(
+    "command,cfg,flag,field",
+    [
+        ("verify-dim", dict(MINIMAL_CONFIGS["verify-dim"], seeds=[0]), [], "config error: seeds: "),
+        ("verify-dim", MINIMAL_CONFIGS["verify-dim"], ["--seed", "3"], "--seed"),
+        ("rmt-experiment", dict(MINIMAL_CONFIGS["rmt"], seeds=[0, 1]), [], "config error: seeds: "),
+    ],
+    ids=["verify_dim_seeds", "verify_dim_flag", "rmt_two_seeds"],
+)
+def test_inputs_the_run_would_not_consume_exit_2(tmp_path, capsys, command, cfg, flag, field):
+    rc = cli_main([command, "--config", write_config(tmp_path, cfg), "--out", str(tmp_path / "o")] + flag)
+    assert rc == 2
+    assert field in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_rmt_seed_flag_selects_its_one_seed(tmp_path):
+    out = tmp_path / "out"
+    path = write_config(tmp_path, MINIMAL_CONFIGS["rmt"])
+    assert cli_main(["rmt-experiment", "--config", path, "--seed", "5", "--out", str(out)]) == 0
+    assert json.loads((out / "manifest.json").read_text())["config"]["seeds"] == [5]
+    assert "# seed: 5" in (out / "tail.csv").read_text()
 
 
 def test_load_config_raises_parse_error_directly(tmp_path):

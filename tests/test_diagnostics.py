@@ -175,7 +175,7 @@ def dense_rows(stream, cfg, T, seed, r_ref):
         coeffs = filt.coeffs
         S_hat = rec.forecast_spread
         C_hat = S_hat @ S_hat.T / (cfg.K - 1) + cfg.tau * cfg.rho * np.eye(d)
-        Sigma_plus = factor_matrix(filt._factor_for(coeffs))
+        Sigma_plus = factor_matrix(filt.factor_for(coeffs))
         lam, mu = dense_lambda_mu(
             C_hat, coeffs.A, C_prev, Sigma_plus, cfg.r, cfg.tau, cfg.rho
         )
@@ -249,7 +249,7 @@ def test_step_diagnostics_form_no_d_by_d_array():
     filt = EnkfFilter(stream, cfg, seed=0)
     W_prev = filt.step(truth.observations[0]).posterior_factor
     rec = filt.step(truth.observations[1])
-    factor = filt._factor_for(filt.coeffs)
+    factor = filt.factor_for(filt.coeffs)
     r_diag = stationary_riccati_ambient(p)
     L = np.diag(np.sqrt(r_diag))  # d x d, made before tracing
     rows = []
@@ -417,7 +417,7 @@ def test_run_filter_experiment_fetches_and_factors_once_per_step(monkeypatch):
     W_prev = filt.ensemble.spread / np.sqrt(cfg.K - 1)
     for n, row in enumerate(per_seed[0]):
         coeffs = stream.at(n)
-        factor = filt._factor_for(coeffs)
+        factor = filt.factor_for(coeffs)
         rec = filt.step(truth.observations[n])
         lam, mu = compute_lambda_mu(
             rec.forecast_spread, coeffs.A, W_prev, factor, cfg.r, cfg.tau, cfg.rho
@@ -480,7 +480,7 @@ def test_lambda_mu_certify_recorded_steps():
     for n in range(10):
         coeffs = stream.at(n)
         C_prev = filt.ensemble.covariance()
-        factor = filt._factor_for(coeffs)
+        factor = filt.factor_for(coeffs)
         Sigma_plus = factor_matrix(factor)
         rec = filt.step(truth.observations[n])
         S_hat = rec.forecast_spread

@@ -141,6 +141,8 @@ def test_column_sum_check_scales_with_the_spread():
         dict(K=5, p=1, r=1.1, rho=0.1, tau=np.inf),
         dict(K=2.5, p=1, r=1.1, rho=0.1, tau=1.0),
         dict(K=5, p=1.5, r=1.1, rho=0.1, tau=1.0),
+        dict(K=True, p=1, r=1.1, rho=0.1, tau=1.0),
+        dict(K=5, p=np.float64(2.0), r=1.1, rho=0.1, tau=1.0),
     ],
 )
 def test_config_validation(kwargs):
@@ -765,7 +767,9 @@ def test_filter_rejects_bad_initial_arguments(kwargs, error, name):
 
 
 @pytest.mark.parametrize(
-    "seed", [2.7, True, -1, "3", None], ids=["float", "bool", "negative", "str", "none"]
+    "seed",
+    [2.7, True, -1, "3", None, np.float64(2.0)],
+    ids=["float", "bool", "negative", "str", "none", "numpy_float"],
 )
 def test_filter_rejects_a_seed_that_is_not_a_non_negative_integer(seed):
     stream = CoefficientStream(d=5, q=0, generator=None)

@@ -4,7 +4,8 @@ No linter ships with the test dependencies, so this keeps the rules that
 matter when code is deleted: a module other than ``__init__`` (which
 re-exports) uses every name it imports, every ``__all__`` entry exists, and
 a function or lambda parameter that is never read is named with a leading
-``_`` (``self`` and ``cls`` aside).
+``_`` (``self`` and ``cls`` aside), and a private attribute ``x._name`` is
+read only through ``self`` or ``cls``.
 """
 
 import ast
@@ -75,3 +76,19 @@ def _unread_parameters(tree):
 def test_unread_parameters_start_with_underscore(name):
     unread = list(_unread_parameters(TREES[name]))
     assert not unread, f"enkf_lab.{name} has parameters it never reads (line, name): {unread}"
+
+
+def _private_attribute_reads(tree):
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Attribute) or not node.attr.startswith("_"):
+            continue
+        if node.attr.endswith("__"):
+            continue  # a dunder such as type(x).__name__ is public
+        if not (isinstance(node.value, ast.Name) and node.value.id in ("self", "cls")):
+            yield f"{node.lineno} {ast.unparse(node)}"
+
+
+@pytest.mark.parametrize("name", list(TREES))
+def test_private_attributes_are_read_only_through_self_or_cls(name):
+    reads = list(_private_attribute_reads(TREES[name]))
+    assert not reads, f"enkf_lab.{name} reads another object's private attribute (line, expression): {reads}"

@@ -394,6 +394,11 @@ def test_positive_part_factor_reconstructs(kind):
     U, s = positive_part_factor(M)
     np.testing.assert_allclose(factor_matrix((U, s)), want, atol=1e-10)
     assert np.all(s > 0)
+    if kind != "dense_full":
+        # dense and sparse diagonal input give the same sparse selector
+        U_sparse, s_sparse = positive_part_factor(scipy.sparse.diags(diag, format="csr"))
+        assert scipy.sparse.issparse(U) and (U != U_sparse).nnz == 0
+        assert np.array_equal(s, s_sparse)
 
 
 def test_positive_part_factor_empty_support():

@@ -1,6 +1,7 @@
 """Tests for coefficient streams, the turbulence testbed, and truth runs."""
 
 import tracemalloc
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -136,11 +137,21 @@ def test_sigma_diag_strictly_positive_above_zero():
         (dict(J=2, r=0.5), "r must satisfy r > 1"),
         (dict(J=2, r=1.0), "r must satisfy r > 1"),
         (dict(J=2, tau=0.0), "tau must satisfy tau > 0"),
+        (dict(J=2.0), "J must be a non-negative integer"),
+        (dict(J=True), "J must be a non-negative integer"),
     ],
 )
 def test_params_validate_messages(kwargs, msg):
     with pytest.raises(InvalidParams, match=msg):
         TurbulenceParams(**kwargs).validate()
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("name", [f.name for f in fields(TurbulenceParams) if f.name != "jump_spec"])
+def test_every_numeric_param_must_be_finite(name, bad):
+    value = [0.0, bad, 0.0] if name == "omega_spec" else bad
+    with pytest.raises(InvalidParams, match=f"^{name} .*must be finite"):
+        TurbulenceParams(**{"J": 2, name: value}).validate()
 
 
 def test_turbulence_A_block_structure():
@@ -255,10 +266,12 @@ def test_simulate_truth_is_the_collected_truth_path(sigma_obs):
         (4, np.zeros(3), 2.7, "seed"),
         (4, np.zeros(3), True, "seed"),
         (4, np.zeros(3), -1, "seed"),
+        (np.float64(3.0), np.zeros(3), 0, "T must be >= 1 and an integer"),
+        (4, np.zeros(3), np.float64(1.0), "seed"),
     ],
     ids=[
         "T_zero", "T_float", "T_bool", "x0_length", "x0_nan",
-        "seed_float", "seed_bool", "seed_negative",
+        "seed_float", "seed_bool", "seed_negative", "T_numpy_float", "seed_numpy_float",
     ],
 )
 def test_truth_path_checks_its_input_when_called(T, x0, seed, match):
@@ -341,20 +354,26 @@ def test_white_noise_lln():
 
 
 @pytest.mark.parametrize(
-    "transition,multipliers,init_state",
+    "transition,multipliers,modes,init_state",
     [
-        ([[0.7, 0.2], [0.5, 0.5]], [[1.0], [2.0]], 0),
-        ([[np.nan, 0.5], [0.5, 0.5]], [[1.0], [2.0]], 0),
-        ([[0.5, 0.5], [0.5, 0.5]], [[1.0], [np.nan]], 0),
-        ([[0.5, 0.5], [0.5, 0.5]], [[1.0], [2.0]], -1),
-        ([[0.5, 0.5], [0.5, 0.5]], [[1.0], [2.0]], 2),
+        ([[0.7, 0.2], [0.5, 0.5]], [[1.0], [2.0]], (1,), 0),
+        ([[np.nan, 0.5], [0.5, 0.5]], [[1.0], [2.0]], (1,), 0),
+        ([[0.5, 0.5], [0.5, 0.5]], [[1.0], [np.nan]], (1,), 0),
+        ([[0.5, 0.5], [0.5, 0.5]], [[1.0], [2.0]], (1,), -1),
+        ([[0.5, 0.5], [0.5, 0.5]], [[1.0], [2.0]], (1,), 2),
+        ([[0.5, 0.5], [0.5, 0.5]], [[1.0], [2.0]], (1.7,), 0),
+        ([[0.5, 0.5], [0.5, 0.5]], [[1.0], [2.0]], (True,), 0),
+        ([[0.5, 0.5], [0.5, 0.5]], [[1.0], [2.0]], (1,), 0.5),
     ],
-    ids=["row_sum_off", "nan_row", "nan_multiplier", "init_state_negative", "init_state_too_large"],
+    ids=[
+        "row_sum_off", "nan_row", "nan_multiplier", "init_state_negative", "init_state_too_large",
+        "mode_float", "mode_bool", "init_state_float",
+    ],
 )
-def test_jump_spec_validation(transition, multipliers, init_state):
+def test_jump_spec_validation(transition, multipliers, modes, init_state):
     with pytest.raises(InvalidChain):
         JumpSpec(
-            transition=transition, multipliers=multipliers, modes=(1,), init_state=init_state
+            transition=transition, multipliers=multipliers, modes=modes, init_state=init_state
         )
 
 
