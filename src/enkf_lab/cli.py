@@ -299,7 +299,10 @@ def _config_comment(cfg: ExperimentConfig) -> str:
 
 def _run_simulate(cfg: ExperimentConfig, out_dir: str) -> int:
     stream = build_turbulence(cfg.model)
-    r_ref = None if cfg.model.sigma_obs is None else stationary_riccati_ambient(cfg.model)
+    try:
+        r_ref = stationary_riccati_ambient(cfg.model)
+    except InvalidParams as exc:  # e.g. an unobserved model whose reference diverges
+        raise ParseError(str(exc), field="model") from exc
     per_seed, aggregate = run_filter_experiment(
         stream, cfg.enkf, cfg.T, cfg.seeds, r_ref=r_ref
     )
@@ -466,16 +469,15 @@ def cli_main(argv: Optional[Sequence[str]] = None) -> int:
         if getattr(args, "seed", None) is not None:
             _require(args.seed >= 0, "must be >= 0", "--seed")
             cfg.seeds = (args.seed,)
-    except ParseError as exc:
-        print(f"enkf-lab: config error: {exc}", file=sys.stderr)
-        return 2
-    out_dir = args.out or cfg.output_dir
-    if out_dir is None:
-        out_dir = os.path.join("out", time.strftime("%Y%m%d-%H%M%S"))
-    try:
+        out_dir = args.out or cfg.output_dir
+        if out_dir is None:
+            out_dir = os.path.join("out", time.strftime("%Y%m%d-%H%M%S"))
         os.makedirs(out_dir, exist_ok=True)
         _write_manifest(cfg, out_dir)
         return _REGISTRY[cfg.experiment].run(cfg, out_dir)
+    except ParseError as exc:  # from parsing, or a runner rejecting its model
+        print(f"enkf-lab: config error: {exc}", file=sys.stderr)
+        return 2
     except Exception as exc:  # runtime failure, not a config problem
         print(f"enkf-lab: error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1

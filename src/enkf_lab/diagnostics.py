@@ -27,7 +27,6 @@ Seeded experiments step filters in lockstep with the streamed truth
 
 from __future__ import annotations
 
-import itertools
 import json
 from dataclasses import asdict, dataclass, is_dataclass
 from typing import Optional, Sequence
@@ -55,7 +54,6 @@ from .models import (
     substream,
     truth_path,
 )
-from .reference import _benchmark_iterates
 
 __all__ = [
     "FilterDiagnostics",
@@ -142,12 +140,6 @@ def _reference_factor(r_ref, d: int) -> np.ndarray:
     return scipy.linalg.cholesky(symmetrize(r_ref), lower=True)
 
 
-def _long_run_reference(stream, cfg) -> np.ndarray:
-    """The 200th augmented Riccati iterate (stationary-benchmark noise)."""
-    iterates = _benchmark_iterates(stream, cfg.r, cfg.tau, cfg.rho)
-    return next(itertools.islice(iterates, 199, None))[1]
-
-
 def _step_diagnostics(step, rec, W_prev, A, sigma_plus, x_true, L, cfg) -> FilterDiagnostics:
     """One row of diagnostics from the step's factors, in O(d K^2) work.
 
@@ -195,38 +187,26 @@ def run_filter_experiment(
     cfg: EnkfConfig,
     T: int,
     seeds: Sequence[int],
-    r_ref=None,
+    r_ref,
 ):
     """Run truth + filter per seed and collect full diagnostics.
 
     The truth starts at zero and the filter at its default initial mean.
 
     ``r_ref`` is the reference covariance for nu / cov_fidelity: a d x d
-    matrix, or a length-d vector holding a diagonal one; when omitted it
-    is the 200-step augmented Riccati iterate. It is checked and factored
-    once, before any seed runs: a wrong shape raises
-    :class:`DimensionMismatch`, a non-finite or non-positive definite one
-    :class:`NotPositiveDefinite`, which names the default reference and
-    its diagonal range when the run built it. Returns
+    matrix, or a length-d vector holding a diagonal one. On the turbulence
+    model it is ``stationary_riccati_ambient(params)``, the closed-form
+    fixed point of the augmented Riccati recursion, as the CLI passes it.
+    It is checked and factored once, before any seed runs: a wrong shape
+    raises :class:`DimensionMismatch`, a non-finite or non-positive
+    definite one :class:`NotPositiveDefinite`. Returns
     ``(per_seed, aggregate)`` where ``per_seed`` maps seed to a list of
     :class:`FilterDiagnostics` and ``aggregate`` holds per-step mean and
     (0.1, 0.5, 0.9) quantiles of the error quantities across seeds.
     """
     _check_seeds(seeds)
     d = stream.d
-    if r_ref is None:
-        r_ref = _long_run_reference(stream, cfg)
-        try:
-            L = _reference_factor(r_ref, d)
-        except NotPositiveDefinite as exc:
-            diag = np.diag(r_ref)
-            raise NotPositiveDefinite(
-                "the default reference (the 200-step augmented Riccati iterate) "
-                f"is not positive definite: its diagonal runs from {diag.min():.6g} "
-                f"to {diag.max():.6g}"
-            ) from exc
-    else:
-        L = _reference_factor(r_ref, d)
+    L = _reference_factor(r_ref, d)
     per_seed = {}
     for seed in seeds:
         path = truth_path(stream, np.zeros(d), T, seed)

@@ -20,7 +20,6 @@ is the max of the two branches. Boundary equality passes (strictly
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -28,7 +27,7 @@ import numpy as np
 from .enkf import sigma_plus_factor
 from .linalg import PD_RTOL
 from .models import CoefficientStream, InvalidParams, TurbulenceParams
-from .reference import _benchmark_iterates, stationary_riccati_diag
+from .reference import augmented_riccati_step, stationary_riccati_diag
 
 __all__ = [
     "DimReport",
@@ -199,8 +198,12 @@ def verify_dim_general(stream: CoefficientStream, r: float, tau: float, rho: flo
     max_cov = 0
     max_rank = 0
     worst_idx: list = []
-    iterates = _benchmark_iterates(stream, r, tau, rho)
-    for coeffs, cov in itertools.islice(iterates, 100, 120):
+    cov = np.zeros((stream.d, stream.d))
+    for n in range(120):
+        coeffs = stream.at(n)
+        cov = augmented_riccati_step(cov, coeffs, r, tau, rho)
+        if n < 100:
+            continue
         w = np.linalg.eigvalsh(cov)
         above = [int(i) for i in np.nonzero(w > rho)[0]]
         if len(above) > max_cov:

@@ -403,8 +403,10 @@ def enkf_assimilate(mean_hat, S_hat, coeffs: StepCoefficients, y, cfg: EnkfConfi
 class EnkfFilter:
     """Stateful driver advancing an ensemble along a coefficient stream.
 
-    Noise substreams are keyed by ``(seed, domain, step, member)``
-    independently of the state, so two filters sharing a seed draw
+    Noise is keyed by the seed alone, independently of the state: member
+    k's forecast noise at step n comes from the k-th spawn child of
+    ``substream(seed, DOMAIN_FORECAST, n)``, and its initial deviation from
+    ``substream(seed, DOMAIN_INIT, k)``. Two filters sharing a seed draw
     identical noise regardless of their means (used by the stability
     experiments). ``factor_for(coeffs)`` gives the Sigma+ factor the step
     uses, kept for the latest coefficient object only, so constant streams

@@ -3,7 +3,6 @@
 import inspect
 import json
 import os
-import re
 import subprocess
 import sys
 from dataclasses import fields, replace as dataclass_replace
@@ -364,17 +363,42 @@ def test_simulate_divergence_exits_1_naming_seed_and_step(tmp_path, capsys, monk
     assert "FilterDiverged" in err and "step 3" in err and "seed 7" in err
 
 
-def test_simulate_unfiltered_preset_names_the_default_reference(tmp_path, capsys):
-    # no r_ref is configured, so the failure names the one the run built
+def test_simulate_unfiltered_preset_exits_2_naming_the_diverging_wavenumbers(tmp_path, capsys):
+    # on kolmogorov-unfiltered r^2 exp(-2 gamma_k h) >= 1 for k = 0..4, so
+    # the unobserved reference has no fixed point there: a config error
     cfg = {"experiment": "simulate", "model": "kolmogorov-unfiltered",
            "enkf": {"K": 8, "p": 4}, "T": 3, "seeds": [0]}
     rc = cli_main(["simulate", "--config", write_config(tmp_path, cfg), "--out", str(tmp_path / "o")])
-    assert rc == 1
+    assert rc == 2
     err = capsys.readouterr().err
-    assert "NotPositiveDefinite: the default reference (the 200-step augmented Riccati iterate)" in err
-    lo, hi = map(float, re.search(r"diagonal runs from (\S+) to (\S+)", err).groups())
-    # the divergent modes grow without bound; no entry is zero
-    assert lo == pytest.approx(0.0249, rel=1e-3) and hi > 1e14
+    assert "config error: model:" in err and "wavenumbers [0, 1, 2, 3, 4]" in err
+
+
+def test_simulate_runs_on_a_damped_unobserved_model(tmp_path):
+    cfg = tiny_simulate_config(model={"J": 10, "gamma0": 0.3, "r": 1.1, "tau": 0.6, "rho": 0.04})
+    rc = cli_main(["simulate", "--config", write_config(tmp_path, cfg), "--out", str(tmp_path / "o")])
+    assert rc == 0
+    rows = (tmp_path / "o" / "diagnostics_seed0.csv").read_text().splitlines()
+    assert len([r for r in rows if not r.startswith("#")]) == 1 + 3
+
+
+# the smallest config each filter or model experiment takes
+_SMOKE_CONFIGS = {
+    "simulate": {"enkf": {"K": 8, "p": 4}, "T": 3, "seeds": [0]},
+    "stability": {"enkf": {"K": 8, "p": 4}, "T": 3, "seeds": [0]},
+    "accuracy": {"enkf": {"K": 8, "p": 4}, "T": 3, "seeds": [0]},
+    "verify-dim": {},
+}
+
+
+@pytest.mark.parametrize("experiment", list(_SMOKE_CONFIGS))
+@pytest.mark.parametrize("preset", list(MODEL_PRESETS))
+def test_every_preset_runs_or_exits_2_naming_model(tmp_path, capsys, preset, experiment):
+    cfg = {"experiment": experiment, "model": preset, **_SMOKE_CONFIGS[experiment]}
+    command = _REGISTRY[experiment].subcommand
+    rc = cli_main([command, "--config", write_config(tmp_path, cfg), "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert rc == 0 or (rc == 2 and "config error: model:" in err), (rc, err)
 
 
 # ------------------------------------------------------------ config semantics

@@ -33,7 +33,7 @@ from enkf_lab.linalg import (
     symmetrize,
 )
 from enkf_lab.models import InvalidParams, JumpSpec, TurbulenceParams, build_turbulence, simulate_truth
-from enkf_lab.reference import stationary_riccati_ambient
+from enkf_lab.reference import augmented_riccati_step, stationary_riccati_ambient
 
 from oracles import compute_nu, factor_matrix, loewner_ratio, mahalanobis_sq
 
@@ -200,8 +200,11 @@ def test_run_filter_experiment_matches_dense_oracle(J, K, reference, jump):
     p = TurbulenceParams(J=J, sigma_obs=10.0, tau=0.6, jump_spec=spec)
     stream = build_turbulence(p)
     cfg = EnkfConfig(K=K, p=3, r=p.r, rho=p.rho, tau=p.tau)
-    if reference == "long_run":  # the dense default
-        r_ref, passed = diagnostics._long_run_reference(stream, cfg), None
+    if reference == "long_run":  # a dense reference: the 200th augmented iterate
+        r_ref = np.zeros((stream.d, stream.d))
+        for n in range(200):
+            r_ref = augmented_riccati_step(r_ref, stream.at(n), cfg.r, cfg.tau, cfg.rho)
+        passed = r_ref
     else:  # the diagonal reference as a d x d matrix or as its diagonal
         r_diag = stationary_riccati_ambient(p)
         r_ref = np.diag(r_diag)
@@ -356,7 +359,7 @@ def test_run_filter_experiment_shapes_and_floors():
     stream = build_turbulence(p)
     cfg = EnkfConfig(K=8, p=4, r=p.r, rho=p.rho, tau=p.tau)
     seeds = (0, 1)
-    per_seed, agg = run_filter_experiment(stream, cfg, T=6, seeds=seeds)
+    per_seed, agg = run_filter_experiment(stream, cfg, T=6, seeds=seeds, r_ref=stationary_riccati_ambient(p))
     assert set(per_seed) == set(seeds)
     for series in per_seed.values():
         assert len(series) == 6
@@ -457,7 +460,7 @@ def test_lambda_mu_concentrate_for_large_ensembles():
     p = TurbulenceParams(J=2, sigma_obs=10.0, tau=0.6)
     stream = build_turbulence(p)
     cfg = EnkfConfig(K=2000, p=5, r=p.r, rho=p.rho, tau=p.tau)
-    per_seed, _ = run_filter_experiment(stream, cfg, T=3, seeds=(0,))
+    per_seed, _ = run_filter_experiment(stream, cfg, T=3, seeds=(0,), r_ref=stationary_riccati_ambient(p))
     for x in per_seed[0]:
         assert x.lam < 1.5
         assert x.mu < 1.5
@@ -506,7 +509,7 @@ def test_chi_stays_at_floor_under_certified_rank():
     rep = verify_dim_observed(p)
     stream = build_turbulence(p)
     cfg = EnkfConfig(K=40, p=rep.pm_effective, r=p.r, rho=p.rho, tau=p.tau)
-    per_seed, _ = run_filter_experiment(stream, cfg, T=40, seeds=(0,))
+    per_seed, _ = run_filter_experiment(stream, cfg, T=40, seeds=(0,), r_ref=stationary_riccati_ambient(p))
     for x in per_seed[0]:
         assert x.chi == 1.0
         assert x.chi <= x.nu

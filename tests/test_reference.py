@@ -7,10 +7,11 @@ import numpy as np
 import pytest
 import scipy.sparse
 
-from enkf_lab.effective_dim import verify_dim_general
-from enkf_lab.enkf import sigma_plus_factor
+from enkf_lab.effective_dim import verify_dim_general, verify_dim_observed
+from enkf_lab.enkf import InvalidObservation, sigma_plus_factor
 from enkf_lab.linalg import DimensionMismatch
 from enkf_lab.models import (
+    InvalidParams,
     JumpSpec,
     StepCoefficients,
     TurbulenceParams,
@@ -92,6 +93,40 @@ def test_kalman_step_rejects_bad_observation():
     )
     with pytest.raises(DimensionMismatch):
         kalman_step(state, coeffs, np.zeros(3))
+
+
+def _observed_pair():
+    coeffs = StepCoefficients(A=np.eye(3), B=np.zeros(3), Sigma=np.eye(3), H=np.eye(3))
+    return KalmanState(mean=np.zeros(3), cov=np.eye(3)), coeffs
+
+
+NON_FINITE_CASES = {
+    "kalman_y_nan": (InvalidObservation, "non-finite",
+                     lambda: kalman_step(*_observed_pair(), np.array([1.0, np.nan, 0.0]))),
+    "kalman_y_none_q1": (InvalidObservation, "y is None", lambda: kalman_step(
+        KalmanState(mean=np.zeros(1), cov=np.eye(1)),
+        StepCoefficients(A=np.eye(1), B=np.zeros(1), Sigma=np.eye(1), H=np.eye(1)),
+        None,
+    )),
+    "state_mean_nan": (ValueError, "mean must be finite",
+                       lambda: KalmanState(mean=[np.nan, 0.0, 0.0], cov=np.eye(3))),
+    "state_cov_nan": (ValueError, "cov must be finite",
+                      lambda: KalmanState(mean=np.zeros(2), cov=[[1.0, 0.0], [0.0, np.nan]])),
+    "augmented_cov_nan": (ValueError, "cov must be finite", lambda: augmented_riccati_step(
+        np.full((1, 1), np.nan), StepCoefficients(A=[[0.5]], B=[0.0], Sigma=[[0.2]], H=[[1.0]]),
+        1.1, 0.6, 0.04,
+    )),
+}
+
+
+@pytest.mark.parametrize("case", list(NON_FINITE_CASES))
+def test_reference_rejects_non_finite_input(case):
+    # each of these returned NaN without a word
+    error, message, call = NON_FINITE_CASES[case]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(error, match=message):
+            call()
 
 
 def test_kalman_covariance_forgets_initialization():
@@ -343,6 +378,49 @@ def test_stationary_riccati_monotone_in_energy():
     lo = TurbulenceParams(J=20, sigma_obs=10.0, tau=0.6, E0=0.5)
     hi = TurbulenceParams(J=20, sigma_obs=10.0, tau=0.6, E0=1.0)
     assert np.all(stationary_riccati_diag(lo) <= stationary_riccati_diag(hi) + 1e-12)
+
+
+DAMPED_UNOBSERVED = TurbulenceParams(J=10, gamma0=0.3, tau=0.6)
+
+
+def test_unobserved_stationary_matches_the_iterated_recursion():
+    p = DAMPED_UNOBSERVED
+    coeffs = build_turbulence(p).at(0)
+    cov = np.zeros((p.d, p.d))
+    for _ in range(400):
+        cov = augmented_riccati_step(cov, coeffs, p.r, p.tau, p.rho)
+    np.testing.assert_allclose(np.diag(cov), stationary_riccati_ambient(p), rtol=1e-9)
+    assert np.abs(cov - np.diag(np.diag(cov))).max() < 1e-12
+
+
+def test_unobserved_stationary_is_the_no_information_limit():
+    p = DAMPED_UNOBSERVED
+    far = stationary_riccati_diag(dataclasses.replace(p, sigma_obs=1e12))
+    np.testing.assert_allclose(stationary_riccati_diag(p), far, rtol=1e-6)
+
+
+@pytest.mark.parametrize("p", [DAMPED_UNOBSERVED, dataclasses.replace(DAMPED_UNOBSERVED, E0=0.0, J=30)],
+                         ids=["damped", "unforced"])
+def test_unobserved_stationary_fixed_point(p):
+    vals = stationary_riccati_diag(p)
+    a = p.r**2 * np.exp(-2 * p.gamma() * p.h)
+    b = p.r**2 * p.mode_sigma() + p.tau * p.rho
+    assert np.all(vals > 0)
+    assert np.all(np.abs(a * vals + b - vals) <= 1e-13 * vals)
+
+
+def test_unobserved_stationary_names_the_diverging_wavenumbers():
+    # the kolmogorov-unfiltered preset: r^2 exp(-2 gamma_k h) >= 1 for k <= 4
+    p = TurbulenceParams(J=50, r=1.1, tau=0.6, rho=0.04)
+    with pytest.raises(InvalidParams, match=r"wavenumbers \[0, 1, 2, 3, 4\],"):
+        stationary_riccati_diag(p)
+    with pytest.raises(InvalidParams, match="diverges"):
+        stationary_riccati_ambient(p)
+
+
+def test_observed_verifier_still_rejects_an_unobserved_model():
+    with pytest.raises(InvalidParams, match="sigma_obs must be set"):
+        verify_dim_observed(DAMPED_UNOBSERVED)
 
 
 def test_augmented_converges_to_stationary_under_benchmark_noise():
