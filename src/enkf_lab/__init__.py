@@ -25,6 +25,7 @@ __version__ = "0.1.0"
 from .effective_dim import (
     DimReport,
     minimal_p_search,
+    verify_dim,
     verify_dim_general,
     verify_dim_observed,
     verify_dim_unfiltered,

@@ -27,7 +27,7 @@ import os
 import sys
 import time
 from collections import namedtuple
-from dataclasses import dataclass, fields as dc_fields
+from dataclasses import asdict, dataclass, fields as dc_fields
 from typing import Optional, Sequence
 
 import numpy as np
@@ -42,10 +42,10 @@ from .diagnostics import (
     write_csv,
     write_json,
 )
-from .effective_dim import minimal_p_search, verify_dim_observed, verify_dim_unfiltered
+from .effective_dim import minimal_p_search, verify_dim
 from .enkf import EnkfConfig
 from .models import InvalidParams, TurbulenceParams, build_turbulence
-from .reference import stationary_riccati_ambient
+from .reference import stationary_riccati_ambient, stationary_riccati_diag
 
 # preset name -> constructor kwargs
 MODEL_PRESETS = {
@@ -257,6 +257,11 @@ def load_config(path: str, experiment: Optional[str] = None) -> ExperimentConfig
     _require(raw.get("T") is not None, "experiment needs T", "T")
     cfg.T = _convert(int, raw["T"], "T")
     _require(cfg.T >= 1, "T must be >= 1", "T")
+    if exp == "simulate":  # the reference simulate measures against must exist
+        try:
+            stationary_riccati_diag(cfg.model)
+        except InvalidParams as exc:
+            raise ParseError(str(exc), field="model") from exc
 
     if exp == "stability" and raw.get("shifts") is not None:
         cfg.shifts = _convert_list(float, raw["shifts"], "shifts")
@@ -299,12 +304,8 @@ def _config_comment(cfg: ExperimentConfig) -> str:
 
 def _run_simulate(cfg: ExperimentConfig, out_dir: str) -> int:
     stream = build_turbulence(cfg.model)
-    try:
-        r_ref = stationary_riccati_ambient(cfg.model)
-    except InvalidParams as exc:  # e.g. an unobserved model whose reference diverges
-        raise ParseError(str(exc), field="model") from exc
     per_seed, aggregate = run_filter_experiment(
-        stream, cfg.enkf, cfg.T, cfg.seeds, r_ref=r_ref
+        stream, cfg.enkf, cfg.T, cfg.seeds, r_ref=stationary_riccati_ambient(cfg.model)
     )
     for seed, series in per_seed.items():
         write_csv(
@@ -322,32 +323,11 @@ def _run_simulate(cfg: ExperimentConfig, out_dir: str) -> int:
 
 
 def _run_verify_dim(cfg: ExperimentConfig, out_dir: str) -> int:
-    observed = cfg.model.sigma_obs is not None
-    if observed:
-        report = verify_dim_observed(cfg.model)
-    else:
-        report = verify_dim_unfiltered(cfg.model)
-    payload = {
-        "convention": report.convention,
-        "observed": observed,
-        "p": report.p,
-        "p_instability": report.p_instability,
-        "p_covariance": report.p_covariance,
-        "p_effective": report.p_effective,
-        "pm_instability": report.pm_instability,
-        "pm_covariance": report.pm_covariance,
-        "pm_effective": report.pm_effective,
-        "rho": report.rho,
-        "r": report.r,
-        "tau": report.tau,
-        "failing_modes": list(report.failing_modes),
-        "instability_mode_list": list(report.instability_mode_list),
-        "table": report.table,
-    }
+    report = verify_dim(cfg.model)
+    payload = asdict(report)
     if cfg.rho_grid is not None:
         payload["minimal_p"] = [
-            {"rho": float(rho), "p_effective": int(p)}
-            for rho, p in minimal_p_search(cfg.model, cfg.rho_grid)
+            {"rho": rho, "p_effective": p} for rho, p in minimal_p_search(cfg.model, cfg.rho_grid)
         ]
     write_json(payload, os.path.join(out_dir, "report.json"))
     print(
@@ -475,7 +455,7 @@ def cli_main(argv: Optional[Sequence[str]] = None) -> int:
         os.makedirs(out_dir, exist_ok=True)
         _write_manifest(cfg, out_dir)
         return _REGISTRY[cfg.experiment].run(cfg, out_dir)
-    except ParseError as exc:  # from parsing, or a runner rejecting its model
+    except ParseError as exc:
         print(f"enkf-lab: config error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # runtime failure, not a config problem

@@ -1,7 +1,7 @@
 """Monitored sequences and the Monte Carlo experiments built on them.
 
-Per-step quantities for a filter run against a reference covariance
-R_ref:
+Per-step quantities for a filter run against a diagonal reference
+covariance R_ref:
 
 * ``maha_sq_per_d``: nondimensionalized Mahalanobis error
   ``(1/d) e.T (C + rho I)^{-1} e`` of the posterior mean,
@@ -32,7 +32,6 @@ from dataclasses import asdict, dataclass, is_dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-import scipy.linalg
 
 from .enkf import EnkfConfig, EnkfFilter
 from .linalg import (
@@ -41,9 +40,7 @@ from .linalg import (
     NotPositiveDefinite,
     _dense,
     _two_sided_ratios,
-    is_positive_definite,
     lowrank_loewner_ratio,
-    symmetrize,
 )
 from .models import (
     DOMAIN_TRIAL,
@@ -119,25 +116,15 @@ def compute_lambda_mu(S_hat, A, W_prev, sigma_plus, r, tau, rho):
 
 
 def _reference_factor(r_ref, d: int) -> np.ndarray:
-    """Whitening factor of a finite, positive definite reference covariance.
-
-    A 1-D ``r_ref`` is the diagonal; the factor is then ``1/sqrt(r_ref)``,
-    applied by a multiply. A 2-D one gives its lower Cholesky factor, applied
-    by a triangular solve. Positive definite means the package's floor,
-    ``min > PD_RTOL * max(1, max)``, for the diagonal as for the matrix.
-    """
+    """Whitening factor ``1/sqrt(r_ref)`` of a reference covariance given
+    by its length-d diagonal, which must be finite and positive definite
+    under the package's floor, ``min > PD_RTOL * max(1, max)``."""
     r_ref = _dense(r_ref)
-    if r_ref.shape not in ((d,), (d, d)):
-        raise DimensionMismatch(f"r_ref is {r_ref.shape}, expected ({d},) or ({d}, {d})")
-    if not np.all(np.isfinite(r_ref)) or not (
-        r_ref.min() > PD_RTOL * max(1.0, float(r_ref.max()))
-        if r_ref.ndim == 1
-        else is_positive_definite(r_ref)
-    ):
+    if r_ref.shape != (d,):
+        raise DimensionMismatch(f"r_ref is {r_ref.shape}, expected its diagonal, ({d},)")
+    if not (np.all(np.isfinite(r_ref)) and r_ref.min() > PD_RTOL * max(1.0, float(r_ref.max()))):
         raise NotPositiveDefinite("r_ref must be finite and positive definite")
-    if r_ref.ndim == 1:
-        return 1.0 / np.sqrt(r_ref)
-    return scipy.linalg.cholesky(symmetrize(r_ref), lower=True)
+    return 1.0 / np.sqrt(r_ref)
 
 
 def _step_diagnostics(step, rec, W_prev, A, sigma_plus, x_true, L, cfg) -> FilterDiagnostics:
@@ -145,20 +132,16 @@ def _step_diagnostics(step, rec, W_prev, A, sigma_plus, x_true, L, cfg) -> Filte
 
     ``W = rec.posterior_factor`` and ``W_prev`` factor this step's and the
     previous step's posterior covariance, m and m' columns. ``L`` is
-    r_ref's factor from :func:`_reference_factor`: ``1/sqrt`` of a
-    diagonal r_ref (whitening is an O(d m) multiply) or a lower Cholesky
-    factor (an O(d^2 m) triangular solve)."""
+    r_ref's whitening factor from :func:`_reference_factor`, applied by
+    an O(d m) multiply."""
     W = rec.posterior_factor
     d = W.shape[0]
     lam, mu = compute_lambda_mu(
         rec.forecast_spread, A, W_prev, sigma_plus, cfg.r, cfg.tau, cfg.rho
     )
-    # C_post = W W.T <= nu r_ref  iff  (L^{-1} W)(L^{-1} W).T <= nu I: the
-    # ratio is the top eigenvalue of Z Z.T, which the m x m Gram Z.T Z shares
-    if L.ndim == 1:
-        Z = L[:, None] * W
-    else:
-        Z = scipy.linalg.solve_triangular(L, W, lower=True)
+    # C_post = W W.T <= nu r_ref  iff  (L W)(L W).T <= nu I: the ratio is
+    # the top eigenvalue of Z Z.T, which the m x m Gram Z.T Z shares
+    Z = L[:, None] * W
     cov_fidelity = float(np.max(np.linalg.eigvalsh(Z.T @ Z), initial=0.0))
     e = rec.posterior.mean - x_true
     # e.T (C_post + rho I)^{-1} e is the ratio of e e.T to C_post + rho I;
@@ -193,13 +176,14 @@ def run_filter_experiment(
 
     The truth starts at zero and the filter at its default initial mean.
 
-    ``r_ref`` is the reference covariance for nu / cov_fidelity: a d x d
-    matrix, or a length-d vector holding a diagonal one. On the turbulence
-    model it is ``stationary_riccati_ambient(params)``, the closed-form
-    fixed point of the augmented Riccati recursion, as the CLI passes it.
-    It is checked and factored once, before any seed runs: a wrong shape
-    raises :class:`DimensionMismatch`, a non-finite or non-positive
-    definite one :class:`NotPositiveDefinite`. Returns
+    ``r_ref`` is the reference covariance for nu / cov_fidelity, given by
+    its length-d diagonal. On the turbulence model it is
+    ``stationary_riccati_ambient(params)``, the closed-form fixed point of
+    the augmented Riccati recursion, as the CLI passes it; that recursion
+    keeps every iterate diagonal there. It is checked and factored once,
+    before any seed runs: any other shape, a d x d matrix included, raises
+    :class:`DimensionMismatch`, a non-finite or non-positive entry
+    :class:`NotPositiveDefinite`. Returns
     ``(per_seed, aggregate)`` where ``per_seed`` maps seed to a list of
     :class:`FilterDiagnostics` and ``aggregate`` holds per-step mean and
     (0.1, 0.5, 0.9) quantiles of the error quantities across seeds.

@@ -31,6 +31,7 @@ from .reference import augmented_riccati_step, stationary_riccati_diag
 
 __all__ = [
     "DimReport",
+    "verify_dim",
     "verify_dim_unfiltered",
     "verify_dim_observed",
     "verify_dim_general",
@@ -43,34 +44,36 @@ __all__ = [
 class DimReport:
     """Mode counts certifying (or refuting) the effective-dimension bound.
 
-    ``p_covariance`` is the headline count (modes whose reference
+    ``p_covariance`` is the headline count ``p`` (modes whose reference
     variance exceeds rho), ``p_instability`` the rank bound of the
     additive inflation target, and ``p_effective`` their max. ``pm_*``
     are the ambient-component counts (k >= 1 doubled, mode 0 once).
     ``failing_modes`` lists the covariance-branch failures and has
     length ``p_covariance``; ``instability_mode_list`` likewise for the
-    instability branch. ``table`` holds the per-mode row dicts that
-    verify-dim writes to report.json. ``convention`` is "wavenumber" for
-    the closed-form verifiers and "ambient" for the general one.
+    instability branch. ``table`` holds the per-mode row dicts.
+    ``convention`` is "wavenumber" for the closed-form verifiers and
+    "ambient" for the general one. verify-dim writes ``asdict(report)``,
+    these fields in order, to report.json.
     """
 
+    convention: str
+    observed: bool  # whether the reference recursion had observations
+    p: int = field(init=False)
     p_instability: int
     p_covariance: int
     p_effective: int
-    failing_modes: list
+    pm_instability: int
+    pm_covariance: int
+    pm_effective: int
     rho: float
     r: float
     tau: float
-    pm_instability: int = 0
-    pm_covariance: int = 0
-    pm_effective: int = 0
+    failing_modes: list
     instability_mode_list: list = field(default_factory=list)
     table: list = field(default_factory=list)
-    convention: str = "wavenumber"
 
-    @property
-    def p(self) -> int:
-        return self.p_covariance
+    def __post_init__(self):
+        self.p = self.p_covariance
 
 
 def _pm_count(modes) -> int:
@@ -117,6 +120,8 @@ def _assemble(params, rho, branch1, fail_cov, r_k=None) -> DimReport:
             }
         )
     return DimReport(
+        convention="wavenumber",
+        observed=params.sigma_obs is not None,
         p_instability=p_inst,
         p_covariance=p_cov,
         p_effective=max(p_inst, p_cov),
@@ -170,19 +175,21 @@ def verify_dim_observed(params: TurbulenceParams, rho=None) -> DimReport:
     return _assemble(params, rho, r_k, fail_cov, r_k=r_k)
 
 
-def minimal_p_search(params: TurbulenceParams, rho_grid) -> list:
-    """Tabulate ``(rho, p_effective)`` over a grid of thresholds.
+def verify_dim(params: TurbulenceParams, rho=None) -> DimReport:
+    """The closed-form verifier the model takes: :func:`verify_dim_observed`
+    when ``sigma_obs`` is set, else :func:`verify_dim_unfiltered`."""
+    verifier = verify_dim_observed if params.sigma_obs is not None else verify_dim_unfiltered
+    return verifier(params, rho=rho)
 
-    Uses the observed verifier when ``sigma_obs`` is set, else the
-    unfiltered one. The table is non-increasing in rho.
+
+def minimal_p_search(params: TurbulenceParams, rho_grid) -> list:
+    """Tabulate ``(rho, p_effective)`` of :func:`verify_dim` over a grid of
+    thresholds. The table is non-increasing in rho.
     """
     rho_grid = [float(x) for x in rho_grid]
     if not rho_grid or any(x <= 0 for x in rho_grid):
         raise InvalidParams("rho_grid must be nonempty and positive")
-    verifier = (
-        verify_dim_observed if params.sigma_obs is not None else verify_dim_unfiltered
-    )
-    return [(rho, verifier(params, rho=rho).p_effective) for rho in rho_grid]
+    return [(rho, verify_dim(params, rho=rho).p_effective) for rho in rho_grid]
 
 
 def verify_dim_general(stream: CoefficientStream, r: float, tau: float, rho: float) -> DimReport:
@@ -198,9 +205,11 @@ def verify_dim_general(stream: CoefficientStream, r: float, tau: float, rho: flo
     max_cov = 0
     max_rank = 0
     worst_idx: list = []
+    observed = False
     cov = np.zeros((stream.d, stream.d))
     for n in range(120):
         coeffs = stream.at(n)
+        observed |= coeffs.H is not None
         cov = augmented_riccati_step(cov, coeffs, r, tau, rho)
         if n < 100:
             continue
@@ -214,6 +223,8 @@ def verify_dim_general(stream: CoefficientStream, r: float, tau: float, rho: flo
         rank = int(np.sum(s > PD_RTOL * max(1.0, float(s.max(initial=0.0)))))
         max_rank = max(max_rank, rank)
     return DimReport(
+        convention="ambient",
+        observed=observed,
         p_instability=max_rank,
         p_covariance=max_cov,
         p_effective=max(max_rank, max_cov),
@@ -224,5 +235,4 @@ def verify_dim_general(stream: CoefficientStream, r: float, tau: float, rho: flo
         pm_instability=max_rank,
         pm_covariance=max_cov,
         pm_effective=max(max_rank, max_cov),
-        convention="ambient",
     )

@@ -127,7 +127,8 @@ def lowrank_loewner_ratio(a: float, F, b: float, G) -> float:
     ``B = a I + F F.T`` and ``A = b I + G G.T``: the largest generalized
     eigenvalue of the pencil ``(B, A)``, clamped at zero.
 
-    ``F`` is d x f and ``G`` d x g, with ``a >= 0`` and ``b > 0``. On an
+    ``F`` is d x f and ``G`` d x g, with finite ``a >= 0`` and ``b > 0``
+    (else ``ValueError``, for ``b`` :class:`NotPositiveDefinite`). On an
     orthonormal basis ``Q`` of ``span[F, G]`` both reduce exactly to k x k
     matrices, from ``Q.T [F, G]``, the ``R`` of a QR factorization (``Q`` is
     never formed); off it the ratio is ``a / b``. When ``f + g`` reaches d,
@@ -137,8 +138,10 @@ def lowrank_loewner_ratio(a: float, F, b: float, G) -> float:
     G = np.asarray(G, dtype=float)
     if F.ndim != 2 or G.ndim != 2 or F.shape[0] != G.shape[0]:
         raise DimensionMismatch(f"F is {F.shape}, G is {G.shape}")
-    if not b > 0:
-        raise NotPositiveDefinite("b must be positive")
+    if not (np.isfinite(a) and a >= 0):
+        raise ValueError(f"a must be finite and >= 0, got {a!r}")
+    if not (np.isfinite(b) and b > 0):
+        raise NotPositiveDefinite(f"b must be finite and > 0, got {b!r}")
     d, f = F.shape
     if f + G.shape[1] < d:
         R = np.linalg.qr(np.hstack((F, G)), mode="r")
@@ -186,11 +189,15 @@ def _two_sided_ratios(F, G, a: float, b: float, c: float) -> tuple[float, float]
 
 
 def kalman_gain(C, H) -> np.ndarray:
-    """Gain ``G = C H.T (I_q + H C H.T)^{-1}`` for unit observation noise."""
+    """Gain ``G = C H.T (I_q + H C H.T)^{-1}`` for unit observation noise;
+    a non-finite ``C`` or ``H`` raises ValueError naming it."""
     C = _as_square(C, "C")
     H = np.asarray(H, dtype=float)
     if H.ndim != 2 or H.shape[1] != C.shape[0]:
         raise DimensionMismatch(f"H is {H.shape}, C is {C.shape}")
+    for name, M in (("C", C), ("H", H)):
+        if not np.isfinite(M).all():
+            raise ValueError(f"kalman_gain: {name} has non-finite entries")
     q = H.shape[0]
     CHt = C @ H.T
     M = symmetrize(np.eye(q) + H @ CHt)

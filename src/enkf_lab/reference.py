@@ -8,7 +8,7 @@ benchmark noise) and update through the Kalman map. On the turbulence
 model, observed or unobserved, :func:`stationary_riccati_diag` gives its
 fixed point in closed form, the one reference covariance of the filter
 experiment; on any other stream ``verify_dim_general`` iterates it.
-Non-finite states, covariances and observations raise named errors.
+Non-finite inputs raise named errors.
 """
 
 from __future__ import annotations
@@ -88,16 +88,18 @@ def augmented_riccati_step(cov, coeffs: StepCoefficients, r, tau, rho) -> np.nda
     ``R_hat' = r^2 A R' A.T + r^2 Sigma + tau rho I`` followed by the
     Kalman covariance update (identity when ``H`` is absent). ``r``,
     ``tau`` and ``rho`` must be finite with ``r > 1``, ``tau > 0`` and
-    ``rho > 0``, and ``cov`` finite, else a ``ValueError`` names the first
-    that is not.
+    ``rho > 0``, and ``cov``, ``A`` and ``Sigma`` finite, else a
+    ``ValueError`` names the first that is not; the update's
+    :func:`~enkf_lab.linalg.kalman_gain` names a non-finite ``H``.
     """
     for name, value, low in (("r", r, 1), ("tau", tau, 0), ("rho", rho, 0)):
         if not (np.isfinite(value) and value > low):
             raise ValueError(f"{name} must be finite and > {low}, got {value!r}")
-    if not np.all(np.isfinite(cov)):
-        raise ValueError("cov must be finite")
-    A = _dense(coeffs.A)
-    noise = r**2 * _dense(coeffs.Sigma) + tau * rho * np.eye(A.shape[0])
+    A, Sigma = _dense(coeffs.A), _dense(coeffs.Sigma)
+    for name, M in (("cov", cov), ("A", A), ("Sigma", Sigma)):
+        if not np.all(np.isfinite(M)):
+            raise ValueError(f"{name} must be finite")
+    noise = r**2 * Sigma + tau * rho * np.eye(A.shape[0])
     R_hat = symmetrize(r * r * (A @ cov @ A.T) + noise)
     if coeffs.H is None:
         return R_hat

@@ -76,6 +76,24 @@ def test_shipped_observed_config(tmp_path, capsys):
     assert "p = 6" in capsys.readouterr().out
 
 
+REPORT_KEYS = [
+    "convention", "observed", "p", "p_instability", "p_covariance", "p_effective",
+    "pm_instability", "pm_covariance", "pm_effective", "rho", "r", "tau",
+    "failing_modes", "instability_mode_list", "table",
+]
+
+
+@pytest.mark.parametrize("rho_grid", [None, [0.04, 1.0]], ids=["plain", "rho_grid"])
+@pytest.mark.parametrize("preset", ["kolmogorov-observed", "kolmogorov-unfiltered"])
+def test_verify_dim_report_key_order(tmp_path, preset, rho_grid):
+    cfg = {"experiment": "verify-dim", "model": preset, "rho_grid": rho_grid}
+    out = tmp_path / "o"
+    assert cli_main(["verify-dim", "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 0
+    report = json.loads((out / "report.json").read_text())
+    assert list(report) == REPORT_KEYS + ([] if rho_grid is None else ["minimal_p"])
+    assert report["observed"] is (preset == "kolmogorov-observed")
+
+
 def test_rho_grid_adds_minimal_p(tmp_path):
     payload = json.loads(open(UNFILTERED_CONFIG).read())
     payload["rho_grid"] = [0.02, 0.04, 0.08]
@@ -396,9 +414,12 @@ _SMOKE_CONFIGS = {
 def test_every_preset_runs_or_exits_2_naming_model(tmp_path, capsys, preset, experiment):
     cfg = {"experiment": experiment, "model": preset, **_SMOKE_CONFIGS[experiment]}
     command = _REGISTRY[experiment].subcommand
-    rc = cli_main([command, "--config", write_config(tmp_path, cfg), "--out", str(tmp_path / "o")])
+    out = tmp_path / "o"
+    rc = cli_main([command, "--config", write_config(tmp_path, cfg), "--out", str(out)])
     err = capsys.readouterr().err
     assert rc == 0 or (rc == 2 and "config error: model:" in err), (rc, err)
+    # a config error is found before the output directory is made
+    assert rc == 0 or not out.exists()
 
 
 # ------------------------------------------------------------ config semantics

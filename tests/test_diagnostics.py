@@ -188,7 +188,7 @@ def dense_rows(stream, cfg, T, seed, r_ref):
 
 
 @pytest.mark.parametrize("J,K", [(3, 8), (30, 6)], ids=["width_at_d", "width_below_d"])
-@pytest.mark.parametrize("reference", ["diagonal", "long_run", "diagonal_vector"])
+@pytest.mark.parametrize("reference", ["long_run", "diagonal_vector"])
 @pytest.mark.parametrize("jump", [False, True], ids=["constant", "jump"])
 def test_run_filter_experiment_matches_dense_oracle(J, K, reference, jump):
     spec = None
@@ -200,17 +200,19 @@ def test_run_filter_experiment_matches_dense_oracle(J, K, reference, jump):
     p = TurbulenceParams(J=J, sigma_obs=10.0, tau=0.6, jump_spec=spec)
     stream = build_turbulence(p)
     cfg = EnkfConfig(K=K, p=3, r=p.r, rho=p.rho, tau=p.tau)
-    if reference == "long_run":  # a dense reference: the 200th augmented iterate
+    if reference == "long_run":  # the 200th augmented iterate, run densely
         r_ref = np.zeros((stream.d, stream.d))
         for n in range(200):
             r_ref = augmented_riccati_step(r_ref, stream.at(n), cfg.r, cfg.tau, cfg.rho)
-        passed = r_ref
-    else:  # the diagonal reference as a d x d matrix or as its diagonal
+        # the recursion keeps the turbulence model's covariance diagonal, so
+        # its diagonal is the whole reference
+        assert np.count_nonzero(r_ref - np.diag(np.diag(r_ref))) == 0
+        r_diag = np.diag(r_ref)
+    else:  # the closed-form stationary diagonal
         r_diag = stationary_riccati_ambient(p)
         r_ref = np.diag(r_diag)
-        passed = r_diag if reference == "diagonal_vector" else r_ref
     T = 6
-    per_seed, _ = run_filter_experiment(stream, cfg, T=T, seeds=(0,), r_ref=passed)
+    per_seed, _ = run_filter_experiment(stream, cfg, T=T, seeds=(0,), r_ref=r_diag)
     got = np.array(
         [(x.maha_sq_per_d, x.lam, x.mu, x.nu, x.cov_fidelity) for x in per_seed[0]]
     )
@@ -234,7 +236,7 @@ def test_mahalanobis_without_cancellation():
             posterior_factor=W, chi=1.0, projection_discard=0.0,
         )
         row = diagnostics._step_diagnostics(
-            1, rec, W, np.eye(d), factor, np.zeros(d), np.eye(d), cfg
+            1, rec, W, np.eye(d), factor, np.zeros(d), np.ones(d), cfg
         )
         want = mahalanobis_sq(e, W @ W.T + cfg.rho * np.eye(d))
         np.testing.assert_allclose(row.maha_sq_per_d * d, want, rtol=1e-8)
@@ -242,8 +244,8 @@ def test_mahalanobis_without_cancellation():
 
 def test_step_diagnostics_form_no_d_by_d_array():
     # d = 4001, K = 8: one step's diagnostics from the records' posterior
-    # factors, peak below d^2 * 8 / 4 bytes, with r_ref's Cholesky factor
-    # and with the factor of its diagonal
+    # factors and the whitening factor of r_ref's diagonal, peak below
+    # d^2 * 8 / 4 bytes
     p = TurbulenceParams(J=2000, sigma_obs=10.0, tau=0.6)
     stream = build_turbulence(p)
     d = stream.d
@@ -254,36 +256,32 @@ def test_step_diagnostics_form_no_d_by_d_array():
     rec = filt.step(truth.observations[1])
     factor = filt.factor_for(filt.coeffs)
     r_diag = stationary_riccati_ambient(p)
-    L = np.diag(np.sqrt(r_diag))  # d x d, made before tracing
-    rows = []
-    for ref in (L, r_diag):
-        tracemalloc.start()
-        try:
-            if ref.ndim == 1:
-                ref = diagnostics._reference_factor(ref, d)
-            row = diagnostics._step_diagnostics(
-                2, rec, W_prev, filt.coeffs.A, factor, truth.states[2], ref, cfg
-            )
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert math.isfinite(row.lam) and math.isfinite(row.maha_sq_per_d)
-        assert peak < d * d * 8 / 4
-        rows.append(row)
-    assert rows[1].nu == pytest.approx(rows[0].nu, rel=1e-12)
-    assert rows[1].cov_fidelity == pytest.approx(rows[0].cov_fidelity, rel=1e-12)
+    tracemalloc.start()
+    try:
+        L = diagnostics._reference_factor(r_diag, d)
+        row = diagnostics._step_diagnostics(
+            2, rec, W_prev, filt.coeffs.A, factor, truth.states[2], L, cfg
+        )
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert math.isfinite(row.lam) and math.isfinite(row.maha_sq_per_d)
+    assert peak < d * d * 8 / 4
+    # cov_fidelity is the squared spectral norm of r_ref^{-1/2} W
+    Z = rec.posterior_factor / np.sqrt(r_diag)[:, None]
+    assert row.cov_fidelity == pytest.approx(np.linalg.norm(Z, 2) ** 2, rel=1e-12)
 
 
 @pytest.mark.parametrize(
     "make_bad,error",
     [
         (lambda R: np.eye(R.shape[0] + 1), DimensionMismatch),
-        (lambda R: R - 2.0 * R[0, 0] * np.eye(R.shape[0]), NotPositiveDefinite),
-        (lambda R: np.where(np.eye(R.shape[0]) > 0, R, np.nan), NotPositiveDefinite),
-        (lambda R: np.diag(R)[:-1], DimensionMismatch),
-        (lambda R: np.where(np.arange(R.shape[0]) == 1, 0.0, np.diag(R)), NotPositiveDefinite),
-        (lambda R: -np.diag(R), NotPositiveDefinite),
-        (lambda R: np.where(np.arange(R.shape[0]) == 1, np.nan, np.diag(R)), NotPositiveDefinite),
+        (lambda R: np.where(np.arange(R.shape[0]) == 1, 1e-13 * R.max(), R), NotPositiveDefinite),
+        (lambda R: np.where(np.arange(R.shape[0]) == 1, np.inf, R), NotPositiveDefinite),
+        (lambda R: R[:-1], DimensionMismatch),
+        (lambda R: np.where(np.arange(R.shape[0]) == 1, 0.0, R), NotPositiveDefinite),
+        (lambda R: -R, NotPositiveDefinite),
+        (lambda R: np.where(np.arange(R.shape[0]) == 1, np.nan, R), NotPositiveDefinite),
     ],
     ids=[
         "wrong_shape", "not_positive_definite", "non_finite", "diagonal_wrong_length",
@@ -291,10 +289,12 @@ def test_step_diagnostics_form_no_d_by_d_array():
     ],
 )
 def test_run_filter_experiment_rejects_bad_r_ref(monkeypatch, make_bad, error):
+    # not_positive_definite: an entry positive but below the package's floor
+    # PD_RTOL * max; non_finite: an infinite entry
     p = TurbulenceParams(J=2, sigma_obs=10.0, tau=0.6)
     stream = build_turbulence(p)
     cfg = EnkfConfig(K=6, p=3, r=p.r, rho=p.rho, tau=p.tau)
-    r_ref = np.diag(stationary_riccati_ambient(p))
+    r_ref = stationary_riccati_ambient(p)
 
     def no_truth(*args, **kwargs):
         raise AssertionError("a seed ran before r_ref was checked")
@@ -302,6 +302,17 @@ def test_run_filter_experiment_rejects_bad_r_ref(monkeypatch, make_bad, error):
     monkeypatch.setattr(diagnostics, "truth_path", no_truth)
     with pytest.raises(error):
         run_filter_experiment(stream, cfg, T=3, seeds=(0,), r_ref=make_bad(r_ref))
+
+
+def test_run_filter_experiment_rejects_a_matrix_reference():
+    # the reference is its length-d diagonal; a d x d matrix, even a
+    # diagonal one, is a shape error that names the expected (d,)
+    p = TurbulenceParams(J=2, sigma_obs=10.0, tau=0.6)
+    stream = build_turbulence(p)
+    cfg = EnkfConfig(K=6, p=3, r=p.r, rho=p.rho, tau=p.tau)
+    r_ref = np.diag(stationary_riccati_ambient(p))
+    with pytest.raises(DimensionMismatch, match=r"\(5,\)"):
+        run_filter_experiment(stream, cfg, T=3, seeds=(0,), r_ref=r_ref)
 
 
 @pytest.mark.parametrize("seeds", [(), (0, 0, 1)], ids=["empty", "repeat"])
@@ -382,9 +393,14 @@ def test_run_filter_experiment_reference_override():
     p = TurbulenceParams(J=2, sigma_obs=10.0, tau=0.6)
     stream = build_turbulence(p)
     cfg = EnkfConfig(K=6, p=3, r=p.r, rho=p.rho, tau=p.tau)
-    r_ref = np.diag(stationary_riccati_ambient(p))
-    per_seed, _ = run_filter_experiment(stream, cfg, T=4, seeds=(0,), r_ref=r_ref)
-    assert all(math.isfinite(x.nu) for x in per_seed[0])
+    # a reference twice the stationary one halves the fidelity ratio and
+    # moves nothing else
+    r_diag = stationary_riccati_ambient(p)
+    base, _ = run_filter_experiment(stream, cfg, T=4, seeds=(0,), r_ref=r_diag)
+    doubled, _ = run_filter_experiment(stream, cfg, T=4, seeds=(0,), r_ref=2.0 * r_diag)
+    for row, got in zip(base[0], doubled[0]):
+        assert got.cov_fidelity == pytest.approx(row.cov_fidelity / 2, rel=1e-12)
+        assert (got.maha_sq_per_d, got.lam, got.mu) == (row.maha_sq_per_d, row.lam, row.mu)
 
 
 def test_run_filter_experiment_fetches_and_factors_once_per_step(monkeypatch):
@@ -397,7 +413,7 @@ def test_run_filter_experiment_fetches_and_factors_once_per_step(monkeypatch):
     p = TurbulenceParams(J=3, sigma_obs=10.0, tau=0.6, jump_spec=jump)
     stream = build_turbulence(p)
     cfg = EnkfConfig(K=8, p=4, r=p.r, rho=p.rho, tau=p.tau)
-    r_ref = np.diag(stationary_riccati_ambient(p))
+    r_ref = stationary_riccati_ambient(p)
     T = 10
     generated = []
     generate = stream.generator

@@ -7,6 +7,7 @@ from enkf_lab.models import InvalidParams, TurbulenceParams, build_turbulence
 from enkf_lab.effective_dim import (
     instability_modes,
     minimal_p_search,
+    verify_dim,
     verify_dim_general,
     verify_dim_observed,
     verify_dim_unfiltered,
@@ -153,6 +154,7 @@ def test_general_verifier_matches_observed_on_time_invariant_model():
     rep = verify_dim_general(stream, r=p.r, tau=p.tau, rho=p.rho)
     obs = verify_dim_observed(p)
     assert rep.convention == "ambient"
+    assert rep.observed is obs.observed is True
     assert rep.pm_covariance == obs.pm_covariance
     assert rep.pm_instability == obs.pm_instability
 
@@ -177,6 +179,15 @@ def test_general_verifier_on_jump_stream():
     base = verify_dim_general(build_turbulence(plain), r=p.r, tau=p.tau, rho=p.rho)
     # amplifying unstable modes can only grow the count
     assert rep.pm_effective >= base.pm_effective
+
+
+@pytest.mark.parametrize("params", [BENCH_OBSERVED, BENCH_UNFILTERED], ids=["observed", "unfiltered"])
+def test_verify_dim_takes_the_model_s_closed_form(params):
+    verifier = verify_dim_observed if params.sigma_obs is not None else verify_dim_unfiltered
+    for rho in (None, 0.2):
+        got, want = verify_dim(params, rho=rho), verifier(params, rho=rho)
+        assert got.observed is (params.sigma_obs is not None)
+        assert (got.p, got.pm_effective, got.failing_modes) == (want.p, want.pm_effective, want.failing_modes)
 
 
 def test_report_table_contents():

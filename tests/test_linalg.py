@@ -1,10 +1,15 @@
 """Tests for the PSD kernel layer: gains, ratios, eigenpairs, factors."""
 
+import warnings
+
 import numpy as np
 import pytest
 import scipy.sparse
 from hypothesis import given, settings
 from hypothesis import strategies as st
+
+from enkf_lab.models import StepCoefficients
+from enkf_lab.reference import augmented_riccati_step
 
 from enkf_lab.linalg import (
     DimensionMismatch,
@@ -221,6 +226,40 @@ def test_lowrank_loewner_ratio_complement_and_errors():
     for wide in (G, np.hstack((G, np.eye(d)))):
         with pytest.raises(ValueError):
             _two_sided_ratios(nan, wide, 1.0, 1.0, 1.0)
+
+
+def _nan_at_1_1():
+    M = np.eye(3)
+    M[1, 1] = np.nan
+    return M
+
+
+def _augmented(**nan_coeff):
+    coeffs = dict(A=np.eye(3), B=np.zeros(3), Sigma=np.eye(3), H=None) | nan_coeff
+    return augmented_riccati_step(np.eye(3), StepCoefficients(**coeffs), 1.1, 0.6, 0.04)
+
+
+NON_FINITE_COEFFICIENTS = {
+    "gain_C": (ValueError, "kalman_gain: C has", lambda: kalman_gain(_nan_at_1_1(), np.eye(3))),
+    "gain_H": (ValueError, "kalman_gain: H has", lambda: kalman_gain(np.eye(3), _nan_at_1_1())),
+    "augmented_A": (ValueError, "^A must be finite", lambda: _augmented(A=_nan_at_1_1())),
+    "augmented_Sigma": (ValueError, "^Sigma must be finite", lambda: _augmented(Sigma=_nan_at_1_1())),
+    "augmented_H": (ValueError, "kalman_gain: H has", lambda: _augmented(H=_nan_at_1_1())),
+    "loewner_a_inf": (ValueError, "^a must be finite",
+                      lambda: lowrank_loewner_ratio(np.inf, np.ones((5, 1)), 1.0, np.ones((5, 1)))),
+    "loewner_b_inf": (NotPositiveDefinite, "^b must be finite",
+                      lambda: lowrank_loewner_ratio(1.0, np.ones((5, 1)), np.inf, np.ones((5, 1)))),
+}
+
+
+@pytest.mark.parametrize("case", list(NON_FINITE_COEFFICIENTS))
+def test_non_finite_coefficients_raise_named_errors(case):
+    # each of these returned NaN, or warned, without naming the operand
+    error, message, call = NON_FINITE_COEFFICIENTS[case]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(error, match=message):
+            call()
 
 
 def test_kalman_gain_identity():

@@ -1,6 +1,7 @@
 """README's code and tables match the package as written, so the
 documented API and command line cannot drift from it."""
 
+import importlib
 import os
 import re
 
@@ -36,3 +37,14 @@ def test_readme_subcommand_table_matches_the_parser(capsys):
     section = read_readme().split("## Command line", 1)[1].split("\n## ", 1)[0]
     table_names = re.findall(r"^\| `([^`]+)` \|", section, flags=re.M)
     assert table_names == parser_names
+
+
+def test_library_tour_names_every_public_name():
+    # each module's row names every entry of its __all__, so a public name
+    # cannot be added or dropped without the README following
+    tour = read_readme().split("## Library tour", 1)[1].split("\n## ", 1)[0]
+    rows = dict(re.findall(r"^\| `(enkf_lab\.\w+)` \| (.*) \|$", tour, flags=re.M))
+    assert rows, "README's Library tour has no module rows"
+    for module in rows:
+        for name in getattr(importlib.import_module(module), "__all__", ()):
+            assert re.search(rf"\b{name}\b", rows[module]), f"README's {module} row does not name {name}"
