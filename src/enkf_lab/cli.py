@@ -13,9 +13,11 @@ parameter in a file is one the run actually consumed. Exit codes:
 0 success, 2 config/validation problem (message names the offending
 field or path), 1 runtime failure.
 
-Reruns with the same config and seeds write byte-identical files; the
-output directory always contains ``manifest.json`` echoing the keys the
-run consumed (defaults filled in) and the tool version.
+Each runner is a function of its config alone: it returns the run's
+files and its summary line, and only a run that succeeds writes its
+output directory, with ``manifest.json`` echoing the keys the run
+consumed (defaults filled in) and the tool version. Reruns with the same
+config and seeds write byte-identical files.
 """
 
 from __future__ import annotations
@@ -35,6 +37,7 @@ import numpy as np
 from . import __version__
 from .diagnostics import (
     _concentration_arg_error,
+    _reference_factor,
     run_accuracy_experiment,
     run_concentration_experiment,
     run_filter_experiment,
@@ -44,8 +47,9 @@ from .diagnostics import (
 )
 from .effective_dim import minimal_p_search, verify_dim
 from .enkf import EnkfConfig
+from .linalg import NotPositiveDefinite
 from .models import InvalidParams, TurbulenceParams, build_turbulence
-from .reference import stationary_riccati_ambient, stationary_riccati_diag
+from .reference import stationary_riccati_ambient
 
 # preset name -> constructor kwargs
 MODEL_PRESETS = {
@@ -58,8 +62,8 @@ MODEL_PRESETS = {
 _MODEL_KEYS = tuple(f.name for f in dc_fields(TurbulenceParams) if f.name != "jump_spec")
 # the keys of each object section, as loaded and as recorded
 _SECTIONS = {"model": _MODEL_KEYS, "enkf": ("K", "p")}
-# CLI defaults for the keys run_concentration_experiment requires, then its own
-_RMT_DEFAULTS = dict(d=200, p=5, K_list=(10, 20, 40, 80), rho=0.1, delta=0.1, trials=2000) | {
+# the rmt keys and their defaults: every argument of run_concentration_experiment but its seed
+_RMT_DEFAULTS = {
     name: par.default
     for name, par in inspect.signature(run_concentration_experiment).parameters.items()
     if par.default is not par.empty
@@ -87,7 +91,6 @@ class ExperimentConfig:
     eps_list: tuple = (1.0, 0.3, 0.1)
     rmt: Optional[dict] = None
     rho_grid: Optional[tuple] = None
-    output_dir: Optional[str] = None
 
 
 def _require(cond, message, field_name):
@@ -207,9 +210,6 @@ def load_config(path: str, experiment: Optional[str] = None) -> ExperimentConfig
 
     cfg = ExperimentConfig(experiment=exp)
     cfg.seeds = _parse_seeds(raw.get("seeds"))
-    if "output_dir" in raw and raw["output_dir"] is not None:
-        _require(isinstance(raw["output_dir"], str), "must be a string", "output_dir")
-        cfg.output_dir = raw["output_dir"]
 
     if exp == "rmt":
         _require(len(cfg.seeds) == 1, "the rmt experiment takes exactly one seed", "seeds")
@@ -257,10 +257,10 @@ def load_config(path: str, experiment: Optional[str] = None) -> ExperimentConfig
     _require(raw.get("T") is not None, "experiment needs T", "T")
     cfg.T = _convert(int, raw["T"], "T")
     _require(cfg.T >= 1, "T must be >= 1", "T")
-    if exp == "simulate":  # the reference simulate measures against must exist
+    if exp == "simulate":  # the reference simulate measures against must pass run_filter_experiment's check
         try:
-            stationary_riccati_diag(cfg.model)
-        except InvalidParams as exc:
+            _reference_factor(stationary_riccati_ambient(cfg.model), cfg.model.d)
+        except (InvalidParams, NotPositiveDefinite) as exc:
             raise ParseError(str(exc), field="model") from exc
 
     if exp == "stability" and raw.get("shifts") is not None:
@@ -286,7 +286,11 @@ def config_to_dict(cfg: ExperimentConfig) -> dict:
     return out
 
 
-def _write_manifest(cfg: ExperimentConfig, out_dir: str):
+def _write_outputs(cfg: ExperimentConfig, files: dict, out_dir: str):
+    """Make ``out_dir`` and write ``manifest.json`` and each of ``files``:
+    a name maps to ``(rows, seed)``, a CSV whose comment block names the
+    config and the seed (when not None), or to a JSON report."""
+    os.makedirs(out_dir, exist_ok=True)
     manifest = {
         "tool": "enkf-lab",
         "version": __version__,
@@ -296,80 +300,57 @@ def _write_manifest(cfg: ExperimentConfig, out_dir: str):
     with open(os.path.join(out_dir, "manifest.json"), "w") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
+    config_comment = "config: " + json.dumps(config_to_dict(cfg), sort_keys=True)
+    for name, content in files.items():
+        path = os.path.join(out_dir, name)
+        if isinstance(content, tuple):
+            rows, seed = content
+            write_csv(rows, path, [config_comment] + ([] if seed is None else [f"seed: {seed}"]))
+        else:
+            write_json(content, path)
 
 
-def _config_comment(cfg: ExperimentConfig) -> str:
-    return "config: " + json.dumps(config_to_dict(cfg), sort_keys=True)
-
-
-def _run_simulate(cfg: ExperimentConfig, out_dir: str) -> int:
+# each runner returns (files, summary line); _write_outputs says what files holds
+def _run_simulate(cfg: ExperimentConfig):
     stream = build_turbulence(cfg.model)
     per_seed, aggregate = run_filter_experiment(
         stream, cfg.enkf, cfg.T, cfg.seeds, r_ref=stationary_riccati_ambient(cfg.model)
     )
-    for seed, series in per_seed.items():
-        write_csv(
-            series,
-            os.path.join(out_dir, f"diagnostics_seed{seed}.csv"),
-            comments=[_config_comment(cfg), f"seed: {seed}"],
-        )
-    write_json({"aggregate": aggregate}, os.path.join(out_dir, "aggregate.json"))
+    files = {f"diagnostics_seed{seed}.csv": (series, seed) for seed, series in per_seed.items()}
     last = aggregate[-1]
-    print(
+    return files | {"aggregate.json": {"aggregate": aggregate}}, (
         f"simulate: {len(cfg.seeds)} seeds x {cfg.T} steps, final mean l2 error "
         f"{last['l2_error_mean']:.6g}, final mean fidelity {last['cov_fidelity_mean']:.6g}"
     )
-    return 0
 
 
-def _run_verify_dim(cfg: ExperimentConfig, out_dir: str) -> int:
+def _run_verify_dim(cfg: ExperimentConfig):
     report = verify_dim(cfg.model)
     payload = asdict(report)
     if cfg.rho_grid is not None:
         payload["minimal_p"] = [
             {"rho": rho, "p_effective": p} for rho, p in minimal_p_search(cfg.model, cfg.rho_grid)
         ]
-    write_json(payload, os.path.join(out_dir, "report.json"))
-    print(
+    return {"report.json": payload}, (
         f"verify-dim: p = {report.p} (ambient {report.pm_effective}), "
         f"rho = {report.rho:g}, instability modes = {report.p_instability}"
     )
-    return 0
 
 
-def _run_rmt(cfg: ExperimentConfig, out_dir: str) -> int:
-    result = run_concentration_experiment(seed=cfg.seeds[0], **cfg.rmt)
-    comments = [_config_comment(cfg), f"seed: {cfg.seeds[0]}"]
-    write_csv(
-        result["rare_event"],
-        os.path.join(out_dir, "rare_event.csv"),
-        comments,
-        columns=("K", "cond_target", "trials", "hits", "prob"),
-    )
-    write_csv(
-        result["tail"],
-        os.path.join(out_dir, "tail.csv"),
-        comments,
-        columns=("t", "count", "prob"),
-    )
-    write_json(result, os.path.join(out_dir, "report.json"))
+def _run_rmt(cfg: ExperimentConfig):
+    seed = cfg.seeds[0]
+    result = run_concentration_experiment(seed=seed, **cfg.rmt)
     fit = result["tail_fit"]
-    print(
+    files = {"rare_event.csv": (result["rare_event"], seed), "tail.csv": (result["tail"], seed)}
+    return files | {"report.json": result}, (
         f"rmt-experiment: {len(result['rare_event'])} rare-event rows, "
         f"tail slope {fit['slope']:.4g} (R^2 {fit['r_squared']:.4g})"
     )
-    return 0
 
 
-def _run_stability(cfg: ExperimentConfig, out_dir: str) -> int:
+def _run_stability(cfg: ExperimentConfig):
     stream = build_turbulence(cfg.model)
     rows = run_stability_experiment(stream, cfg.enkf, cfg.T, cfg.shifts, cfg.seeds)
-    write_csv(
-        rows,
-        os.path.join(out_dir, "slopes.csv"),
-        [_config_comment(cfg)],
-        columns=("shift", "seed", "slope", "n_points", "spreads_identical", "final_gap"),
-    )
     slopes = [r["slope"] for r in rows if not np.isnan(r["slope"])]
     frac_neg = float(np.mean([s < 0 for s in slopes])) if slopes else float("nan")
     summary = {
@@ -377,39 +358,29 @@ def _run_stability(cfg: ExperimentConfig, out_dir: str) -> int:
         "fraction_negative_slope": frac_neg,
         "all_spreads_identical": bool(all(r["spreads_identical"] for r in rows)),
     }
-    write_json(summary, os.path.join(out_dir, "report.json"))
-    print(
+    return {"slopes.csv": (rows, None), "report.json": summary}, (
         f"stability: {len(rows)} paired runs, "
         f"{100 * frac_neg:.1f}% negative slopes, spreads identical: "
         f"{summary['all_spreads_identical']}"
     )
-    return 0
 
 
-def _run_accuracy(cfg: ExperimentConfig, out_dir: str) -> int:
+def _run_accuracy(cfg: ExperimentConfig):
     stream = build_turbulence(cfg.model)
     rows = run_accuracy_experiment(stream, cfg.enkf, cfg.T, cfg.eps_list, cfg.seeds)
-    write_csv(
-        rows,
-        os.path.join(out_dir, "accuracy.csv"),
-        [_config_comment(cfg)],
-        columns=("eps", "mean_error", "std_error", "error_over_eps", "seeds"),
-    )
     ratios = [r["error_over_eps"] for r in rows]
     summary = {
         "rows": rows,
         "max_over_min_error_per_eps": float(max(ratios) / min(ratios)),
     }
-    write_json(summary, os.path.join(out_dir, "report.json"))
-    print(
+    return {"accuracy.csv": (rows, None), "report.json": summary}, (
         f"accuracy: {len(rows)} eps values, error/eps spread factor "
         f"{summary['max_over_min_error_per_eps']:.4g}"
     )
-    return 0
 
 
 _Experiment = namedtuple("_Experiment", "subcommand keys run")  # keys: the top-level config keys
-_BASE_KEYS = frozenset({"experiment", "output_dir"})
+_BASE_KEYS = frozenset({"experiment"})
 _FILTER_KEYS = _BASE_KEYS | {"seeds", "model", "enkf", "T"}
 # experiment name -> its subcommand, config keys and runner, in subcommand order
 _REGISTRY = {
@@ -434,7 +405,7 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--config", required=True, help="path to a JSON experiment config")
         if "seeds" in spec.keys:
             sp.add_argument("--seed", type=int, help="override the config's seed list with this single seed")
-        sp.add_argument("--out", default=None, help="output directory (default: config output_dir, else ./out/<timestamp>)")
+        sp.add_argument("--out", default=None, help="output directory (default: ./out/<timestamp>)")
     return parser
 
 
@@ -449,12 +420,10 @@ def cli_main(argv: Optional[Sequence[str]] = None) -> int:
         if getattr(args, "seed", None) is not None:
             _require(args.seed >= 0, "must be >= 0", "--seed")
             cfg.seeds = (args.seed,)
-        out_dir = args.out or cfg.output_dir
-        if out_dir is None:
-            out_dir = os.path.join("out", time.strftime("%Y%m%d-%H%M%S"))
-        os.makedirs(out_dir, exist_ok=True)
-        _write_manifest(cfg, out_dir)
-        return _REGISTRY[cfg.experiment].run(cfg, out_dir)
+        files, summary = _REGISTRY[cfg.experiment].run(cfg)
+        _write_outputs(cfg, files, args.out or os.path.join("out", time.strftime("%Y%m%d-%H%M%S")))
+        print(summary)
+        return 0
     except ParseError as exc:
         print(f"enkf-lab: config error: {exc}", file=sys.stderr)
         return 2

@@ -28,7 +28,7 @@ Seeded experiments step filters in lockstep with the streamed truth
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, is_dataclass
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -123,7 +123,9 @@ def _reference_factor(r_ref, d: int) -> np.ndarray:
     if r_ref.shape != (d,):
         raise DimensionMismatch(f"r_ref is {r_ref.shape}, expected its diagonal, ({d},)")
     if not (np.all(np.isfinite(r_ref)) and r_ref.min() > PD_RTOL * max(1.0, float(r_ref.max()))):
-        raise NotPositiveDefinite("r_ref must be finite and positive definite")
+        raise NotPositiveDefinite(
+            f"r_ref must be finite with min > {PD_RTOL:g} * max(1, max); min {r_ref.min():.3g}, max {r_ref.max():.3g}"
+        )
     return 1.0 / np.sqrt(r_ref)
 
 
@@ -270,12 +272,13 @@ def _concentration_arg_error(args: dict):
 
 
 def run_concentration_experiment(
-    d: int,
-    p: int,
-    K_list: Sequence[int],
-    rho: float,
-    delta: float,
-    trials: int,
+    d: int = 200,
+    p: int = 5,
+    K_list: Sequence[int] = (10, 20, 40, 80),
+    rho: float = 0.1,
+    delta: float = 0.1,
+    trials: int = 2000,
+    *,
     seed: int,
     cond_targets: Sequence[float] = (10.0, 1e3),
     tail_K: int = 3,
@@ -296,8 +299,9 @@ def run_concentration_experiment(
     ``tail_min_count`` hits are dropped from the returned fit points.
 
     Returns a dict with "rare_event" rows, "tail" rows, and the
-    log-linear tail fit (slope, intercept, r_squared). An out-of-range
-    argument raises :class:`InvalidParams` naming it, before any trial.
+    log-linear tail fit (slope, intercept, r_squared). Only ``seed`` has no
+    default. An out-of-range argument raises :class:`InvalidParams`
+    naming it, before any trial.
     """
     if error := _concentration_arg_error(locals()):
         raise InvalidParams("%s: %s" % error)
@@ -474,42 +478,35 @@ def run_accuracy_experiment(
     return rows
 
 
-def write_csv(rows, path, comments: Sequence[str] = (), columns: Sequence[str] = CSV_COLUMNS):
-    """Write one table row per entry of ``rows`` under the header ``columns``.
+def write_csv(rows, path, comments: Sequence[str] = ()):
+    """Write one table row per entry of ``rows`` below the '#'-prefixed
+    ``comments`` and a header, none if there are no rows.
 
-    ``rows`` holds :class:`FilterDiagnostics` or dicts keyed by column
-    name; a "lambda" column falls back to a "lam" key, the field name of
-    :class:`FilterDiagnostics`. Ints and bools are written as integers,
-    everything else %.17g so floats round-trip exactly. Comment lines are
-    '#'-prefixed above the header.
+    ``rows`` holds dicts, whose keys, in order, are the header, or
+    :class:`FilterDiagnostics`, written under :data:`CSV_COLUMNS` with
+    ``lam`` as "lambda". Ints and bools are written as integers,
+    everything else %.17g so floats round-trip exactly.
     """
+    rows = [
+        row if isinstance(row, dict)
+        else {c: getattr(row, "lam" if c == "lambda" else c) for c in CSV_COLUMNS}
+        for row in rows
+    ]
     with open(path, "w", newline="") as fh:
         for line in comments:
             fh.write(f"# {line}\n")
-        fh.write(",".join(columns) + "\n")
+        if rows:
+            fh.write(",".join(rows[0]) + "\n")
         for row in rows:
-            if not isinstance(row, dict):
-                row = vars(row)
-            cells = []
-            for c in columns:
-                v = row["lam"] if c == "lambda" and c not in row else row[c]
-                if isinstance(v, (bool, int, np.integer)):
-                    cells.append(str(int(v)))
-                else:
-                    cells.append("%.17g" % float(v))
-            fh.write(",".join(cells) + "\n")
-
-
-def _json_default(obj):
-    if isinstance(obj, (np.ndarray, np.generic)):
-        return obj.tolist()
-    if is_dataclass(obj):
-        return asdict(obj)
-    return str(obj)
+            cells = [row[c] for c in rows[0]]
+            fh.write(",".join(
+                str(int(v)) if isinstance(v, (bool, int, np.integer)) else "%.17g" % float(v) for v in cells
+            ) + "\n")
 
 
 def write_json(report, path):
-    """Serialize a report (dataclass or dict tree) as indented JSON."""
+    """Write a tree of JSON values (dicts, lists, str, numbers, bools,
+    None) as indented JSON; any other value raises ``TypeError``."""
     with open(path, "w") as fh:
-        json.dump(report, fh, indent=2, default=_json_default)
+        json.dump(report, fh, indent=2)
         fh.write("\n")

@@ -379,6 +379,8 @@ def test_simulate_divergence_exits_1_naming_seed_and_step(tmp_path, capsys, monk
     assert rc == 1
     err = capsys.readouterr().err
     assert "FilterDiverged" in err and "step 3" in err and "seed 7" in err
+    # a run that fails writes nothing: the directory is made only after it succeeds
+    assert not (tmp_path / "o").exists()
 
 
 def test_simulate_unfiltered_preset_exits_2_naming_the_diverging_wavenumbers(tmp_path, capsys):
@@ -390,6 +392,21 @@ def test_simulate_unfiltered_preset_exits_2_naming_the_diverging_wavenumbers(tmp
     assert rc == 2
     err = capsys.readouterr().err
     assert "config error: model:" in err and "wavenumbers [0, 1, 2, 3, 4]" in err
+
+
+def test_simulate_reference_below_the_filter_experiment_floor_exits_2_naming_model(tmp_path, capsys):
+    # finite, but E0 = 1e13 puts the reference's max over 1e12 times its
+    # min, below the floor run_filter_experiment asks of r_ref
+    model = {"J": 10, "tau": 0.6, "gamma0": 0.3, "E0": 1e13}
+    cfg = {"experiment": "simulate", "model": model, "enkf": {"K": 8, "p": 4}, "T": 3, "seeds": [0]}
+    rc = cli_main(["simulate", "--config", write_config(tmp_path, cfg), "--out", str(tmp_path / "o")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "config error: model:" in err and "1e-12" in err
+    assert not (tmp_path / "o").exists()
+    # the same model at E0 = 1e10 runs
+    cfg["model"]["E0"] = 1e10
+    assert cli_main(["simulate", "--config", write_config(tmp_path, cfg), "--out", str(tmp_path / "o")]) == 0
 
 
 def test_simulate_runs_on_a_damped_unobserved_model(tmp_path):
@@ -519,7 +536,7 @@ def test_manifest_records_exactly_the_registry_keys(tmp_path, experiment):
     out = tmp_path / "out"
     assert cli_main([_REGISTRY[experiment].subcommand, "--config", path, "--out", str(out)]) == 0
     recorded = json.loads((out / "manifest.json").read_text())["config"]
-    assert set(recorded) == set(_REGISTRY[experiment].keys) - {"output_dir", "rho_grid"}
+    assert set(recorded) == set(_REGISTRY[experiment].keys) - {"rho_grid"}
     assert recorded == config_to_dict(load_config(path))
 
 
@@ -536,6 +553,17 @@ def test_inputs_the_run_would_not_consume_exit_2(tmp_path, capsys, command, cfg,
     rc = cli_main([command, "--config", write_config(tmp_path, cfg), "--out", str(tmp_path / "o")] + flag)
     assert rc == 2
     assert field in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("experiment", list(_REGISTRY))
+def test_output_dir_key_exits_2_naming_it(tmp_path, capsys, monkeypatch, experiment):
+    # --out is the one way to choose the output directory
+    monkeypatch.chdir(tmp_path)
+    cfg = dict(MINIMAL_CONFIGS[experiment], output_dir=str(tmp_path / "o"))
+    rc = cli_main([_REGISTRY[experiment].subcommand, "--config", write_config(tmp_path, cfg)])
+    assert rc == 2
+    assert "config error: output_dir: unknown key 'output_dir'" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
 
 
@@ -652,7 +680,7 @@ def test_rmt_manifest_records_the_experiment_defaults(tmp_path):
     }
     # a key left out records run_concentration_experiment's own default
     defaults = inspect.signature(run_concentration_experiment).parameters
-    for key in ("cond_targets", "tail_K", "tail_t_grid", "tail_min_count"):
+    for key in set(recorded["rmt"]) - set(cfg["rmt"]):
         default = defaults[key].default
         assert recorded["rmt"][key] == (list(default) if isinstance(default, tuple) else default)
     loaded = load_config(write_config(tmp_path, cfg, "again.json"))

@@ -698,6 +698,18 @@ def test_accuracy_experiment_linear_scaling():
     )
 
 
+def test_accuracy_experiment_measures_an_identity_on_the_ensemble_space_route():
+    # every eps shares the same draws and the filter is positively
+    # homogeneous (state ~ eps, covariances and rho ~ eps^2), so on the
+    # K < d route error/eps agrees across eps up to roundoff: the
+    # experiment has no sampling content
+    p = TurbulenceParams(J=10, sigma_obs=10.0, tau=0.6)
+    cfg = EnkfConfig(K=8, p=4, r=p.r, rho=p.rho, tau=p.tau)
+    rows = run_accuracy_experiment(build_turbulence(p), cfg, T=60, eps_list=(1.0, 0.3, 0.1), seeds=(0, 1))
+    ratios = [r["error_over_eps"] for r in rows]
+    assert max(ratios) / min(ratios) - 1 <= 1e-12
+
+
 def test_accuracy_experiment_tiny_eps(monkeypatch):
     p = TurbulenceParams(J=2, sigma_obs=10.0, tau=0.6)
     stream = build_turbulence(p)
@@ -761,32 +773,25 @@ def test_write_csv_roundtrip(tmp_path):
 
 
 def test_write_csv_accepts_dict_rows(tmp_path):
-    row = {
-        "step": 1, "maha_sq_per_d": 0.5, "l2_error": 0.25, "nu": 1.0,
-        "lambda": 2.5, "mu": 1.0, "chi": 1.0, "cov_fidelity": 1.0,
-    }
-    p1 = tmp_path / "a.csv"
-    write_csv([row], p1)
-    row2 = dict(row)
-    row2["lam"] = row2.pop("lambda")
-    p2 = tmp_path / "b.csv"
-    write_csv([row2], p2)
-    assert p1.read_text() == p2.read_text()
+    # a dict row's keys, in its own order, are the header
+    rows = [{"shift": 10.0, "seed": 3, "flag": True}, {"shift": 0.5, "seed": np.int64(4), "flag": False}]
+    path = tmp_path / "a.csv"
+    write_csv(rows, path, comments=("config: {}",))
+    assert path.read_text().splitlines() == ["# config: {}", "shift,seed,flag", "10,3,1", "0.5,4,0"]
 
 
 def test_write_json(tmp_path):
-    row = FilterDiagnostics(
-        step=3, maha_sq_per_d=0.5, l2_error=2.0, lam=1.2, mu=np.float64(1.0),
-        nu=1.0, chi=1.0, cov_fidelity=0.9,
-    )
-    report = {
-        "rows": [row], "count": np.int64(1), "arr": np.arange(3), "flag": np.bool_(False)
-    }
+    report = {"rows": [{"step": 3, "mu": 1.0, "ok": False}], "name": "x", "none": None, "nan": float("nan")}
     path = tmp_path / "report.json"
     write_json(report, path)
     back = json.loads(path.read_text())
-    assert back["count"] == 1
-    assert back["arr"] == [0, 1, 2]
-    assert back["flag"] is False
-    assert back["rows"][0]["step"] == 3
-    assert back["rows"][0]["mu"] == 1.0
+    assert back["rows"] == report["rows"] and back["name"] == "x" and back["none"] is None
+    assert np.isnan(back["nan"])
+    # only JSON values: numpy values and dataclasses are not converted
+    # (np.float64 subclasses float, so it is one)
+    row = FilterDiagnostics(
+        step=3, maha_sq_per_d=0.5, l2_error=2.0, lam=1.2, mu=1.0, nu=1.0, chi=1.0, cov_fidelity=0.9,
+    )
+    for bad in (np.int64(1), np.bool_(False), np.float32(1.0), np.arange(3), row):
+        with pytest.raises(TypeError):
+            write_json({"value": bad}, tmp_path / "bad.json")

@@ -5,7 +5,8 @@ import importlib
 import os
 import re
 
-from enkf_lab.cli import cli_main, load_config
+from enkf_lab.cli import _REGISTRY, cli_main, load_config
+from test_cli import MINIMAL_CONFIGS, write_config
 
 README = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "README.md")
 
@@ -37,6 +38,23 @@ def test_readme_subcommand_table_matches_the_parser(capsys):
     section = read_readme().split("## Command line", 1)[1].split("\n## ", 1)[0]
     table_names = re.findall(r"^\| `([^`]+)` \|", section, flags=re.M)
     assert table_names == parser_names
+
+
+def test_writes_column_matches_the_files_each_subcommand_writes(tmp_path):
+    # run each subcommand on its minimal config; besides manifest.json it
+    # writes exactly the files its "writes" cell names, <k> standing for a seed
+    section = read_readme().split("## Command line", 1)[1].split("\n## ", 1)[0]
+    writes = dict(re.findall(r"^\| `([^`]+)` \| [^|]* \| (.*) \|$", section, flags=re.M))
+    for experiment, spec in _REGISTRY.items():
+        out = tmp_path / experiment
+        path = write_config(tmp_path, MINIMAL_CONFIGS[experiment])
+        assert cli_main([spec.subcommand, "--config", path, "--out", str(out)]) == 0
+        names = set(os.listdir(out)) - {"manifest.json"}
+        for pattern in re.findall(r"`([^`]+)`", writes[spec.subcommand]):
+            matched = {n for n in names if re.fullmatch(re.escape(pattern).replace("<k>", r"\d+"), n)}
+            assert matched, f"{spec.subcommand} wrote no {pattern}"
+            names -= matched
+        assert not names, f"{spec.subcommand} wrote files its README row does not name: {sorted(names)}"
 
 
 def test_library_tour_names_every_public_name():
