@@ -20,7 +20,7 @@ is the max of the two branches. Boundary equality passes (strictly
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -81,25 +81,24 @@ def _pm_count(modes) -> int:
     return sum(1 if k == 0 else 2 for k in modes)
 
 
-def instability_modes(params: TurbulenceParams, rho=None) -> list:
+def instability_modes(params: TurbulenceParams) -> list:
     """Wavenumbers in the additive inflation target's support.
 
     Membership: ``rho e^{-2 gamma_k h} + Sigma_kk >= tau rho / r``. The
-    effective rho must be finite and > 0, else :class:`InvalidParams`.
+    model must pass :meth:`TurbulenceParams.validate`, else
+    :class:`InvalidParams`.
     """
-    rho = params.rho if rho is None else rho
-    if not (np.isfinite(rho) and rho > 0):
-        raise InvalidParams(f"rho must be finite and > 0, got {rho!r}")
-    r, tau = params.r, params.tau
+    params.validate()
+    r, tau, rho = params.r, params.tau, params.rho
     lhs = rho * np.exp(-2.0 * params.gamma() * params.h) + params.mode_sigma()
     return [int(k) for k in np.nonzero(lhs >= tau * rho / r)[0]]
 
 
-def _assemble(params, rho, branch1, fail_cov, r_k=None) -> DimReport:
+def _assemble(params, branch1, fail_cov, r_k=None) -> DimReport:
     """Either closed-form verifier's report, with the instability branch
     ``(r rho / tau) e^{-2 gamma_k h} + (r / tau) Sigma_kk`` both tabulate."""
-    inst = instability_modes(params, rho=rho)  # checks rho first
-    J, r, tau = params.J, params.r, params.tau
+    inst = instability_modes(params)
+    J, r, tau, rho = params.J, params.r, params.tau, params.rho
     g = params.gamma()
     sig = params.mode_sigma()
     branch2 = (r * rho / tau) * np.exp(-2.0 * g * params.h) + (r / tau) * sig
@@ -137,7 +136,7 @@ def _assemble(params, rho, branch1, fail_cov, r_k=None) -> DimReport:
     )
 
 
-def verify_dim_unfiltered(params: TurbulenceParams, rho=None) -> DimReport:
+def verify_dim_unfiltered(params: TurbulenceParams) -> DimReport:
     """Closed-form check against the unfiltered equilibrium bound.
 
     A wavenumber fails the covariance branch when
@@ -148,8 +147,7 @@ def verify_dim_unfiltered(params: TurbulenceParams, rho=None) -> DimReport:
     and drives ``p_instability`` only.
     """
     params.validate()
-    rho = params.rho if rho is None else rho
-    r, tau = params.r, params.tau
+    r, tau, rho = params.r, params.tau, params.rho
     sig = params.mode_sigma()
     decay = np.exp(-2.0 * params.gamma() * params.h)
     den = 1.0 - r * r * tau - r * r * decay
@@ -157,10 +155,10 @@ def verify_dim_unfiltered(params: TurbulenceParams, rho=None) -> DimReport:
     with np.errstate(divide="ignore", invalid="ignore"):
         branch1 = np.where(den != 0, num / den, np.inf)
     fail_cov = ((den <= 0) & (sig > 0)) | ((den > 0) & (branch1 > rho))
-    return _assemble(params, rho, branch1, fail_cov)
+    return _assemble(params, branch1, fail_cov)
 
 
-def verify_dim_observed(params: TurbulenceParams, rho=None) -> DimReport:
+def verify_dim_observed(params: TurbulenceParams) -> DimReport:
     """Check against the stationary Riccati values of the observed model.
 
     The covariance branch fails when the per-wavenumber stationary
@@ -169,27 +167,26 @@ def verify_dim_observed(params: TurbulenceParams, rho=None) -> DimReport:
     params.validate()
     if params.sigma_obs is None:
         raise InvalidParams("sigma_obs must be set for the observed verifier")
-    rho = params.rho if rho is None else rho
-    r_k = stationary_riccati_diag(params, rho=rho)
-    fail_cov = r_k > rho
-    return _assemble(params, rho, r_k, fail_cov, r_k=r_k)
+    r_k = stationary_riccati_diag(params)
+    return _assemble(params, r_k, r_k > params.rho, r_k=r_k)
 
 
-def verify_dim(params: TurbulenceParams, rho=None) -> DimReport:
+def verify_dim(params: TurbulenceParams) -> DimReport:
     """The closed-form verifier the model takes: :func:`verify_dim_observed`
     when ``sigma_obs`` is set, else :func:`verify_dim_unfiltered`."""
     verifier = verify_dim_observed if params.sigma_obs is not None else verify_dim_unfiltered
-    return verifier(params, rho=rho)
+    return verifier(params)
 
 
 def minimal_p_search(params: TurbulenceParams, rho_grid) -> list:
     """Tabulate ``(rho, p_effective)`` of :func:`verify_dim` over a grid of
-    thresholds. The table is non-increasing in rho.
+    thresholds, each the model's own ``rho`` in a copy of ``params``. The
+    table is non-increasing in rho.
     """
     rho_grid = [float(x) for x in rho_grid]
-    if not rho_grid or any(x <= 0 for x in rho_grid):
-        raise InvalidParams("rho_grid must be nonempty and positive")
-    return [(rho, verify_dim(params, rho=rho).p_effective) for rho in rho_grid]
+    if not rho_grid:
+        raise InvalidParams("rho_grid must be nonempty")
+    return [(rho, verify_dim(replace(params, rho=rho)).p_effective) for rho in rho_grid]
 
 
 def verify_dim_general(stream: CoefficientStream, r: float, tau: float, rho: float) -> DimReport:

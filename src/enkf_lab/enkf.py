@@ -295,12 +295,13 @@ def _assimilate_structured(mean_hat, S_hat, eta, y, cfg):
     singular vectors ``S_hat phi_i / sing_i`` of S_hat, because both are
     monotone functions of the forecast covariance spectrum; everything
     reduces to the eigenpairs ``(s_i, phi_i)`` of the K x K Gram. Raises
-    :class:`FilterDiverged` when the Gram is non-finite, as any non-finite
-    entry of S_hat makes it.
+    :class:`FilterDiverged` when the Gram is non-finite, as a non-finite or
+    overflowing S_hat makes it.
     """
     d, K = S_hat.shape
     c = cfg.tau * cfg.rho
-    gram = S_hat.T @ S_hat / (K - 1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        gram = S_hat.T @ S_hat / (K - 1)
     if not np.all(np.isfinite(gram)):
         raise FilterDiverged(None, "forecast spread")
     s, Phi = eigh_desc(gram)
@@ -339,11 +340,15 @@ def _assimilate_dense(mean_hat, S_hat, H, y, cfg):
     One gain ``G`` of ``C_hat = S_hat S_hat.T / (K-1) + tau rho I``,
     from one factorization of the q x q system ``I + H C_hat H.T``,
     moves the mean and gives the Joseph-form posterior map that the
-    rank-p projection cuts.
+    rank-p projection cuts. Raises :class:`FilterDiverged` when ``C_hat``
+    is non-finite, as a non-finite or overflowing S_hat makes it.
     """
     d, K = S_hat.shape
     c = cfg.tau * cfg.rho
-    C_hat = symmetrize(S_hat @ S_hat.T / (K - 1) + c * np.eye(d))
+    with np.errstate(over="ignore", invalid="ignore"):
+        C_hat = symmetrize(S_hat @ S_hat.T / (K - 1) + c * np.eye(d))
+    if not np.all(np.isfinite(C_hat)):
+        raise FilterDiverged(None, "forecast spread")
     if H is None:
         Kmat = C_hat
         mean_plus = mean_hat.copy()
@@ -372,7 +377,7 @@ def enkf_assimilate(mean_hat, S_hat, coeffs: StepCoefficients, y, cfg: EnkfConfi
     (else :class:`InvalidObservation`, or :class:`DimensionMismatch` for
     the shape); with ``coeffs.H`` None, ``y`` is ignored. A non-finite
     forecast mean or spread raises :class:`FilterDiverged`; the spread is
-    checked through the K x K Gram on the ensemble-space route.
+    checked through its K x K Gram or d x d ``C_hat``, overflow included.
     """
     mean_hat = np.asarray(mean_hat, dtype=float).ravel()
     S_hat = np.asarray(S_hat, dtype=float)
@@ -395,8 +400,6 @@ def enkf_assimilate(mean_hat, S_hat, coeffs: StepCoefficients, y, cfg: EnkfConfi
         return _assimilate_structured(
             mean_hat, S_hat, 0.0 if H is None else eta, None if H is None else y, cfg
         )
-    if not np.all(np.isfinite(S_hat)):
-        raise FilterDiverged(None, "forecast spread")
     return _assimilate_dense(mean_hat, S_hat, H, y, cfg)
 
 

@@ -106,7 +106,7 @@ def augmented_riccati_step(cov, coeffs: StepCoefficients, r, tau, rho) -> np.nda
     return kalman_update_operator(R_hat, _dense(coeffs.H))
 
 
-def stationary_riccati_diag(params: TurbulenceParams, rho=None):
+def stationary_riccati_diag(params: TurbulenceParams):
     """Stationary per-wavenumber variances of the augmented recursion on
     the turbulence model, observed or unobserved.
 
@@ -118,12 +118,11 @@ def stationary_riccati_diag(params: TurbulenceParams, rho=None):
     ``so = sigma_obs`` and ``d = 2J + 1`` is increasing and concave, so
     its iterates from 0 rise to the one nonnegative root of
     ``d a x^2 + B x - so b = 0``, ``B = so (1 - a) + d b``, taken here in
-    closed form without cancellation (0 where ``b = 0``). The effective
-    rho, and sigma_obs when set, must be finite and > 0, and every value
-    finite, else :class:`InvalidParams`.
+    closed form without cancellation (0 where ``b = 0``). rho, and
+    sigma_obs when set, must be finite and > 0, and every value finite,
+    else :class:`InvalidParams`.
     """
-    r, tau = params.r, params.tau
-    rho = params.rho if rho is None else rho
+    r, tau, rho = params.r, params.tau, params.rho
     so, d = params.sigma_obs, params.d
     checked = {"rho": rho} if so is None else {"rho": rho, "sigma_obs": so}
     for name, value in checked.items():
@@ -140,9 +139,9 @@ def stationary_riccati_diag(params: TurbulenceParams, rho=None):
             )
         x = b / (1.0 - a)
     else:
-        B = so * (1.0 - a) + d * b
-        root = np.sqrt(B * B + 4.0 * d * a * so * b)
-        with np.errstate(divide="ignore", invalid="ignore"):
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            B = so * (1.0 - a) + d * b
+            root = np.sqrt(B * B + 4.0 * d * a * so * b)
             x = np.where(B >= 0, 2.0 * so * b / (B + root), (root - B) / (2.0 * d * a))
         x = np.where(b == 0, 0.0, x)  # a NaN b stays NaN and fails below
     if not np.all(np.isfinite(x)):

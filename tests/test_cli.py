@@ -728,31 +728,6 @@ def test_module_entry_point(tmp_path):
     assert (out / "report.json").exists()
 
 
-def test_thread_cap_env_var():
-    # the cap only works if it is in the environment when numpy is first
-    # imported, so record the variables at that moment
-    env = {k: v for k, v in os.environ.items() if "THREADS" not in k.upper()}
-    env["ENKF_LAB_THREADS"] = "3"
-    code = (
-        "import json, os, sys\n"
-        "seen = []\n"
-        "class Probe:\n"
-        "    def find_spec(self, name, path=None, target=None):\n"
-        "        if name == 'numpy' and not seen:\n"
-        "            seen.append({v: os.environ.get(v) for v in\n"
-        "                         ('OMP_NUM_THREADS', 'OPENBLAS_NUM_THREADS', 'MKL_NUM_THREADS')})\n"
-        "sys.meta_path.insert(0, Probe())\n"
-        "import enkf_lab.cli\n"
-        "print(json.dumps(seen))\n"
-    )
-    proc = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, env=env,
-    )
-    assert proc.returncode == 0, proc.stderr
-    seen = json.loads(proc.stdout)
-    assert seen == [{"OMP_NUM_THREADS": "3", "OPENBLAS_NUM_THREADS": "3", "MKL_NUM_THREADS": "3"}]
-
-
 def test_version_flag(capsys):
     rc = cli_main(["--version"])
     assert rc == 0

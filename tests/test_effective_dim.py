@@ -1,5 +1,7 @@
 """Tests for the effective-dimension verifiers."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -117,19 +119,19 @@ def test_minimal_p_search_validates_grid():
 
 
 RHO_ENTRY_POINTS = {
-    "verify_dim_unfiltered": lambda p, rho: verify_dim_unfiltered(p, rho=rho),
-    "verify_dim_observed": lambda p, rho: verify_dim_observed(p, rho=rho),
+    "verify_dim_unfiltered": lambda p, rho: verify_dim_unfiltered(replace(p, rho=rho)),
+    "verify_dim_observed": lambda p, rho: verify_dim_observed(replace(p, rho=rho)),
     "minimal_p_search": lambda p, rho: minimal_p_search(p, [rho]),
-    "instability_modes": lambda p, rho: instability_modes(p, rho=rho),
-    "stationary_riccati_diag": lambda p, rho: stationary_riccati_diag(p, rho=rho),
+    "instability_modes": lambda p, rho: instability_modes(replace(p, rho=rho)),
+    "stationary_riccati_diag": lambda p, rho: stationary_riccati_diag(replace(p, rho=rho)),
 }
 
 
 @pytest.mark.parametrize("rho", [np.nan, np.inf, 0.0, -0.04], ids=["nan", "inf", "zero", "negative"])
 @pytest.mark.parametrize("entry", list(RHO_ENTRY_POINTS))
 def test_rho_override_must_be_finite_and_positive(entry, rho):
-    # a rho= override bypasses TurbulenceParams.validate(), so the rho each
-    # entry point uses is checked where it is used
+    # rho comes only from the model: a bad one on the model, or in the
+    # grid minimal_p_search copies into it, is named before it is used
     with pytest.raises(InvalidParams, match="rho"):
         RHO_ENTRY_POINTS[entry](BENCH_OBSERVED, rho)
 
@@ -146,6 +148,13 @@ def test_stationary_solve_rejects_a_non_finite_value():
     # tau makes every value NaN, and no NaN is masked to a zero
     with pytest.raises(InvalidParams, match="not finite"):
         stationary_riccati_diag(TurbulenceParams(J=10, sigma_obs=10.0, tau=np.nan))
+
+
+def test_stationary_solve_names_an_overflow():
+    # at r = 1e150 the root's B * B overflows; the suite turns numpy's
+    # RuntimeWarning into an error, so the overflow must reach the check
+    with pytest.raises(InvalidParams, match="not finite"):
+        stationary_riccati_diag(TurbulenceParams(J=3, r=1e150, tau=0.6, sigma_obs=10.0))
 
 
 def test_general_verifier_matches_observed_on_time_invariant_model():
@@ -184,8 +193,8 @@ def test_general_verifier_on_jump_stream():
 @pytest.mark.parametrize("params", [BENCH_OBSERVED, BENCH_UNFILTERED], ids=["observed", "unfiltered"])
 def test_verify_dim_takes_the_model_s_closed_form(params):
     verifier = verify_dim_observed if params.sigma_obs is not None else verify_dim_unfiltered
-    for rho in (None, 0.2):
-        got, want = verify_dim(params, rho=rho), verifier(params, rho=rho)
+    for model in (params, replace(params, rho=0.2)):
+        got, want = verify_dim(model), verifier(model)
         assert got.observed is (params.sigma_obs is not None)
         assert (got.p, got.pm_effective, got.failing_modes) == (want.p, want.pm_effective, want.failing_modes)
 

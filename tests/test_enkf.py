@@ -520,6 +520,20 @@ def test_filter_diverged_on_non_finite_forecast_spread(bad):
     assert np.all(np.isfinite(f.ensemble.mean))
 
 
+@pytest.mark.parametrize("J, K", [(3, 4), (1, 8)], ids=["ensemble_space", "dense"])
+def test_spread_overflow_is_named_before_numpy_warns(J, K):
+    # r = 1e150 inflates the spread until its Gram (K < d) or C_hat (K >= d)
+    # overflows at step 3; the suite turns numpy's RuntimeWarning into an
+    # error, so the overflow must reach the finiteness check instead
+    params = TurbulenceParams(J=J, r=1e150, tau=0.6)
+    cfg = EnkfConfig(K=K, p=2, r=params.r, rho=params.rho, tau=params.tau)
+    f = EnkfFilter(build_turbulence(params), cfg, seed=0)
+    with pytest.raises(FilterDiverged) as info:
+        for _ in range(20):
+            f.step(None)
+    assert (info.value.step, info.value.quantity, info.value.seed) == (3, "forecast spread", 0)
+
+
 def test_dense_route_rejects_non_finite_forecast_spread():
     d, K = 4, 6
     cfg = EnkfConfig(K=K, p=2, r=1.1, rho=0.05, tau=1.0)

@@ -5,7 +5,9 @@ matter when code is deleted: a module other than ``__init__`` (which
 re-exports) uses every name it imports, every ``__all__`` entry exists, and
 a function or lambda parameter that is never read is named with a leading
 ``_`` (``self`` and ``cls`` aside), and a private attribute ``x._name`` is
-read only through ``self`` or ``cls``.
+read only through ``self`` or ``cls``. The package's surface is the public
+modules' ``__all__`` and nothing else: ``__init__`` star-imports them with
+no hand-kept name list and reads no environment variable.
 """
 
 import ast
@@ -28,12 +30,25 @@ def _imported_names(tree):
                 yield alias.asname or alias.name
 
 
-def _all_entries(tree):
-    for node in tree.body:
+# the modules whose __all__ the package exports, in its order
+PUBLIC = ("linalg", "models", "reference", "effective_dim", "enkf", "diagnostics")
+
+
+def _module(name):
+    return importlib.import_module("enkf_lab" if name == "__init__" else f"enkf_lab.{name}")
+
+
+def _all_entries(name):
+    """``__all__`` of module ``name``: the literal list in its source, or,
+    when it is computed (as the package's is), the imported value."""
+    for node in TREES[name].body:
         if isinstance(node, ast.Assign) and any(
             isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
         ):
-            return ast.literal_eval(node.value)
+            try:
+                return ast.literal_eval(node.value)
+            except ValueError:
+                return list(_module(name).__all__)
     return []
 
 
@@ -41,16 +56,52 @@ def _all_entries(tree):
 def test_module_uses_every_name_it_imports(name):
     tree = TREES[name]
     used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
-    used |= set(_all_entries(tree))
+    used |= set(_all_entries(name))
     unused = sorted(set(_imported_names(tree)) - used)
     assert not unused, f"enkf_lab.{name} imports names it never uses: {unused}"
 
 
-@pytest.mark.parametrize("name", [m for m, tree in TREES.items() if _all_entries(tree)])
+@pytest.mark.parametrize("name", [m for m in TREES if _all_entries(m)])
 def test_every_all_entry_resolves(name):
-    module = importlib.import_module("enkf_lab" if name == "__init__" else f"enkf_lab.{name}")
-    missing = [entry for entry in _all_entries(TREES[name]) if not hasattr(module, entry)]
+    module = _module(name)
+    missing = [entry for entry in _all_entries(name) if not hasattr(module, entry)]
     assert not missing, f"enkf_lab.{name}.__all__ names what it lacks: {missing}"
+
+
+def test_package_exports_exactly_the_public_modules_all():
+    package = _module("__init__")
+    expected = [entry for name in PUBLIC for entry in _module(name).__all__]
+    assert package.__all__ == expected
+    assert len(set(expected)) == len(expected), "two public modules export one name"
+    for name in PUBLIC:
+        module = _module(name)
+        for entry in module.__all__:
+            assert getattr(package, entry) is getattr(module, entry), f"enkf_lab.{entry}"
+    # nothing public beyond that and the submodules (cli once imported)
+    extra = {n for n in vars(package) if not n.startswith("_")} - set(expected) - set(TREES)
+    assert not extra, f"enkf_lab exports names outside the modules' __all__: {sorted(extra)}"
+
+
+def _init_faults(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield f"{node.lineno} import of {[a.name for a in node.names]}"
+        elif isinstance(node, ast.ImportFrom):
+            names = [a.name for a in node.names]
+            if node.level != 1:
+                yield f"{node.lineno} import from outside the package: {node.module}"
+            elif node.module is None and not set(names) <= set(TREES):
+                yield f"{node.lineno} import of non-modules {sorted(set(names) - set(TREES))}"
+            elif node.module is not None and names != ["*"]:
+                yield f"{node.lineno} name list from .{node.module}: {names}"
+        elif isinstance(node, (ast.Name, ast.Attribute)):
+            if getattr(node, "id", getattr(node, "attr", None)) in ("environ", "getenv"):
+                yield f"{node.lineno} reads the environment: {ast.unparse(node)}"
+
+
+def test_init_star_imports_modules_and_reads_no_environment():
+    faults = list(_init_faults(TREES["__init__"]))
+    assert not faults, f"enkf_lab.__init__ keeps a second way in (line, fault): {faults}"
 
 
 def _unread_parameters(tree):
