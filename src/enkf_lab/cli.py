@@ -6,7 +6,6 @@ Subcommands map one-to-one onto the experiment drivers:
 * ``verify-dim``     effective-dimension report for a turbulence model
 * ``rmt-experiment`` sample-covariance concentration Monte Carlo
 * ``stability``      paired shifted-initialization decay rates
-* ``accuracy``       small-noise error scaling
 
 Config files are strict JSON: unknown keys are rejected so that every
 parameter in a file is one the run actually consumed. Exit codes:
@@ -38,7 +37,6 @@ from . import __version__
 from .diagnostics import (
     _concentration_arg_error,
     _reference_factor,
-    run_accuracy_experiment,
     run_concentration_experiment,
     run_filter_experiment,
     run_stability_experiment,
@@ -88,7 +86,6 @@ class ExperimentConfig:
     T: Optional[int] = None
     seeds: tuple = (0,)
     shifts: tuple = (10.0,)
-    eps_list: tuple = (1.0, 0.3, 0.1)
     rmt: Optional[dict] = None
     rho_grid: Optional[tuple] = None
 
@@ -238,7 +235,7 @@ def load_config(path: str, experiment: Optional[str] = None) -> ExperimentConfig
             _require(all(x > 0 for x in cfg.rho_grid), "entries must be positive", "rho_grid")
         return cfg
 
-    # simulate / stability / accuracy: ensemble + horizon
+    # simulate / stability: ensemble + horizon
     enkf_raw = raw.get("enkf")
     _require(enkf_raw is not None, "experiment needs an 'enkf' section", "enkf")
     _require(isinstance(enkf_raw, dict), "must be an object", "enkf")
@@ -265,9 +262,6 @@ def load_config(path: str, experiment: Optional[str] = None) -> ExperimentConfig
 
     if exp == "stability" and raw.get("shifts") is not None:
         cfg.shifts = _convert_list(float, raw["shifts"], "shifts")
-    if exp == "accuracy" and raw.get("eps_list") is not None:
-        cfg.eps_list = _convert_list(float, raw["eps_list"], "eps_list")
-        _require(all(e > 0 for e in cfg.eps_list), "entries must be positive", "eps_list")
     return cfg
 
 
@@ -365,20 +359,6 @@ def _run_stability(cfg: ExperimentConfig):
     )
 
 
-def _run_accuracy(cfg: ExperimentConfig):
-    stream = build_turbulence(cfg.model)
-    rows = run_accuracy_experiment(stream, cfg.enkf, cfg.T, cfg.eps_list, cfg.seeds)
-    ratios = [r["error_over_eps"] for r in rows]
-    summary = {
-        "rows": rows,
-        "max_over_min_error_per_eps": float(max(ratios) / min(ratios)),
-    }
-    return {"accuracy.csv": (rows, None), "report.json": summary}, (
-        f"accuracy: {len(rows)} eps values, error/eps spread factor "
-        f"{summary['max_over_min_error_per_eps']:.4g}"
-    )
-
-
 _Experiment = namedtuple("_Experiment", "subcommand keys run")  # keys: the top-level config keys
 _BASE_KEYS = frozenset({"experiment"})
 _FILTER_KEYS = _BASE_KEYS | {"seeds", "model", "enkf", "T"}
@@ -388,7 +368,6 @@ _REGISTRY = {
     "verify-dim": _Experiment("verify-dim", _BASE_KEYS | {"model", "rho_grid"}, _run_verify_dim),
     "rmt": _Experiment("rmt-experiment", _BASE_KEYS | {"seeds", "rmt"}, _run_rmt),
     "stability": _Experiment("stability", _FILTER_KEYS | {"shifts"}, _run_stability),
-    "accuracy": _Experiment("accuracy", _FILTER_KEYS | {"eps_list"}, _run_accuracy),
 }
 
 

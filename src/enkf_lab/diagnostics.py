@@ -19,8 +19,8 @@ lam / mu, and both lam and mu come from one Gram reduction of
 ``span[V, Y]``.
 
 Experiments: filter diagnostics over seeds, sample-covariance
-concentration (rare-event sweep over K and a tail-shape check),
-paired-run exponential stability, and small-noise accuracy scaling.
+concentration (rare-event sweep over K and a tail-shape check) and
+paired-run exponential stability.
 Seeded experiments step filters in lockstep with the streamed truth
 (O(d) memory) and first reject an empty or repeating seed list.
 """
@@ -46,8 +46,7 @@ from .models import (
     DOMAIN_TRIAL,
     CoefficientStream,
     InvalidParams,
-    StepCoefficients,
-    _LastValueMemo,
+    _is_index,
     substream,
     truth_path,
 )
@@ -58,7 +57,6 @@ __all__ = [
     "run_filter_experiment",
     "run_concentration_experiment",
     "run_stability_experiment",
-    "run_accuracy_experiment",
     "write_csv",
     "write_json",
 ]
@@ -256,6 +254,9 @@ def _concentration_arg_error(args: dict):
     :func:`run_concentration_experiment`, as ``(key, message)``, else None."""
     def what(key):
         return "entries" if np.ndim(args[key]) else key
+    for key in ("d", "p", "trials", "tail_K", "tail_trials", "tail_min_count", "K_list"):
+        if not all(map(_is_index, args[key] if key == "K_list" else [args[key]])):
+            return key, "entries must be integers" if key == "K_list" else f"{key} must be an integer"
     for key in ("rho", "delta", "cond_targets", "tail_t_grid"):
         if not np.all(np.isfinite(args[key])):
             return key, f"{what(key)} must be finite"
@@ -300,8 +301,9 @@ def run_concentration_experiment(
 
     Returns a dict with "rare_event" rows, "tail" rows, and the
     log-linear tail fit (slope, intercept, r_squared). Only ``seed`` has no
-    default. An out-of-range argument raises :class:`InvalidParams`
-    naming it, before any trial.
+    default. An out-of-range argument, or a count that is not an integer
+    (a bool included), raises :class:`InvalidParams` naming it, before
+    any trial.
     """
     if error := _concentration_arg_error(locals()):
         raise InvalidParams("%s: %s" % error)
@@ -414,67 +416,6 @@ def run_stability_experiment(
                     "final_gap": float(gaps[-1]),
                 }
             )
-    return rows
-
-
-def _scaled_stream(stream: CoefficientStream, eps: float) -> CoefficientStream:
-    """Noise-rescaled system: Sigma -> eps^2 Sigma, obs noise -> eps^2 I.
-
-    The observation rescaling is expressed with unit noise as
-    ``H -> H / eps`` (and observations divided by eps, which
-    truth_path then produces directly).
-    """
-
-    def scale(c: StepCoefficients) -> StepCoefficients:
-        H = None if c.H is None else c.H / eps
-        return StepCoefficients(A=c.A, B=c.B, Sigma=c.Sigma * (eps * eps), H=H)
-
-    # a constant stream hands out one object, so it maps to one scaled
-    # object and the filter factors Sigma+ once
-    scaled = _LastValueMemo(scale)
-    return CoefficientStream(d=stream.d, q=stream.q, generator=lambda n, _seed: scaled(stream.at(n)))
-
-
-def run_accuracy_experiment(
-    stream: CoefficientStream,
-    cfg: EnkfConfig,
-    T: int,
-    eps_list: Sequence[float],
-    seeds: Sequence[int],
-):
-    """Small-noise scaling: error should shrink linearly with eps.
-
-    For each eps the system noise, observation noise, and threshold are
-    scaled (Sigma -> eps^2 Sigma, obs noise -> eps^2 I, rho -> eps^2 rho)
-    and the filter reruns; the row reports the time-averaged l2 error
-    over the last half of the run, averaged across seeds. Every eps must
-    be finite and positive, else ``ValueError`` before any run.
-    """
-    _check_seeds(seeds)
-    if not all(np.isfinite(eps) and eps > 0 for eps in eps_list):
-        raise ValueError(f"eps values must be finite and positive, got {list(eps_list)}")
-    rows = []
-    for eps in eps_list:
-        s_stream = _scaled_stream(stream, eps)
-        s_cfg = EnkfConfig(
-            K=cfg.K, p=cfg.p, r=cfg.r, rho=eps * eps * cfg.rho, tau=cfg.tau
-        )
-        errs = []
-        for seed in seeds:
-            path = truth_path(s_stream, np.zeros(stream.d), T, seed)
-            filt = EnkfFilter(s_stream, s_cfg, seed)
-            run_err = [np.linalg.norm(filt.step(y).posterior.mean - x) for x, y in path]
-            errs.append(np.mean(run_err[T // 2 :]))
-        errs = np.array(errs)
-        rows.append(
-            {
-                "eps": float(eps),
-                "mean_error": float(errs.mean()),
-                "std_error": float(errs.std(ddof=1)) if len(errs) > 1 else 0.0,
-                "error_over_eps": float(errs.mean() / eps),
-                "seeds": len(errs),
-            }
-        )
     return rows
 
 

@@ -8,10 +8,12 @@ factored form stays here as an independent algorithm to check it with;
 ``kalman_gain`` is re-exported next to it, so a test imports both sides
 of that comparison from one place. :func:`filter_matched_riccati_step`
 keeps the augmented recursion under the filter's own noise, a
-convention no package code runs.
+convention no package code runs. :func:`noise_scaled_error` runs the
+filter on a system whose noise is scaled by ``eps``, for the filter's
+small-noise scaling.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.linalg
@@ -30,8 +32,16 @@ from enkf_lab.linalg import (
     kalman_update_operator,
     symmetrize,
 )
-from enkf_lab.enkf import Ensemble, sigma_plus_factor
-from enkf_lab.models import DOMAIN_INIT, sample_noise, substream
+from enkf_lab.enkf import Ensemble, EnkfFilter, sigma_plus_factor
+from enkf_lab.models import (
+    DOMAIN_INIT,
+    CoefficientStream,
+    StepCoefficients,
+    _LastValueMemo,
+    sample_noise,
+    substream,
+    truth_path,
+)
 
 
 def mahalanobis_sq(v, C) -> float:
@@ -293,3 +303,30 @@ def gain_apply_woodbury(ctx: KalmanGainContext, y):
         Htw = np.asarray(ctx.H.T @ w)
     out = ctx.V @ (ctx.V.T @ Htw) + ctx.tau_rho * Htw
     return out[:, 0] if squeeze else out
+
+
+def noise_scaled_error(stream, cfg, T, eps, seeds) -> float:
+    """Mean over ``seeds`` of the l2 error of the filter's posterior mean,
+    averaged over the last half of a ``T``-step run from a zero truth, on
+    ``stream`` with its noise scaled by ``eps``: Sigma -> eps^2 Sigma,
+    observation noise -> eps^2 I (as ``H -> H / eps`` under unit noise,
+    which divides the observations by eps) and rho -> eps^2 rho.
+
+    The filter is positively homogeneous, so with the same draws the
+    error is ``eps`` times the ``eps = 1`` error up to roundoff.
+    """
+    def scale(c):
+        H = None if c.H is None else c.H / eps
+        return StepCoefficients(A=c.A, B=c.B, Sigma=c.Sigma * (eps * eps), H=H)
+
+    # a constant stream hands out one object, so the filter factors Sigma+ once
+    scaled = _LastValueMemo(scale)
+    s_stream = CoefficientStream(d=stream.d, q=stream.q, generator=lambda n, _seed: scaled(stream.at(n)))
+    s_cfg = replace(cfg, rho=eps * eps * cfg.rho)
+    errs = []
+    for seed in seeds:
+        path = truth_path(s_stream, np.zeros(stream.d), T, seed)
+        filt = EnkfFilter(s_stream, s_cfg, seed)
+        run_err = [np.linalg.norm(filt.step(y).posterior.mean - x) for x, y in path]
+        errs.append(np.mean(run_err[T // 2:]))
+    return float(np.mean(errs))

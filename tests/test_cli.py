@@ -206,6 +206,18 @@ def test_experiment_subcommand_mismatch_exits_2(tmp_path, capsys):
     assert "'verify-dim'" in err
 
 
+def test_a_retired_experiment_name_exits_2(tmp_path, capsys):
+    # the retired accuracy experiment is neither a subcommand nor an
+    # experiment name, and its config makes no output directory
+    path = write_config(tmp_path, tiny_simulate_config(experiment="accuracy"))
+    assert cli_main(["accuracy", "--config", path]) == 2
+    assert "invalid choice: 'accuracy'" in capsys.readouterr().err
+    out = tmp_path / "o"
+    assert cli_main(["simulate", "--config", path, "--out", str(out)]) == 2
+    assert "config error: experiment: must be one of simulate, verify-dim, rmt, stability" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_rmt_unknown_key_is_named(tmp_path, capsys):
     cfg = {"experiment": "rmt", "rmt": {"dd": 3}}
     rc = cli_main(["rmt-experiment", "--config", write_config(tmp_path, cfg)])
@@ -247,7 +259,7 @@ def test_seeds_object_validation(tmp_path, capsys):
         ("rmt-experiment", {"rmt": {"K_list": ["x"]}}, "rmt.K_list"),
         ("rmt-experiment", {"rmt": {"K_list": 5}}, "rmt.K_list"),
         ("stability", tiny_simulate_config(experiment="stability", shifts=["x"]), "shifts"),
-        ("accuracy", tiny_simulate_config(experiment="accuracy", eps_list=[None]), "eps_list"),
+        ("stability", tiny_simulate_config(experiment="stability", shifts=[]), "shifts"),
         ("verify-dim", {"model": {"J": True}}, "model.J"),
         ("verify-dim", {"model": {"J": 2.5}}, "model.J"),
         ("verify-dim", {"model": {"J": 2, "sigma_obs": True}}, "model.sigma_obs"),
@@ -421,7 +433,6 @@ def test_simulate_runs_on_a_damped_unobserved_model(tmp_path):
 _SMOKE_CONFIGS = {
     "simulate": {"enkf": {"K": 8, "p": 4}, "T": 3, "seeds": [0]},
     "stability": {"enkf": {"K": 8, "p": 4}, "T": 3, "seeds": [0]},
-    "accuracy": {"enkf": {"K": 8, "p": 4}, "T": 3, "seeds": [0]},
     "verify-dim": {},
 }
 
@@ -526,8 +537,12 @@ MINIMAL_CONFIGS = {
     "verify-dim": {"experiment": "verify-dim", "model": {"J": 2}},
     "rmt": {"experiment": "rmt", "rmt": {"d": 20, "p": 2, "K_list": [5], "trials": 4, "tail_trials": 50}},
     "stability": tiny_simulate_config(experiment="stability"),
-    "accuracy": tiny_simulate_config(experiment="accuracy", eps_list=[1.0, 0.1]),
 }
+
+
+def test_config_fields_are_exactly_the_registry_keys():
+    # an experiment's keys leave the config when its registry row does
+    assert {f.name for f in fields(ExperimentConfig)} == set().union(*(e.keys for e in _REGISTRY.values()))
 
 
 @pytest.mark.parametrize("experiment", list(_REGISTRY))
@@ -627,24 +642,6 @@ def test_stability_writes_expected_files(tmp_path):
     lines = (out / "slopes.csv").read_text().splitlines()
     header = next(ln for ln in lines if not ln.startswith("#"))
     assert header == "shift,seed,slope,n_points,spreads_identical,final_gap"
-
-
-def test_accuracy_writes_expected_files(tmp_path):
-    cfg = {
-        "experiment": "accuracy",
-        "model": {"J": 2, "r": 1.1, "tau": 0.6, "rho": 0.04, "sigma_obs": 10.0},
-        "enkf": {"K": 4, "p": 2},
-        "T": 5,
-        "eps_list": [1.0, 0.5],
-        "seeds": [0],
-    }
-    out = tmp_path / "out"
-    rc = cli_main(["accuracy", "--config", write_config(tmp_path, cfg), "--out", str(out)])
-    assert rc == 0
-    report = json.loads((out / "report.json").read_text())
-    assert len(report["rows"]) == 2
-    # the error scale is exactly proportional to eps here
-    assert report["max_over_min_error_per_eps"] == pytest.approx(1.0, abs=1e-9)
 
 
 def test_rmt_experiment_subcommand(tmp_path, capsys):

@@ -17,7 +17,6 @@ from enkf_lab.diagnostics import (
     CSV_COLUMNS,
     FilterDiagnostics,
     compute_lambda_mu,
-    run_accuracy_experiment,
     run_concentration_experiment,
     run_filter_experiment,
     run_stability_experiment,
@@ -35,7 +34,7 @@ from enkf_lab.linalg import (
 from enkf_lab.models import InvalidParams, JumpSpec, TurbulenceParams, build_turbulence, simulate_truth
 from enkf_lab.reference import augmented_riccati_step, stationary_riccati_ambient
 
-from oracles import compute_nu, factor_matrix, loewner_ratio, mahalanobis_sq
+from oracles import compute_nu, factor_matrix, loewner_ratio, mahalanobis_sq, noise_scaled_error
 
 
 def dense_lambda_mu(C_hat_taurho, A, C_prev, Sigma_plus, r, tau, rho):
@@ -329,7 +328,6 @@ def test_experiments_reject_empty_or_repeating_seeds_before_any_run(monkeypatch,
     runs = (
         lambda: run_filter_experiment(stream, cfg, T=3, seeds=seeds, r_ref=r_ref),
         lambda: run_stability_experiment(stream, cfg, T=3, shift_magnitudes=(1.0,), seeds=seeds),
-        lambda: run_accuracy_experiment(stream, cfg, T=3, eps_list=(1.0,), seeds=seeds),
     )
     for run in runs:
         with pytest.raises(ValueError, match="seeds must be nonempty and distinct"):
@@ -654,6 +652,21 @@ def test_concentration_rejects_out_of_range_arguments(monkeypatch, bad, key):
             run_concentration_experiment(**kw)
 
 
+@pytest.mark.parametrize("value", [2.5, True], ids=["fraction", "bool"])
+@pytest.mark.parametrize("key", ["d", "p", "trials", "tail_K", "tail_trials", "tail_min_count", "K_list"])
+def test_concentration_rejects_non_integer_counts(monkeypatch, key, value):
+    # a bool is not an integer here, and a fraction is named before numpy
+    # would see it as a shape; K_list is checked entry by entry
+    def no_trial(*_args):
+        raise AssertionError("a trial started")
+
+    monkeypatch.setattr(diagnostics, "substream", no_trial)
+    kw = dict(d=20, p=2, K_list=(10,), rho=0.1, delta=0.1, trials=5, seed=0)
+    kw[key] = (10, value) if key == "K_list" else value
+    with pytest.raises(InvalidParams, match=f"^{key}: "):
+        run_concentration_experiment(**kw)
+
+
 def test_concentration_reproducible():
     kw = dict(
         d=20, p=2, K_list=(10,), rho=0.1, delta=0.1, trials=50, seed=4,
@@ -684,66 +697,23 @@ def test_stability_experiment():
         assert row["final_gap"] < 1e-10
 
 
-def test_accuracy_experiment_linear_scaling():
-    p = TurbulenceParams(J=2, sigma_obs=10.0, tau=0.6)
-    stream = build_turbulence(p)
-    cfg = EnkfConfig(K=8, p=3, r=p.r, rho=p.rho, tau=p.tau)
-    rows = run_accuracy_experiment(
-        stream, cfg, T=40, eps_list=(1.0, 0.5), seeds=(0, 1)
-    )
-    assert [r["eps"] for r in rows] == [1.0, 0.5]
-    # the filter map is exactly homogeneous in eps
-    assert rows[0]["error_over_eps"] == pytest.approx(
-        rows[1]["error_over_eps"], rel=1e-6
-    )
-
-
 def test_accuracy_experiment_measures_an_identity_on_the_ensemble_space_route():
-    # every eps shares the same draws and the filter is positively
-    # homogeneous (state ~ eps, covariances and rho ~ eps^2), so on the
-    # K < d route error/eps agrees across eps up to roundoff: the
-    # experiment has no sampling content
+    # on the same draws, scaling the noise by eps (Sigma, observation
+    # noise and rho by eps^2) scales the state and the error by eps, down
+    # to eps = 1e-8, on the K < d route: error/eps agrees up to roundoff,
+    # so a small-noise accuracy experiment on shared draws has no content
     p = TurbulenceParams(J=10, sigma_obs=10.0, tau=0.6)
     cfg = EnkfConfig(K=8, p=4, r=p.r, rho=p.rho, tau=p.tau)
-    rows = run_accuracy_experiment(build_turbulence(p), cfg, T=60, eps_list=(1.0, 0.3, 0.1), seeds=(0, 1))
-    ratios = [r["error_over_eps"] for r in rows]
+    stream = build_turbulence(p)
+    ratios = [noise_scaled_error(stream, cfg, 60, eps, (0, 1)) / eps for eps in (1.0, 0.3, 0.1, 1e-8)]
     assert max(ratios) / min(ratios) - 1 <= 1e-12
 
 
-def test_accuracy_experiment_tiny_eps(monkeypatch):
+def test_accuracy_experiment_tiny_eps():
+    # K >= d takes the dense route; at eps = 1e-8 the filter's error is tiny
     p = TurbulenceParams(J=2, sigma_obs=10.0, tau=0.6)
-    stream = build_turbulence(p)
     cfg = EnkfConfig(K=8, p=3, r=p.r, rho=p.rho, tau=p.tau)
-    rows = run_accuracy_experiment(stream, cfg, T=30, eps_list=(1e-8,), seeds=(0,))
-    assert rows[0]["mean_error"] < 1e-6
-
-    def no_truth(*args, **kwargs):
-        raise AssertionError("a run started before every eps was checked")
-
-    # a bad eps anywhere in the list fails before the first run
-    monkeypatch.setattr(diagnostics, "truth_path", no_truth)
-    for eps_list in ((0.0,), (0.5, -1.0), (0.5, np.nan), (np.inf,)):
-        with pytest.raises(ValueError, match="eps values must be finite and positive"):
-            run_accuracy_experiment(stream, cfg, T=5, eps_list=eps_list, seeds=(0,))
-
-
-def test_scaled_stream_memoises_constant_steps_and_maps_jump_steps():
-    eps = 0.5
-    const = build_turbulence(TurbulenceParams(J=3, sigma_obs=10.0, tau=0.6))
-    scaled = diagnostics._scaled_stream(const, eps)
-    # one scaled object for a constant stream, so the filter factors once
-    assert scaled.at(0) is scaled.at(5)
-    jump = JumpSpec(
-        transition=[[0.5, 0.5], [0.5, 0.5]], multipliers=[[1.0], [1.3]], modes=(1,)
-    )
-    stream = build_turbulence(TurbulenceParams(J=3, sigma_obs=10.0, tau=0.6, jump_spec=jump))
-    scaled = diagnostics._scaled_stream(stream, eps)
-    for n in range(6):
-        base, got = stream.at(n), scaled.at(n)
-        assert (got.A != base.A).nnz == 0
-        assert np.array_equal(got.B, base.B)
-        assert (got.Sigma != base.Sigma * (eps * eps)).nnz == 0
-        assert (got.H != base.H / eps).nnz == 0
+    assert noise_scaled_error(build_turbulence(p), cfg, 30, 1e-8, (0,)) < 1e-6
 
 
 def test_write_csv_roundtrip(tmp_path):
